@@ -12,7 +12,6 @@ from graphcat.segal import (
     extract_properad,
     is_segal,
     nerve,
-    nerve_level,
     representable_presheaf,
     segal_limit,
     segmentation_check,
@@ -57,8 +56,9 @@ sq = next(i for i, g in enumerate(pair.objects) if len(g.vertices) == 4)
 print("at the square: values =", len(R.value(sq)),
       "but compatible families =", len(segal_limit(R, sq)))
 
-# On level-graph corpora the Segal condition can be rephrased through
-# height-1 slices glued over height-0 interfaces.
+# The same nerve and Segal condition work on level-graph corpora, where
+# the condition can be rephrased through height-1 slices glued over
+# height-0 interfaces.
 branching = level_graph(
     [["a"], ["b", "c"], ["d", "e"]],
     [
@@ -67,7 +67,7 @@ branching = level_graph(
     ],
 )
 lc = build_level_corpus([branching, linear_level_graph(2)])
-NL = nerve_level(P, lc)
+NL = nerve(P, lc)
 full, short_seg = segmentation_check(NL)
 print("\nfull Segal locality:", full)
 print("short cores + segmentation maps:", short_seg)

@@ -10,9 +10,7 @@ JSON output is sorted and schema-stable; all randomness is seeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 
 from . import digraph, graphical, level, properad, segal
@@ -111,34 +109,41 @@ def _properad_from_json(data):
     raise SystemExit(2)
 
 
+def _malformed(kind, problem):
+    print(f"error: malformed {kind}: {problem}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_graph_json(data):
+    return (
+        isinstance(data, dict)
+        and isinstance(data.get("edges"), list)
+        and isinstance(data.get("vertices"), list)
+        and all(
+            isinstance(v, dict)
+            and "name" in v
+            and isinstance(v.get("in"), list)
+            and isinstance(v.get("out"), list)
+            for v in data["vertices"]
+        )
+    )
+
+
 def _corpus_from_manifest(manifest):
-    generators = [digraph.graph_from_json(g) for g in manifest["generators"]]
-    max_vertices = manifest.get("max_vertices", 3)
-    cache_dir = os.environ.get("GRAPHCAT_CORPUS_DIR")
-    if cache_dir:
-        key = hashlib.sha256(
-            json.dumps(manifest, sort_keys=True).encode()
-        ).hexdigest()[:16]
-        path = os.path.join(cache_dir, f"corpus-{key}.json")
-        if os.path.exists(path):
-            stored = _load_json(path)
-            objects = [digraph.graph_from_json(g) for g in stored["objects"]]
-            homs = {
-                (i, j): graphical.hom_set(a, b)
-                for i, a in enumerate(objects)
-                for j, b in enumerate(objects)
-            }
-            return segal.Corpus(objects, homs)
-    corpus = segal.build_corpus(generators, max_vertices=max_vertices)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(
-                {"objects": [digraph.graph_to_json(g) for g in corpus.objects]},
-                fh,
-                sort_keys=True,
-            )
-    return corpus
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("generators"), list)
+        and all(_is_graph_json(g) for g in manifest["generators"])
+        and isinstance(manifest.get("max_vertices", 3), int)
+    ):
+        _malformed(
+            "corpus",
+            'expected {"generators": [graph, ...], "max_vertices": int}',
+        )
+    return segal.build_corpus(
+        [digraph.graph_from_json(g) for g in manifest["generators"]],
+        max_vertices=manifest.get("max_vertices", 3),
+    )
 
 
 def _presheaf_to_json(F, manifest):
@@ -156,12 +161,40 @@ def _presheaf_to_json(F, manifest):
 
 
 def _presheaf_from_json(data):
-    corpus = _corpus_from_manifest(data["corpus"])
-    values = tuple(tuple(range(len(entry))) for entry in data["values"])
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("values"), list)
+        and all(isinstance(entry, list) for entry in data["values"])
+        and isinstance(data.get("restrictions"), dict)
+    ):
+        _malformed(
+            "presheaf",
+            'expected {"corpus": ..., "values": [[...], ...], '
+            '"restrictions": {"i:j:k": [...], ...}}',
+        )
+    corpus = _corpus_from_manifest(data.get("corpus"))
+    sizes = [len(entry) for entry in data["values"]]
+    if len(sizes) != len(corpus):
+        _malformed(
+            "presheaf",
+            f"{len(sizes)} value lists for a corpus of {len(corpus)} objects",
+        )
     restrictions = {}
-    for key, table in data["restrictions"].items():
-        i, j, k = (int(part) for part in key.split(":"))
-        restrictions[(i, j, k)] = dict(enumerate(table))
+    for (i, j), fs in corpus.homs.items():
+        for k in range(len(fs)):
+            table = data["restrictions"].get(f"{i}:{j}:{k}")
+            if not (
+                isinstance(table, list)
+                and len(table) == sizes[j]
+                and all(isinstance(y, int) and 0 <= y < sizes[i] for y in table)
+            ):
+                _malformed(
+                    "presheaf",
+                    f"restriction {i}:{j}:{k} is not a map from "
+                    f"{sizes[j]} values to {sizes[i]}",
+                )
+            restrictions[(i, j, k)] = dict(enumerate(table))
+    values = tuple(tuple(range(n)) for n in sizes)
     return segal.FinitePresheaf(corpus, values, restrictions)
 
 

@@ -149,10 +149,6 @@ def validate_graphical(f):
         assembled, corr, e_map, v_map = assembly(f)
     except GraphcatError as exc:
         return Violation("NotConvexOpenImage", str(exc))
-    if len(set(v_map.values())) != len(v_map):
-        return Violation(
-            "NotConvexOpenImage", "image subgraphs share vertices"
-        )
     if len(set(e_map.values())) != len(e_map):
         return Violation(
             "NotConvexOpenImage", "assembled edge comparison is not injective"

@@ -712,6 +712,29 @@ def segmentation_pieces(lg):
 # from connected level graphs to graphical maps
 
 
+def component_images(f):
+    """The edge map of a level morphism and the image of each vertex.
+
+    Edges map by the levelwise edge maps; a vertex goes to the open
+    subgraph of the target's underlying graph carried by its component
+    image.
+    """
+    tgt = underlying_graph(f.target)
+    sf_t = special_extension(f.target)
+    f0 = {}
+    for layer in f.edge_maps:
+        f0.update(layer)
+    images = {}
+    for i, layer in enumerate(f.vertex_maps):
+        tpair = (f.alpha[i], f.alpha[i + 1])
+        for vname, rep in layer.items():
+            members = sf_t.members(tpair, rep)
+            edges = frozenset(a[2] for a in members if a[0] == "e")
+            vnames = frozenset(a[2] for a in members if a[0] == "v")
+            images[vname] = OpenSubgraph(tgt, edges, vnames)
+    return f0, images
+
+
 def tau(f):
     """Forget levels: the graphical map underlying a morphism of
     connected level graphs.
@@ -722,26 +745,18 @@ def tau(f):
     G, H = f.source, f.target
     if not is_connected_level(G) or not is_connected_level(H):
         raise ConnectivityError("tau is defined on connected level graphs")
-    tgt = underlying_graph(H)
-    sf_t = special_extension(H)
-    f0 = {}
-    for i, layer in enumerate(f.edge_maps):
-        f0.update(layer)
+    f0, images = component_images(f)
     f1v = {}
-    for i, layer in enumerate(f.vertex_maps):
-        tpair = (f.alpha[i], f.alpha[i + 1])
-        for vname, rep in layer.items():
-            members = sf_t.members(tpair, rep)
-            edges = frozenset(a[2] for a in members if a[0] == "e")
-            vnames = frozenset(a[2] for a in members if a[0] == "v")
-            sub = OpenSubgraph(tgt, edges, vnames)
-            promoted = promote(sub)
-            if promoted is None:
-                raise GraphcatError(
-                    f"component image of {vname} is not a structured subgraph"
-                )
-            f1v[vname] = promoted
-    return graphical.graphical_morphism(underlying_graph(G), tgt, f0, f1v)
+    for vname, sub in images.items():
+        promoted = promote(sub)
+        if promoted is None:
+            raise GraphcatError(
+                f"component image of {vname} is not a structured subgraph"
+            )
+        f1v[vname] = promoted
+    return graphical.graphical_morphism(
+        underlying_graph(G), underlying_graph(H), f0, f1v
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,25 @@
 """Finite presheaves on graph corpora: Segal conditions and nerves.
 
-A corpus is a finite family of connected graphs closed under structured
-subgraphs, together with all hom-sets between its members.  Set-valued
+A corpus is a finite family of graphs in one category of graphs (the
+graphical category of connected graphs, or the category of level
+graphs), together with all hom-sets between its members.  Set-valued
 presheaves on a corpus are given by value tables and restriction tables;
 the Segal condition asks the value at a graph to be recovered from the
-values on its edges and corollas.  The nerve of a finite properad is
-always Segal, and a Segal presheaf determines a properad; both
-directions are implemented, along with the segmentation reformulation
-on level-graph corpora.
+values on its edges and corollas.  Covers, limits, comparisons, nerves
+and representables are written once and read what they need from the
+corpus's category.  The nerve of a finite properad is always Segal, and
+a Segal presheaf determines a properad; both directions are implemented,
+along with the segmentation reformulation on level-graph corpora.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 from .digraph import (
-    Graph,
     canonical_form,
     corolla,
     edge_graph,
@@ -35,6 +37,7 @@ from .graphical import (
     validate_graphical,
 )
 from .level import (
+    component_images,
     compose_level,
     elementary_corolla,
     elementary_edge,
@@ -49,14 +52,103 @@ from .properad import FiniteProperad, decorated_graph
 
 
 # ---------------------------------------------------------------------------
-# graphical corpora
+# categories of graphs
+
+
+@dataclass(frozen=True)
+class Category:
+    """What the Segal engine reads from a category of graphs.
+
+    ``graph_of(x)`` is the underlying graph of an object x.
+    ``corolla_inclusion(c, x, v)`` sends the corolla object c onto the
+    vertex v of ``graph_of(x)``; ``edge_inclusion(edge, x, e)`` sends the
+    single-edge object onto the edge e.  ``images(f)`` is the edge map of
+    a morphism together with, per source vertex, the target subgraph it
+    is sent to (anything with an ``as_graph``).
+    """
+
+    compose: Callable
+    identity: Callable
+    graph_of: Callable
+    corolla_inclusion: Callable
+    edge_inclusion: Callable
+    images: Callable
+
+
+def _graphical_corolla_inclusion(c, g, v):
+    cv = c.vertices[0]
+    f0 = dict(zip(cv.ins, v.ins)) | dict(zip(cv.outs, v.outs))
+    return graphical_morphism(c, g, f0, {cv.name: vertex_corolla(g, v.name)})
+
+
+def _graphical_edge_inclusion(edge, g, e):
+    return graphical_morphism(edge, g, {edge.edges[0]: e}, {})
+
+
+def _level_corolla_inclusion(c, lg, v):
+    i = _layer_of(lg, v.name)
+    cv = c.vertex_layers[0][0]
+    emaps = [dict(zip(cv.ins, v.ins)), dict(zip(cv.outs, v.outs))]
+    rep = special_extension(lg).cls((i, i + 1), ("v", i, v.name))
+    return level_morphism(c, lg, (i, i + 1), emaps, [{cv.name: rep}])
+
+
+def _level_edge_inclusion(edge, lg, e):
+    return level_morphism(
+        edge, lg, (_level_of(lg, e),), [{edge.edge_layers[0][0]: e}], []
+    )
+
+
+def _level_of(lg, edge):
+    for i, layer in enumerate(lg.edge_layers):
+        if edge in layer:
+            return i
+    raise KeyError(edge)
+
+
+def _layer_of(lg, vname):
+    for i, layer in enumerate(lg.vertex_layers):
+        if any(v.name == vname for v in layer):
+            return i
+    raise KeyError(vname)
+
+
+# compose is looked up when called, so that rebinding the module-level
+# name (as instrumentation does) also reaches composites taken here
+GRAPHICAL = Category(
+    compose=lambda f, g: compose_graphical(f, g),
+    identity=identity_graphical,
+    graph_of=lambda g: g,
+    corolla_inclusion=_graphical_corolla_inclusion,
+    edge_inclusion=_graphical_edge_inclusion,
+    images=lambda f: (f.f0, f.f1v),
+)
+
+LEVEL = Category(
+    compose=lambda f, g: compose_level(f, g),
+    identity=identity_level,
+    graph_of=underlying_graph,
+    corolla_inclusion=_level_corolla_inclusion,
+    edge_inclusion=_level_edge_inclusion,
+    images=component_images,
+)
+
+
+# ---------------------------------------------------------------------------
+# corpora
 
 
 class Corpus:
-    """Canonical connected graphs with precomputed hom tables."""
+    """Objects of one category of graphs with precomputed hom tables.
 
-    def __init__(self, objects, homs):
+    ``graphs[i]`` is the underlying graph of ``objects[i]``; the edge
+    and corolla objects are located on the underlying graphs.
+    """
+
+    def __init__(self, category, objects, homs):
+        self.category = category
         self.objects = tuple(objects)
+        self.graphs = tuple(category.graph_of(x) for x in self.objects)
         self.homs = homs
         self._hom_index = {
             key: {m: k for k, m in enumerate(entry)}
@@ -72,19 +164,19 @@ class Corpus:
     def hom_index(self, i, j, m):
         return self._hom_index[(i, j)][m]
 
-    def object_index(self, g):
-        return self.objects.index(g)
+    def object_index(self, x):
+        return self.objects.index(x)
 
     def compose(self, f, g):
-        return compose_graphical(f, g)
+        return self.category.compose(f, g)
 
     def identity_of(self, i):
-        return identity_graphical(self.objects[i])
+        return self.category.identity(self.objects[i])
 
     @cached_property
     def edge_index(self):
         return next(
-            i for i, g in enumerate(self.objects)
+            i for i, g in enumerate(self.graphs)
             if not g.vertices and len(g.edges) == 1
         )
 
@@ -92,7 +184,7 @@ class Corpus:
     def corolla_index(self):
         """biarity -> index of the corolla object."""
         table = {}
-        for i, g in enumerate(self.objects):
+        for i, g in enumerate(self.graphs):
             if len(g.vertices) == 1 and len(g.edges) == sum(g.vertices[0].biarity()):
                 table[g.vertices[0].biarity()] = i
         return table
@@ -140,7 +232,33 @@ def build_corpus(generators, max_vertices=3):
         for i, a in enumerate(objects)
         for j, b in enumerate(objects)
     }
-    return Corpus(objects, homs)
+    return Corpus(GRAPHICAL, objects, homs)
+
+
+def build_level_corpus(generators):
+    """Close level graphs under segmentation pieces and elementaries."""
+    pool = [elementary_edge()]
+    biarities = set()
+    for lg in generators:
+        pool.append(lg)
+        pieces, interfaces = segmentation_pieces(lg)
+        pool.extend(p for p, _ in pieces)
+        pool.extend(p for p, _ in interfaces)
+        for layer in lg.vertex_layers:
+            for v in layer:
+                biarities.add(v.biarity())
+    for m, n in sorted(biarities):
+        pool.append(elementary_corolla(m, n))
+    objects = []
+    for lg in pool:
+        if lg not in objects:
+            objects.append(lg)
+    homs = {
+        (i, j): hom_level(a, b)
+        for i, a in enumerate(objects)
+        for j, b in enumerate(objects)
+    }
+    return Corpus(LEVEL, objects, homs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +314,19 @@ class FinitePresheaf:
         return True
 
 
-def presheaf_from_tables(corpus, values, restrictions):
-    return FinitePresheaf(corpus, values, restrictions)
-
-
 def representable_presheaf(corpus, x_index):
     """hom(-, X): restriction is precomposition."""
     values = tuple(corpus.homs[(i, x_index)] for i in range(len(corpus)))
     restrictions = {}
     for (i, j), fs in corpus.homs.items():
         for k, f in enumerate(fs):
-            table = {}
-            for h in corpus.homs[(j, x_index)]:
-                table[h] = compose_graphical(f, h)
-            restrictions[(i, j, k)] = table
+            restrictions[(i, j, k)] = {
+                h: corpus.compose(f, h) for h in corpus.homs[(j, x_index)]
+            }
     return FinitePresheaf(corpus, values, restrictions)
+
+
+representable_level_presheaf = representable_presheaf
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +337,10 @@ def representable_presheaf(corpus, x_index):
 class Cover:
     """The canonical elementary cover of a corpus object.
 
-    ``vertex_entries[v]`` and ``edge_entries[e]`` are (object index,
-    inclusion morphism); ``connections`` holds one commuting triangle
-    per incidence: (edge, vertex, morphism between the elementaries).
+    ``vertex_entries[v]`` and ``edge_entries[e]`` are (name, object
+    index, inclusion morphism); ``connections`` holds one commuting
+    triangle per incidence: (edge, vertex, corolla object index,
+    inclusion of the edge into that corolla).
     """
 
     object_index: int
@@ -233,38 +350,24 @@ class Cover:
 
 
 def elementary_cover(corpus, gi):
-    g = corpus.objects[gi]
+    cat = corpus.category
+    x, g = corpus.objects[gi], corpus.graphs[gi]
     ei = corpus.edge_index
     edge_obj = corpus.objects[ei]
-    vertex_entries = []
+    vertex_entries, connections = [], []
     for v in g.vertices:
         ci = corpus.corolla_index[v.biarity()]
         c = corpus.objects[ci]
-        cv = c.vertices[0]
-        f0 = dict(zip(cv.ins, v.ins)) | dict(zip(cv.outs, v.outs))
-        incl = graphical_morphism(
-            c, g, f0, {cv.name: vertex_corolla(g, v.name)}
-        )
-        vertex_entries.append((v.name, ci, incl))
-    edge_entries = []
-    for e in g.edges:
-        incl = graphical_morphism(
-            edge_obj, g, {edge_obj.edges[0]: e}, {}
-        )
-        edge_entries.append((e, ei, incl))
-    connections = []
-    for v in g.vertices:
-        ci = corpus.corolla_index[v.biarity()]
-        c = corpus.objects[ci]
-        cv = c.vertices[0]
-        for side, listed in (("in", cv.ins), ("out", cv.outs)):
-            src = v.ins if side == "in" else v.outs
-            for k, ce in enumerate(listed):
-                conn = graphical_morphism(
-                    edge_obj, c, {edge_obj.edges[0]: ce}, {}
-                )
-                connections.append((src[k], v.name, ci, conn))
-    return Cover(gi, tuple(vertex_entries), tuple(edge_entries), tuple(connections))
+        vertex_entries.append((v.name, ci, cat.corolla_inclusion(c, x, v)))
+        cv = corpus.graphs[ci].vertices[0]
+        for ends, corolla_ends in ((v.ins, cv.ins), (v.outs, cv.outs)):
+            for e, ce in zip(ends, corolla_ends):
+                conn = cat.edge_inclusion(edge_obj, c, ce)
+                connections.append((e, v.name, ci, conn))
+    edge_entries = tuple(
+        (e, ei, cat.edge_inclusion(edge_obj, x, e)) for e in g.edges
+    )
+    return Cover(gi, tuple(vertex_entries), edge_entries, tuple(connections))
 
 
 def segal_limit(F, gi):
@@ -272,24 +375,25 @@ def segal_limit(F, gi):
     corpus = F.corpus
     cover = elementary_cover(corpus, gi)
     ei = corpus.edge_index
-    vertex_list = [name for name, _, _ in cover.vertex_entries]
     edge_list = [e for e, _, _ in cover.edge_entries]
+    if not cover.vertex_entries:
+        # a vertexless object is covered by its edges alone
+        return tuple(
+            ((), combo)
+            for combo in itertools.product(F.value(ei), repeat=len(edge_list))
+        )
     constraints = {}
     for e, vname, ci, conn in cover.connections:
         constraints.setdefault(vname, []).append((e, ci, conn))
-    if not cover.vertex_entries:
-        # the single-edge object covers itself
-        return tuple(((), (y,)) for y in F.value(ei))
     families = []
-    vertex_choices = [
-        F.value(ci) for _, ci, _ in cover.vertex_entries
-    ]
-    for choice in itertools.product(*vertex_choices):
+    for choice in itertools.product(
+        *(F.value(ci) for _, ci, _ in cover.vertex_entries)
+    ):
         edge_values = {}
         ok = True
-        for (vname, ci, _), x in zip(cover.vertex_entries, choice):
-            for e, ci2, conn in constraints.get(vname, ()):
-                y = F.restrict_along(ei, ci2, conn, x)
+        for (vname, _, _), x in zip(cover.vertex_entries, choice):
+            for e, ci, conn in constraints.get(vname, ()):
+                y = F.restrict_along(ei, ci, conn, x)
                 if edge_values.setdefault(e, y) != y:
                     ok = False
                     break
@@ -303,8 +407,7 @@ def segal_limit(F, gi):
 
 def segal_map(F, gi):
     """The canonical comparison from F(G) into the cover limit."""
-    corpus = F.corpus
-    cover = elementary_cover(corpus, gi)
+    cover = elementary_cover(F.corpus, gi)
     out = {}
     for x in F.value(gi):
         vs = tuple(
@@ -319,20 +422,26 @@ def segal_map(F, gi):
     return out
 
 
+def _bijective_onto(comparison, limit):
+    image = list(comparison.values())
+    return len(set(image)) == len(image) and set(image) == set(limit)
+
+
+def _first_non_segal(F, indices):
+    """The first listed object where the comparison is not bijective."""
+    for gi in indices:
+        if not _bijective_onto(segal_map(F, gi), segal_limit(F, gi)):
+            return gi
+    return None
+
+
 def is_segal(F):
     """Bijectivity of the comparison at every corpus object.
 
     Returns (flag, witness object index or None).
     """
-    for gi in range(len(F.corpus)):
-        limit = segal_limit(F, gi)
-        comparison = segal_map(F, gi)
-        image = list(comparison.values())
-        if len(set(image)) != len(image):
-            return False, gi
-        if set(image) != set(limit):
-            return False, gi
-    return True, None
+    witness = _first_non_segal(F, range(len(F.corpus)))
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +452,11 @@ def nerve(P, corpus):
     """The presheaf of P-decorations of the corpus graphs.
 
     A decoration is an edge coloring plus a color-compatible operation
-    per vertex; restriction along a morphism evaluates image subgraphs.
+    per vertex of the underlying graph; restriction along a morphism
+    evaluates the decoration on each vertex's image subgraph.
     """
     values = []
-    for g in corpus.objects:
+    for g in corpus.graphs:
         entries = []
         for coloring in itertools.product(P.colors, repeat=len(g.edges)):
             cof = dict(zip(g.edges, coloring))
@@ -363,30 +473,36 @@ def nerve(P, corpus):
     values = tuple(values)
     restrictions = {}
     for (i, j), fs in corpus.homs.items():
-        src, tgt = corpus.objects[i], corpus.objects[j]
+        src, tgt = corpus.graphs[i], corpus.graphs[j]
         for k, f in enumerate(fs):
-            table = {}
-            for x in values[j]:
-                table[x] = _restrict_decoration(P, f, tgt, src, x)
-            restrictions[(i, j, k)] = table
+            f0, subs = corpus.category.images(f)
+            images = {v: sub.as_graph for v, sub in subs.items()}
+            restrictions[(i, j, k)] = {
+                x: _restrict_decoration(P, f0, images, src, tgt, x)
+                for x in values[j]
+            }
     return FinitePresheaf(corpus, values, restrictions)
 
 
-def _restrict_decoration(P, f, tgt, src, x):
+def nerve_level(P, corpus):
+    """The nerve on a level corpus (the same construction as ``nerve``)."""
+    return nerve(P, corpus)
+
+
+def _restrict_decoration(P, f0, images, src, tgt, x):
     coloring, ops = x
     cof = dict(zip(tgt.edges, coloring))
     lof = dict(zip(tgt.vertex_names, ops))
-    new_colors = tuple(cof[f.f0[e]] for e in src.edges)
+    new_colors = tuple(cof[f0[e]] for e in src.edges)
     new_ops = []
     for v in src.vertices:
-        sub = f.f1v[v.name]
-        subg = sub.as_graph
+        subg = images[v.name]
         dec = decorated_graph(
             subg,
             {e: cof[e] for e in subg.edges},
             {w: lof[w] for w in subg.vertex_names},
-            tuple(f.f0[e] for e in v.ins),
-            tuple(f.f0[e] for e in v.outs),
+            tuple(f0[e] for e in v.ins),
+            tuple(f0[e] for e in v.outs),
         )
         new_ops.append(P.evaluate(dec))
     return (new_colors, tuple(new_ops))
@@ -412,30 +528,22 @@ class ExtractedProperad(FiniteProperad):
         self._ops_cache = {}
         self._profiles = {}
         self._fingerprints = {}
+        # a corolla value's profile: its restrictions to the corolla's
+        # inputs, then to its outputs, along the cover's connections
+        ei = self.corpus.edge_index
         for (m, n), ci in self.corpus.corolla_index.items():
+            conns = elementary_cover(self.corpus, ci).connections
             for x in F.value(ci):
-                self._profiles[x] = self._edge_restrictions(ci, x)
+                ys = tuple(
+                    F.restrict_along(ei, ci, conn, x) for _, _, _, conn in conns
+                )
+                self._profiles[x] = (ys[:m], ys[m:])
 
     def _corolla(self, m, n):
         ci = self.corpus.corolla_index.get((m, n))
         if ci is None:
             raise GraphcatError(f"corpus has no corolla of biarity {(m, n)}")
         return ci, self.corpus.objects[ci]
-
-    def _edge_restrictions(self, ci, x):
-        corpus = self.corpus
-        c = corpus.objects[ci]
-        cv = c.vertices[0]
-        ei = corpus.edge_index
-        edge_obj = corpus.objects[ei]
-        ins, outs = [], []
-        for e in cv.ins:
-            incl = graphical_morphism(edge_obj, c, {edge_obj.edges[0]: e}, {})
-            ins.append(self.F.restrict_along(ei, ci, incl, x))
-        for e in cv.outs:
-            incl = graphical_morphism(edge_obj, c, {edge_obj.edges[0]: e}, {})
-            outs.append(self.F.restrict_along(ei, ci, incl, x))
-        return tuple(ins), tuple(outs)
 
     def ops(self, ins, outs):
         key = (tuple(ins), tuple(outs))
@@ -544,288 +652,7 @@ def extract_properad(F):
 
 
 # ---------------------------------------------------------------------------
-# level-graph corpora
-
-
-class LevelCorpus:
-    """Level graphs (disconnected allowed) with precomputed hom tables."""
-
-    def __init__(self, objects, homs):
-        self.objects = tuple(objects)
-        self.homs = homs
-        self._hom_index = {
-            key: {m: k for k, m in enumerate(entry)}
-            for key, entry in homs.items()
-        }
-
-    def __len__(self):
-        return len(self.objects)
-
-    def hom(self, i, j):
-        return self.homs[(i, j)]
-
-    def hom_index(self, i, j, m):
-        return self._hom_index[(i, j)][m]
-
-    def object_index(self, lg):
-        return self.objects.index(lg)
-
-    def compose(self, f, g):
-        return compose_level(f, g)
-
-    def identity_of(self, i):
-        return identity_level(self.objects[i])
-
-    @cached_property
-    def edge_index(self):
-        return next(
-            i for i, lg in enumerate(self.objects)
-            if lg.height == 0 and len(lg.edge_layers[0]) == 1
-        )
-
-    @cached_property
-    def corolla_index(self):
-        table = {}
-        for i, lg in enumerate(self.objects):
-            if (
-                lg.height == 1
-                and len(lg.vertex_layers[0]) == 1
-                and len(lg.edge_layers[0]) + len(lg.edge_layers[1])
-                == sum(lg.vertex_layers[0][0].biarity())
-            ):
-                table[lg.vertex_layers[0][0].biarity()] = i
-        return table
-
-
-def build_level_corpus(generators):
-    """Close level graphs under segmentation pieces and elementaries."""
-    pool = [elementary_edge()]
-    biarities = set()
-    for lg in generators:
-        pool.append(lg)
-        pieces, interfaces = segmentation_pieces(lg)
-        pool.extend(p for p, _ in pieces)
-        pool.extend(p for p, _ in interfaces)
-        for layer in lg.vertex_layers:
-            for v in layer:
-                biarities.add(v.biarity())
-    for m, n in sorted(biarities):
-        pool.append(elementary_corolla(m, n))
-    objects = []
-    for lg in pool:
-        if lg not in objects:
-            objects.append(lg)
-    homs = {
-        (i, j): hom_level(a, b)
-        for i, a in enumerate(objects)
-        for j, b in enumerate(objects)
-    }
-    return LevelCorpus(objects, homs)
-
-
-def representable_level_presheaf(corpus, x_index):
-    values = tuple(corpus.homs[(i, x_index)] for i in range(len(corpus)))
-    restrictions = {}
-    for (i, j), fs in corpus.homs.items():
-        for k, f in enumerate(fs):
-            restrictions[(i, j, k)] = {
-                h: compose_level(f, h) for h in corpus.homs[(j, x_index)]
-            }
-    return FinitePresheaf(corpus, values, restrictions)
-
-
-def nerve_level(P, corpus):
-    """Decorations of the underlying graphs, restricted along level maps."""
-    values = []
-    for lg in corpus.objects:
-        g = underlying_graph(lg)
-        entries = []
-        for coloring in itertools.product(P.colors, repeat=len(g.edges)):
-            cof = dict(zip(g.edges, coloring))
-            per_vertex = [
-                P.ops(
-                    tuple(cof[e] for e in v.ins),
-                    tuple(cof[e] for e in v.outs),
-                )
-                for v in g.vertices
-            ]
-            for ops in itertools.product(*per_vertex):
-                entries.append((coloring, ops))
-        values.append(tuple(entries))
-    values = tuple(values)
-    restrictions = {}
-    for (i, j), fs in corpus.homs.items():
-        src, tgt = corpus.objects[i], corpus.objects[j]
-        for k, f in enumerate(fs):
-            table = {}
-            for x in values[j]:
-                table[x] = _restrict_level_decoration(P, f, x)
-            restrictions[(i, j, k)] = table
-    return FinitePresheaf(corpus, values, restrictions)
-
-
-def _restrict_level_decoration(P, f, x):
-    src, tgt = f.source, f.target
-    gt = underlying_graph(tgt)
-    gs = underlying_graph(src)
-    coloring, ops = x
-    cof = dict(zip(gt.edges, coloring))
-    lof = dict(zip(gt.vertex_names, ops))
-    sf_t = special_extension(tgt)
-    emaps, vmaps = f.edge_maps, f.vertex_maps
-    new_colors = tuple(
-        cof[emaps[_level_of(src, e)][e]] for e in gs.edges
-    )
-    new_ops = []
-    for v in gs.vertices:
-        i = _layer_of(src, v.name)
-        rep = vmaps[i][v.name]
-        pair = (f.alpha[i], f.alpha[i + 1])
-        members = sf_t.members(pair, rep)
-        edges = {a[2] for a in members if a[0] == "e"}
-        vnames = {a[2] for a in members if a[0] == "v"}
-        sub_edges = tuple(e for e in gt.edges if e in edges)
-        sub_vs = tuple(w for w in gt.vertices if w.name in vnames)
-        subg = Graph(sub_edges, sub_vs)
-        dec = decorated_graph(
-            subg,
-            {e: cof[e] for e in sub_edges},
-            {w.name: lof[w.name] for w in sub_vs},
-            tuple(emaps[i][e] for e in v.ins),
-            tuple(emaps[i + 1][e] for e in v.outs),
-        )
-        new_ops.append(P.evaluate(dec))
-    return (new_colors, tuple(new_ops))
-
-
-def _level_of(lg, edge):
-    for i, layer in enumerate(lg.edge_layers):
-        if edge in layer:
-            return i
-    raise KeyError(edge)
-
-
-def _layer_of(lg, vname):
-    for i, layer in enumerate(lg.vertex_layers):
-        if any(v.name == vname for v in layer):
-            return i
-    raise KeyError(vname)
-
-
-# ---------------------------------------------------------------------------
-# Segal and segmentation conditions on level corpora
-
-
-def _level_cover(corpus, li):
-    """Canonical elementary cover of a level corpus object."""
-    lg = corpus.objects[li]
-    sf = special_extension(lg)
-    ei = corpus.edge_index
-    edge_obj = corpus.objects[ei]
-    edge_name = edge_obj.edge_layers[0][0]
-    vertex_entries = []
-    for i, layer in enumerate(lg.vertex_layers):
-        for v in layer:
-            ci = corpus.corolla_index[v.biarity()]
-            c = corpus.objects[ci]
-            cv = c.vertex_layers[0][0]
-            emaps = [
-                dict(zip(cv.ins, v.ins)),
-                dict(zip(cv.outs, v.outs)),
-            ]
-            vmaps = [{cv.name: sf.cls((i, i + 1), ("v", i, v.name))}]
-            incl = level_morphism(c, lg, (i, i + 1), emaps, vmaps)
-            vertex_entries.append((v.name, i, ci, incl))
-    edge_entries = []
-    for i, layer in enumerate(lg.edge_layers):
-        for e in layer:
-            incl = level_morphism(edge_obj, lg, (i,), [{edge_name: e}], [])
-            edge_entries.append((e, ei, incl))
-    connections = []
-    for vname, i, ci, _ in vertex_entries:
-        c = corpus.objects[ci]
-        cv = c.vertex_layers[0][0]
-        v = lg.layer_vertex(i, vname)
-        for k, ce in enumerate(cv.ins):
-            conn = level_morphism(edge_obj, c, (0,), [{edge_name: ce}], [])
-            connections.append((v.ins[k], vname, ci, conn))
-        for k, ce in enumerate(cv.outs):
-            conn = level_morphism(edge_obj, c, (1,), [{edge_name: ce}], [])
-            connections.append((v.outs[k], vname, ci, conn))
-    return vertex_entries, edge_entries, connections
-
-
-def segal_limit_level(F, li):
-    corpus = F.corpus
-    vertex_entries, edge_entries, connections = _level_cover(corpus, li)
-    ei = corpus.edge_index
-    edge_list = [e for e, _, _ in edge_entries]
-    if not vertex_entries:
-        return tuple(
-            ((), combo)
-            for combo in itertools.product(F.value(ei), repeat=len(edge_list))
-        )
-    constraints = {}
-    for e, vname, ci, conn in connections:
-        constraints.setdefault(vname, []).append((e, ci, conn))
-    families = []
-    for choice in itertools.product(
-        *(F.value(ci) for _, _, ci, _ in vertex_entries)
-    ):
-        edge_values = {}
-        ok = True
-        for (vname, _, ci, _), x in zip(vertex_entries, choice):
-            for e, ci2, conn in constraints.get(vname, ()):
-                y = F.restrict_along(ei, ci2, conn, x)
-                if edge_values.setdefault(e, y) != y:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        families.append((choice, tuple(edge_values[e] for e in edge_list)))
-    return tuple(sorted(set(families), key=repr))
-
-
-def segal_map_level(F, li):
-    corpus = F.corpus
-    vertex_entries, edge_entries, _ = _level_cover(corpus, li)
-    out = {}
-    for x in F.value(li):
-        vs = tuple(
-            F.restrict_along(ci, li, incl, x)
-            for _, _, ci, incl in vertex_entries
-        )
-        es = tuple(
-            F.restrict_along(ci, li, incl, x)
-            for _, ci, incl in edge_entries
-        )
-        out[x] = (vs, es)
-    return out
-
-
-def _bijective_onto(comparison, limit):
-    image = list(comparison.values())
-    return len(set(image)) == len(image) and set(image) == set(limit)
-
-
-def is_segal_level(F):
-    """Locality with respect to every elementary cover."""
-    for li in range(len(F.corpus)):
-        if not _bijective_onto(segal_map_level(F, li), segal_limit_level(F, li)):
-            return False, li
-    return True, None
-
-
-def short_segal_local(F):
-    """Locality only at the short objects (height at most one)."""
-    for li, lg in enumerate(F.corpus.objects):
-        if lg.height > 1:
-            continue
-        if not _bijective_onto(segal_map_level(F, li), segal_limit_level(F, li)):
-            return False, li
-    return True, None
+# the segmentation condition on level corpora
 
 
 def segmentation_local(F):
@@ -884,9 +711,13 @@ def segmentation_check(F):
     """Compare full Segal locality with short cores plus segmentation.
 
     Returns (full, short_and_segmentation); the two flags agree for
-    every functorial presheaf.
+    every functorial presheaf.  Both flags need locality at the short
+    objects (height at most one), which is checked once.
     """
-    full, _ = is_segal_level(F)
-    short, _ = short_segal_local(F)
+    objects = F.corpus.objects
+    short = [i for i, lg in enumerate(objects) if lg.height <= 1]
+    tall = [i for i, lg in enumerate(objects) if lg.height > 1]
+    short_ok = _first_non_segal(F, short) is None
+    full = short_ok and _first_non_segal(F, tall) is None
     seg, _ = segmentation_local(F)
-    return full, (short and seg)
+    return full, (short_ok and seg)

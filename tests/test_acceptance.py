@@ -96,7 +96,6 @@ from graphcat.segal import (
     segal_limit,
     segmentation_check,
     segmentation_local,
-    short_segal_local,
 )
 from graphcat.zoo import (
     closed_double_edge_graph,

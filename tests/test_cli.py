@@ -144,6 +144,45 @@ def test_nerve_and_segal_roundtrip(tmp_path, capsys):
     assert json.loads(out)["segal"] is True
 
 
+def _assert_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("manifest", [{}, {"generators": [{"edges": "ab"}]}])
+def test_nerve_malformed_corpus_exits_2(tmp_path, capsys, manifest):
+    properad_file = tmp_path / "p.json"
+    properad_file.write_text(json.dumps({"kind": "end", "sets": {"c": 2}}))
+    corpus_file = tmp_path / "c.json"
+    corpus_file.write_text(json.dumps(manifest))
+    _assert_usage_error(capsys, "nerve", str(properad_file), str(corpus_file))
+
+
+def test_segal_presheaf_of_wrong_size_exits_2(tmp_path, capsys):
+    from graphcat.digraph import linear_graph
+
+    properad_file = tmp_path / "p.json"
+    properad_file.write_text(json.dumps({"kind": "end", "sets": {"c": 2}}))
+    corpus_file = tmp_path / "corpus.json"
+    corpus_file.write_text(json.dumps({
+        "generators": [graph_to_json(linear_graph(2))],
+        "max_vertices": 3,
+    }))
+    presheaf_file = tmp_path / "nerve.json"
+    code, _, _ = run_cli(
+        capsys, "nerve", str(properad_file), str(corpus_file),
+        "-o", str(presheaf_file),
+    )
+    assert code == 0
+    data = json.loads(presheaf_file.read_text())
+    data["values"] = data["values"][:-1]
+    presheaf_file.write_text(json.dumps(data))
+    _assert_usage_error(capsys, "segal", str(presheaf_file))
+
+
 def test_determinism(tmp_path, capsys):
     path = write_graph(tmp_path, "g3.json", three_vertex_graph())
     outs = set()

@@ -13,12 +13,12 @@ from graphcat.properad import (
     terminal_properad,
 )
 from graphcat.segal import (
+    Cover,
     build_corpus,
     build_level_corpus,
     elementary_cover,
     extract_properad,
     is_segal,
-    is_segal_level,
     nerve,
     nerve_level,
     representable_level_presheaf,
@@ -27,7 +27,6 @@ from graphcat.segal import (
     segal_map,
     segmentation_check,
     segmentation_local,
-    short_segal_local,
     FinitePresheaf,
 )
 from graphcat.zoo import (
@@ -126,12 +125,10 @@ def test_representable_fails_segal():
     assert len(segal_limit(R, sq)) > 0
 
 
-def test_broken_fiber_fails_with_witness():
-    corpus = g3_corpus()
-    P = terminal_properad(("*",))
-    N = nerve(P, corpus)
-    gi = next(i for i, g in enumerate(corpus.objects) if len(g.vertices) == 3)
-    # duplicate an element of F(G3): restrictions reuse the original's
+def with_phantom(N, gi):
+    """N with a copy of its first element at object gi, restricting as
+    the original does; the comparison at gi is then not injective."""
+    corpus = N.corpus
     values = list(N.values)
     phantom = ("phantom",)
     values[gi] = values[gi] + (phantom,)
@@ -145,7 +142,16 @@ def test_broken_fiber_fails_with_witness():
             else:
                 table[phantom] = table[N.values[gi][0]]
         restrictions[(i, j, k)] = table
-    broken = FinitePresheaf(corpus, tuple(values), restrictions)
+    return FinitePresheaf(corpus, tuple(values), restrictions)
+
+
+def test_broken_fiber_fails_with_witness():
+    corpus = g3_corpus()
+    P = terminal_properad(("*",))
+    N = nerve(P, corpus)
+    gi = next(i for i, g in enumerate(corpus.objects) if len(g.vertices) == 3)
+    # duplicate an element of F(G3): restrictions reuse the original's
+    broken = with_phantom(N, gi)
     assert broken.check_functorial(max_pairs=500)
     flag, witness = is_segal(broken)
     assert not flag and witness == gi
@@ -295,22 +301,38 @@ def test_broken_level_presheaf_fails_both():
     lc = level_corpus()
     N = nerve_level(terminal_properad(("*",)), lc)
     gi = next(i for i, lg in enumerate(lc.objects) if lg.height == 2)
-    values = list(N.values)
-    phantom = ("phantom",)
-    values[gi] = values[gi] + (phantom,)
-    ident_k = lc.hom_index(gi, gi, lc.identity_of(gi))
-    restrictions = {}
-    for (i, j, k), table in N.restrictions.items():
-        table = dict(table)
-        if j == gi:
-            if (i, k) == (gi, ident_k):
-                table[phantom] = phantom
-            else:
-                table[phantom] = table[N.values[gi][0]]
-        restrictions[(i, j, k)] = table
-    broken = FinitePresheaf(lc, tuple(values), restrictions)
-    full, short_seg = segmentation_check(broken)
+    full, short_seg = segmentation_check(with_phantom(N, gi))
     assert not full and not short_seg
+
+
+def test_level_presheaf_broken_at_short_object_fails_both():
+    # only a height-1 object is broken, so the short objects alone
+    # decide both flags
+    lc = level_corpus()
+    N = nerve_level(terminal_properad(("*",)), lc)
+    gi = next(
+        i for i, lg in enumerate(lc.objects)
+        if lg.height == 1 and len(lg.vertex_layers[0]) == 2
+    )
+    broken = with_phantom(N, gi)
+    assert is_segal(broken) == (False, gi)
+    assert segmentation_check(broken) == (False, False)
+
+
+def test_level_cover_of_height_two_object():
+    lc = level_corpus()
+    gi = lc.object_index(branching_level())
+    cover = elementary_cover(lc, gi)
+    assert isinstance(cover, Cover) and cover.object_index == gi
+    assert [(name, ci) for name, ci, _ in cover.vertex_entries] == [
+        ("u", lc.corolla_index[(1, 2)]),
+        ("v", lc.corolla_index[(1, 1)]),
+        ("w", lc.corolla_index[(1, 1)]),
+    ]
+    for _, ci, incl in cover.vertex_entries:
+        assert (incl.source, incl.target) == (lc.objects[ci], lc.objects[gi])
+    assert [e for e, _, _ in cover.edge_entries] == ["a", "b", "c", "d", "e"]
+    assert len(cover.connections) == 7
 
 
 def test_linear_corpus_reduces_to_category_segal():
