@@ -4,7 +4,7 @@ Subcommands mirror the library: validate, subgraphs, convex, hom,
 factorize, substitute, tau, free-properad, prpd compose/stabilizer,
 theta, nerve, segal, dot.  Exit code 0 on success, 1 on a domain
 violation (with the violation report), 2 on usage or file errors.
-JSON output is sorted and schema-stable; all randomness is seeded.
+JSON output is sorted and schema-stable.
 """
 
 from __future__ import annotations
@@ -59,26 +59,6 @@ def _emit_text(data, indent=0):
 
 def _graph_arg(path):
     return digraph.graph_from_json(_load_json(path))
-
-
-def _zgraph_from_json(data):
-    g = digraph.graph_from_json(data)
-    colors = data.get("colors")
-    return properad.zgraph(
-        g,
-        tuple(str(e) for e in data["in_order"]),
-        tuple(str(e) for e in data["out_order"]),
-        {str(k): v for k, v in colors.items()} if colors else None,
-    )
-
-
-def _zgraph_to_json(z):
-    out = digraph.graph_to_json(z.graph)
-    out["in_order"] = list(z.in_order)
-    out["out_order"] = list(z.out_order)
-    if z.colors is not None:
-        out["colors"] = dict(zip(z.graph.edges, z.colors))
-    return out
 
 
 def _graphical_morphism_from_json(data):
@@ -140,9 +120,13 @@ def _corpus_from_manifest(manifest):
             "corpus",
             'expected {"generators": [graph, ...], "max_vertices": int}',
         )
+    generators = [digraph.graph_from_json(g) for g in manifest["generators"]]
+    for g in generators:
+        report = digraph.validate(g)
+        if report is not None:
+            raise DomainFailure(str(report))
     return segal.build_corpus(
-        [digraph.graph_from_json(g) for g in manifest["generators"]],
-        max_vertices=manifest.get("max_vertices", 3),
+        generators, max_vertices=manifest.get("max_vertices", 3)
     )
 
 
@@ -320,14 +304,15 @@ def cmd_free_properad(args):
 def cmd_prpd(args):
     data = _load_json(args.data)
     if args.operation == "compose":
-        outer = _zgraph_from_json(data["outer"])
+        outer = properad.operation_from_json(data["outer"])
         inner = {
-            int(k): _zgraph_from_json(v) for k, v in data["inner"].items()
+            int(k): properad.operation_from_json(v)
+            for k, v in data["inner"].items()
         }
         result = properad.prpd_compose(outer, inner)
-        _emit(_zgraph_to_json(result), args.format)
+        _emit(properad.operation_to_json(result), args.format)
     else:
-        op = _zgraph_from_json(data)
+        op = properad.operation_from_json(data)
         stab = properad.stabilizer(op)
         _emit(
             {"order": len(stab), "elements": [list(p) for p in stab]},
@@ -345,7 +330,7 @@ def cmd_theta(args):
         "source": [list(p) for p in arrow.source],
         "target": [list(p) for p in arrow.target],
         "alpha": list(arrow.alpha),
-        "operations": [_zgraph_to_json(op) for op in arrow.ops],
+        "operations": [properad.operation_to_json(op) for op in arrow.ops],
     }
     _emit(payload, args.format)
 
@@ -386,10 +371,8 @@ def build_parser():
         description="directed graphs with loose ends, level graphs, "
         "graphical maps, properads, and Segal presheaves",
     )
-    parser.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--max-vertices", type=int, default=10)
-    parser.add_argument("--max-degree", type=int, default=6)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check graph invariants")

@@ -8,14 +8,15 @@ vertices, and the vertex-level relation "some output of v is an input of
 w" must be acyclic.
 
 This module provides the subgraph calculus (open subgraphs, convexity,
-structured subgraphs, the partial join), graph substitution, and a
-canonical form deciding strict isomorphism of ordered graphs.
+structured subgraphs, the partial join), graph substitution, and
+canonical forms deciding strict isomorphism of ordered graphs and
+isomorphism with the orderings forgotten.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -777,7 +778,7 @@ def subgraph_witness(h):
 # canonical form
 
 
-def _refine_classes(g, classes, order_sensitive=True):
+def _refine_classes(g, classes, order_sensitive):
     """One round of neighbourhood refinement of a vertex partition."""
     idx = {}
     for ci, cls in enumerate(classes):
@@ -801,12 +802,33 @@ def _refine_classes(g, classes, order_sensitive=True):
     return [sorted(b) for _, b in sorted(buckets.items())]
 
 
-def _initial_classes(g, vertex_label):
+# the most vertex orders a canonical form search may try
+MAX_ORDERS = 50000
+
+
+def _vertex_orders(g, order_sensitive):
+    """Vertex orders compatible with the refined partition of ``g``.
+
+    Vertices start out classed by biarity; each refinement round splits
+    a class by the classes on the far side of each vertex's edges, read
+    in the vertex's own order or, without ``order_sensitive``, as a
+    multiset.  Classes come in an isomorphism-invariant order, so every
+    order yielded lists isomorphic graphs the same way up to a choice
+    within each class.
+    """
     buckets = {}
     for v in g.vertices:
-        lab = repr(vertex_label(v.name)) if vertex_label else ""
-        buckets.setdefault((lab, len(v.ins), len(v.outs)), []).append(v.name)
-    return [sorted(b) for _, b in sorted(buckets.items())]
+        buckets.setdefault(v.biarity(), []).append(v.name)
+    classes = [sorted(b) for _, b in sorted(buckets.items())]
+    for _ in range(len(g.vertices)):
+        refined = _refine_classes(g, classes, order_sensitive)
+        if len(refined) == len(classes):
+            break
+        classes = refined
+    if math.prod(math.factorial(len(cls)) for cls in classes) > MAX_ORDERS:
+        raise SizeLimit("canonical form search space too large")
+    for combo in itertools.product(*(itertools.permutations(c) for c in classes)):
+        yield tuple(itertools.chain.from_iterable(combo))
 
 
 def _certificate(g, vorder, edge_label, in_order, out_order):
@@ -847,19 +869,17 @@ def _certificate(g, vorder, edge_label, in_order, out_order):
 
 def canonical_form(
     g,
-    vertex_label=None,
     edge_label=None,
     in_order=None,
     out_order=None,
     vertex_order=None,
-    max_candidates=50000,
 ):
     """A deterministic representative of the strict isomorphism class.
 
     Two graphs receive equal canonical forms exactly when there is an
-    isomorphism preserving per-vertex orderings, the optional labels,
-    and the optional boundary orderings.  ``vertex_order`` pins the
-    vertex enumeration (used for indexed graphs); otherwise a
+    isomorphism preserving per-vertex orderings, the optional edge
+    labels, and the optional boundary orderings.  ``vertex_order`` pins
+    the vertex enumeration (used for indexed graphs); otherwise a
     backtracking search over refinement-compatible orders picks the
     lexicographically least certificate.
 
@@ -868,23 +888,7 @@ def canonical_form(
     if vertex_order is not None:
         orders = [tuple(vertex_order)]
     else:
-        classes = _initial_classes(g, vertex_label)
-        for _ in range(len(g.vertices)):
-            refined = _refine_classes(g, classes)
-            if len(refined) == len(classes):
-                break
-            classes = refined
-        count = 1
-        for cls in classes:
-            for k in range(2, len(cls) + 1):
-                count *= k
-            if count > max_candidates:
-                raise SizeLimit("canonical form search space too large")
-        pools = [itertools.permutations(cls) for cls in classes]
-        orders = [
-            tuple(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*pools)
-        ]
+        orders = _vertex_orders(g, order_sensitive=True)
     best = None
     for order in orders:
         cert, eid = _certificate(g, order, edge_label, in_order, out_order)
@@ -905,12 +909,53 @@ def canonical_form(
     return Graph(edges, vs), edge_map, vertex_map
 
 
-def strict_iso(g1, g2, **kwargs):
+def unordered_canonical_form(g):
+    """A representative of the isomorphism class with orderings forgotten.
+
+    Graphical isomorphisms keep each vertex's set of inputs and set of
+    outputs but not their order, so a graph is determined up to one by
+    the (source, target) vertex pair of each edge.  The certificate of a
+    vertex order is the sorted tuple of those pairs, in positions, with
+    -1 for a loose end; the least over refinement-compatible orders
+    wins.  Edges are numbered in certificate order and every vertex
+    lists its edges in that numbering, so graphs get equal forms exactly
+    when they are isomorphic in the graphical category.
+
+    Returns (form, edge renaming, vertex renaming).  When two forms
+    agree, one graph's renamings followed by the inverse of the other's
+    is an isomorphism between them.
+    """
+    best = None
+    for order in _vertex_orders(g, order_sensitive=False):
+        pos = {name: i for i, name in enumerate(order)}
+        ends = sorted(
+            (pos.get(g.out_vertex.get(e), -1), pos.get(g.in_vertex.get(e), -1), e)
+            for e in g.edges
+        )
+        cert = tuple((src, tgt) for src, tgt, _ in ends)
+        if best is None or cert < best[0]:
+            best = (cert, order, ends)
+    _, order, ends = best
+    number = {e: k for k, (_, _, e) in enumerate(ends, 1)}
+    edge_map = {e: f"e{k}" for e, k in number.items()}
+    vertex_map = {name: f"v{i+1}" for i, name in enumerate(order)}
+
+    def renamed(edges):
+        return tuple(edge_map[e] for e in sorted(edges, key=number.get))
+
+    vs = tuple(
+        Vertex(vertex_map[v.name], renamed(v.ins), renamed(v.outs))
+        for v in map(g.vertex, order)
+    )
+    return Graph(renamed(g.edges), vs), edge_map, vertex_map
+
+
+def strict_iso(g1, g2):
     """Are the two ordered graphs strictly isomorphic?"""
     if len(g1.edges) != len(g2.edges) or len(g1.vertices) != len(g2.vertices):
         return False
-    c1, _, _ = canonical_form(g1, **kwargs)
-    c2, _, _ = canonical_form(g2, **kwargs)
+    c1, _, _ = canonical_form(g1)
+    c2, _, _ = canonical_form(g2)
     return c1 == c2
 
 
@@ -934,11 +979,6 @@ def graph_from_json(data):
         [(v["name"], [str(e) for e in v["in"]], [str(e) for e in v["out"]])
          for v in data["vertices"]],
     )
-
-
-def load_graph(path):
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))
 
 
 def to_dot(g, name="G"):

@@ -163,13 +163,6 @@ def validate_graphical(f):
     return None
 
 
-def check_graphical(f):
-    report = validate_graphical(f)
-    if report is not None:
-        raise GraphcatError(str(report))
-    return f
-
-
 def f1_on_subgraph(f, j):
     """The derived action on structured subgraphs.
 

@@ -17,7 +17,6 @@ two classes form an orthogonal factorization system.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -59,12 +58,6 @@ class LevelGraph:
         return tuple(
             v.name for layer in self.vertex_layers for v in layer
         )
-
-    def layer_vertex(self, i, name):
-        for v in self.vertex_layers[i]:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
     def __repr__(self):
         return (
@@ -987,11 +980,6 @@ def level_from_json(data):
             for layer in data["vertex_layers"]
         ],
     )
-
-
-def load_level(path):
-    with open(path) as fh:
-        return level_from_json(json.load(fh))
 
 
 def morphism_to_json(f):

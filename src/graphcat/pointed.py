@@ -38,10 +38,6 @@ def pointed_map(source, target, mapping):
     )
 
 
-def pointed_identity(elements):
-    return pointed_map(elements, elements, {x: x for x in elements})
-
-
 def compose_pointed(p, q):
     """q after p."""
     mapping = {

@@ -255,75 +255,81 @@ def suboperad_member(op):
     return {"dioperad": sc, "out": out, "operad": operad, "cat": cat}
 
 
+def _stub_matchings(boundaries):
+    """Connected acyclic graphs glued from vertices with colored stubs.
+
+    ``boundaries[z]`` is (input colors, output colors) of vertex
+    ``z{z}``.  An output stub may be glued to an input stub of another
+    vertex with the same color; stubs left unglued become loose ends.
+    Yields (graph, edge colors) for every connected acyclic matching,
+    in a fixed order.  Edges are listed glued first, then loose
+    inputs, then loose outputs, so the graph's boundary orders follow
+    the stubs.
+    """
+    stubs_in, stubs_out = [], []
+    for z, (ins, outs) in enumerate(boundaries):
+        stubs_in.extend(((z, k), c) for k, c in enumerate(ins))
+        stubs_out.extend(((z, k), c) for k, c in enumerate(outs))
+
+    def build(matching):
+        edge_of_in, edge_of_out, edges, colors = {}, {}, [], {}
+        for n, (so, si, color) in enumerate(matching):
+            name = f"m{n}"
+            edges.append(name)
+            edge_of_out[so] = name
+            edge_of_in[si] = name
+            colors[name] = color
+        for stubs, edge_of, prefix in (
+            (stubs_in, edge_of_in, "in"), (stubs_out, edge_of_out, "out")
+        ):
+            for key, color in stubs:
+                if key not in edge_of:
+                    name = f"{prefix}{key[0]}_{key[1]}"
+                    edges.append(name)
+                    edge_of[key] = name
+                    colors[name] = color
+        vs = tuple(
+            Vertex(
+                f"z{z}",
+                tuple(edge_of_in[(z, k)] for k in range(len(ins))),
+                tuple(edge_of_out[(z, k)] for k in range(len(outs))),
+            )
+            for z, (ins, outs) in enumerate(boundaries)
+        )
+        return Graph(tuple(edges), vs), colors
+
+    def match(i, used, acc):
+        if i == len(stubs_in):
+            g, colors = build(acc)
+            if validate_graph(g) is None and is_connected(g):
+                yield g, colors
+            return
+        si, color = stubs_in[i]
+        yield from match(i + 1, used, acc)
+        for so, so_color in stubs_out:
+            if so in used or so_color != color or so[0] == si[0]:
+                continue
+            yield from match(i + 1, used | {so}, acc + [(so, si, color)])
+
+    yield from match(0, frozenset(), [])
+
+
 def all_operations(biarities, orderings="canonical"):
     """All operations with the given indexed vertex biarities.
 
     Enumerates stub matchings (acyclic, connected); boundary orderings
     are the canonical ones, or all of them with ``orderings="all"``.
     """
-    stubs_out, stubs_in = [], []
-    for z, (m, n) in enumerate(biarities):
-        stubs_in.extend((z, k) for k in range(m))
-        stubs_out.extend((z, k) for k in range(n))
-
+    uncolored = [((None,) * m, (None,) * n) for m, n in biarities]
     results = []
-
-    def build(matching):
-        edges, vs = [], []
-        edge_of_in = {}
-        edge_of_out = {}
-        for idx, (so, si) in enumerate(matching):
-            name = f"m{idx}"
-            edges.append(name)
-            edge_of_out[so] = name
-            edge_of_in[si] = name
-        for z, k in stubs_in:
-            if (z, k) not in edge_of_in:
-                name = f"in{z}_{k}"
-                edges.append(name)
-                edge_of_in[(z, k)] = name
-        for z, k in stubs_out:
-            if (z, k) not in edge_of_out:
-                name = f"out{z}_{k}"
-                edges.append(name)
-                edge_of_out[(z, k)] = name
-        for z, (m, n) in enumerate(biarities):
-            vs.append(
-                Vertex(
-                    f"z{z}",
-                    tuple(edge_of_in[(z, k)] for k in range(m)),
-                    tuple(edge_of_out[(z, k)] for k in range(n)),
-                )
-            )
-        g = Graph(tuple(edges), tuple(vs))
-        if validate_graph(g) is not None or not is_connected(g):
-            return
+    for g, _ in _stub_matchings(uncolored):
         if orderings == "all":
             for ip in itertools.permutations(g.inputs):
                 for op_ in itertools.permutations(g.outputs):
                     results.append(zgraph(g, ip, op_))
         else:
             results.append(zgraph(g, g.inputs, g.outputs))
-
-    def match(i, used, acc):
-        if i == len(stubs_in):
-            build(acc)
-            return
-        si = stubs_in[i]
-        match(i + 1, used, acc)
-        for so in stubs_out:
-            if so in used or so[0] == si[0]:
-                continue
-            match(i + 1, used | {so}, acc + [(so, si)])
-
-    match(0, frozenset(), [])
-    seen = set()
-    unique = []
-    for op_ in results:
-        if op_ not in seen:
-            seen.add(op_)
-            unique.append(op_)
-    return tuple(unique)
+    return tuple(dict.fromkeys(results))
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +522,6 @@ class FreeProperad(FiniteProperad):
         _, zg, labels = op
         return zg.profile()
 
-    def element_graph(self, op):
-        return op[1], op[2]
-
-    def is_generator(self, op):
-        _, zg, labels = op
-        return zg.size == 1
-
     def generator_element(self, vname):
         v = self.generator.vertex(vname)
         g = Graph(tuple(v.ins) + tuple(v.outs), (v,))
@@ -554,73 +553,14 @@ class FreeProperad(FiniteProperad):
         gens = self.generator.vertex_names
         for k in range(1, self.vertex_bound + 1):
             for combo in itertools.combinations_with_replacement(gens, k):
-                for el in self._assemblies(combo):
+                stubs = [
+                    (v.ins, v.outs) for v in map(self.generator.vertex, combo)
+                ]
+                for g, colors in _stub_matchings(stubs):
+                    labels = dict(zip(g.vertex_names, combo))
+                    el = self._element(g, colors, labels, g.inputs, g.outputs)
                     found.setdefault(el[1].profile(), set()).add(el)
         return found
-
-    def _assemblies(self, labels):
-        """All connected acyclic stub matchings of the given generators."""
-        ref = self.generator
-        stubs_in, stubs_out = [], []
-        for idx, name in enumerate(labels):
-            v = ref.vertex(name)
-            stubs_in.extend(((idx, k), v.ins[k]) for k in range(len(v.ins)))
-            stubs_out.extend(((idx, k), v.outs[k]) for k in range(len(v.outs)))
-        results = []
-
-        def build(matching):
-            edge_of_in, edge_of_out, edges, colors = {}, {}, [], {}
-            for n, (so, si, color) in enumerate(matching):
-                name = f"m{n}"
-                edges.append(name)
-                edge_of_out[so] = name
-                edge_of_in[si] = name
-                colors[name] = color
-            for key, color in stubs_in:
-                if key not in edge_of_in:
-                    name = f"i{key[0]}_{key[1]}"
-                    edges.append(name)
-                    edge_of_in[key] = name
-                    colors[name] = color
-            for key, color in stubs_out:
-                if key not in edge_of_out:
-                    name = f"o{key[0]}_{key[1]}"
-                    edges.append(name)
-                    edge_of_out[key] = name
-                    colors[name] = color
-            vs = []
-            lab = {}
-            for idx, gname in enumerate(labels):
-                v = ref.vertex(gname)
-                wname = f"w{idx}"
-                vs.append(
-                    Vertex(
-                        wname,
-                        tuple(edge_of_in[(idx, k)] for k in range(len(v.ins))),
-                        tuple(edge_of_out[(idx, k)] for k in range(len(v.outs))),
-                    )
-                )
-                lab[wname] = gname
-            g = Graph(tuple(edges), tuple(vs))
-            if validate_graph(g) is not None or not is_connected(g):
-                return
-            results.append(
-                self._element(g, colors, lab, g.inputs, g.outputs)
-            )
-
-        def match(i, used, acc):
-            if i == len(stubs_in):
-                build(acc)
-                return
-            (si, color) = stubs_in[i]
-            match(i + 1, used, acc)
-            for so, so_color in stubs_out:
-                if so in used or so_color != color or so[0] == si[0]:
-                    continue
-                match(i + 1, used | {so}, acc + [(so, si, color)])
-
-        match(0, frozenset(), [])
-        return results
 
     def ops(self, ins, outs):
         """Elements in an exact ordered profile, up to the vertex bound."""

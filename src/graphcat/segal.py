@@ -24,6 +24,7 @@ from .digraph import (
     corolla,
     edge_graph,
     structured_subgraphs,
+    unordered_canonical_form,
     vertex_corolla,
     whole_subgraph,
 )
@@ -33,8 +34,6 @@ from .graphical import (
     graphical_morphism,
     hom_set,
     identity_graphical,
-    iso_set,
-    validate_graphical,
 )
 from .level import (
     component_images,
@@ -190,19 +189,6 @@ class Corpus:
         return table
 
 
-def _iso_class_seen(g, seen):
-    key = (
-        len(g.edges),
-        len(g.vertices),
-        tuple(sorted(v.biarity() for v in g.vertices)),
-        (len(g.inputs), len(g.outputs)),
-    )
-    for other in seen.get(key, ()):
-        if iso_set(g, other):
-            return True, key, other
-    return False, key, None
-
-
 def build_corpus(generators, max_vertices=3):
     """Close generators under structured subgraphs and boundary corollas.
 
@@ -219,13 +205,12 @@ def build_corpus(generators, max_vertices=3):
             pool.append(sub.as_graph)
         pool.append(corolla(len(g.inputs), len(g.outputs)))
     objects = []
-    seen = {}
+    forms = set()
     for g in pool:
-        canon, _, _ = canonical_form(g)
-        dup, key, _ = _iso_class_seen(canon, seen)
-        if not dup:
-            seen.setdefault(key, []).append(canon)
-            objects.append(canon)
+        form, _, _ = unordered_canonical_form(g)
+        if form not in forms:
+            forms.add(form)
+            objects.append(canonical_form(g)[0])
     objects.sort(key=lambda g: (len(g.vertices), len(g.edges), repr(g)))
     homs = {
         (i, j): hom_set(a, b)
@@ -528,6 +513,11 @@ class ExtractedProperad(FiniteProperad):
         self._ops_cache = {}
         self._profiles = {}
         self._fingerprints = {}
+        # unordered form -> (object index, edge renaming, vertex renaming)
+        self._by_form = {}
+        for gi, obj in enumerate(self.corpus.objects):
+            form, edge_map, vertex_map = unordered_canonical_form(obj)
+            self._by_form[form] = (gi, edge_map, vertex_map)
         # a corolla value's profile: its restrictions to the corolla's
         # inputs, then to its outputs, along the cover's connections
         ei = self.corpus.edge_index
@@ -598,29 +588,31 @@ class ExtractedProperad(FiniteProperad):
         g = dec.graph
         if g in self.corpus.objects:
             return self.corpus.object_index(g), dec
-        for gi, obj in enumerate(self.corpus.objects):
-            isos = iso_set(obj, g)
-            if not isos:
-                continue
-            z = isos[0]
-            z0 = z.f0
-            inv = {img: e for e, img in z0.items()}
-            colors = {e: dec.color_of[z0[e]] for e in obj.edges}
-            labels = {}
-            for w in obj.vertices:
-                (x_name,) = z.f1v[w.name].vertex_names_set
-                xv = g.vertex(x_name)
-                op = dec.label_of[x_name]
-                in_perm = tuple(xv.ins.index(z0[e]) for e in w.ins)
-                out_perm = tuple(xv.outs.index(z0[e]) for e in w.outs)
-                labels[w.name] = self.act(op, in_perm, out_perm)
-            moved = decorated_graph(
-                obj, colors, labels,
-                tuple(inv[e] for e in dec.in_order),
-                tuple(inv[e] for e in dec.out_order),
-            )
-            return gi, moved
-        raise GraphcatError("decorated graph is not isomorphic to a corpus object")
+        form, g_edges, g_vertices = unordered_canonical_form(g)
+        if form not in self._by_form:
+            raise GraphcatError("decorated graph is not isomorphic to a corpus object")
+        gi, obj_edges, obj_vertices = self._by_form[form]
+        obj = self.corpus.objects[gi]
+        # the isomorphism obj -> g: through the shared form
+        edge_back = {c: e for e, c in g_edges.items()}
+        vertex_back = {c: v for v, c in g_vertices.items()}
+        z0 = {e: edge_back[c] for e, c in obj_edges.items()}
+        inv = {img: e for e, img in z0.items()}
+        colors = {e: dec.color_of[z0[e]] for e in obj.edges}
+        labels = {}
+        for w in obj.vertices:
+            x_name = vertex_back[obj_vertices[w.name]]
+            xv = g.vertex(x_name)
+            op = dec.label_of[x_name]
+            in_perm = tuple(xv.ins.index(z0[e]) for e in w.ins)
+            out_perm = tuple(xv.outs.index(z0[e]) for e in w.outs)
+            labels[w.name] = self.act(op, in_perm, out_perm)
+        moved = decorated_graph(
+            obj, colors, labels,
+            tuple(inv[e] for e in dec.in_order),
+            tuple(inv[e] for e in dec.out_order),
+        )
+        return gi, moved
 
     def evaluate(self, dec):
         if not dec.graph.vertices:
@@ -642,9 +634,13 @@ class ExtractedProperad(FiniteProperad):
         cv = c.vertices[0]
         f0 = dict(zip(cv.ins, dec.in_order)) | dict(zip(cv.outs, dec.out_order))
         active = graphical_morphism(c, g, f0, {cv.name: whole_subgraph(g)})
-        if validate_graphical(active) is not None:
-            raise GraphcatError("no active comparison with the given boundary")
-        return self.F.restrict_along(ci, gi, active, target)
+        try:
+            k = self.corpus.hom_index(ci, gi, active)
+        except KeyError:
+            raise GraphcatError(
+                "no active comparison with the given boundary"
+            ) from None
+        return self.F.restrict(ci, gi, k, target)
 
 
 def extract_properad(F):

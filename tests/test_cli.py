@@ -161,6 +161,19 @@ def test_nerve_malformed_corpus_exits_2(tmp_path, capsys, manifest):
     _assert_usage_error(capsys, "nerve", str(properad_file), str(corpus_file))
 
 
+def test_nerve_generator_with_unknown_edge_exits_1(tmp_path, capsys):
+    properad_file = tmp_path / "p.json"
+    properad_file.write_text(json.dumps({"kind": "end", "sets": {"c": 2}}))
+    corpus_file = tmp_path / "c.json"
+    corpus_file.write_text(json.dumps({"generators": [{
+        "edges": ["a"], "vertices": [{"name": "v", "in": ["x"], "out": []}],
+    }]}))
+    code, _, err = run_cli(capsys, "nerve", str(properad_file), str(corpus_file))
+    assert code == 1
+    assert err.startswith("violation: UnknownEdge")
+    assert "Traceback" not in err
+
+
 def test_segal_presheaf_of_wrong_size_exits_2(tmp_path, capsys):
     from graphcat.digraph import linear_graph
 

@@ -16,15 +16,27 @@ subgraphs and the assembly itself, and shares no code with
 ``hom_set``, ``validate_graphical``, ``structured_subgraphs`` or
 ``is_convex_open``.  The edge map is read off the boundary bijections
 of the chosen vertex images, so no edge map is guessed blindly.
+
+The last section checks ``unordered_canonical_form`` against
+``iso_set``, the isomorphisms among the maps ``hom_set`` finds.
 """
 
 import functools
 import itertools
+import random
 
 from hypothesis import given, settings, strategies as st
 
-from graphcat.digraph import corolla, edge_graph, graph, linear_graph
-from graphcat.graphical import hom_set
+from graphcat.digraph import (
+    canonical_form,
+    corolla,
+    edge_graph,
+    graph,
+    linear_graph,
+    unordered_canonical_form,
+    vertex_corolla,
+)
+from graphcat.graphical import graphical_morphism, hom_set, iso_set
 from graphcat.zoo import (
     closed_double_edge_graph,
     closed_square_graph,
@@ -362,3 +374,96 @@ def test_oracle_matches_hom_set_from_corollas(k):
     # whatever arities k offers
     for m, n in itertools.product(range(4), repeat=2):
         assert oracle_hom(corolla(m, n), k) == engine_hom(corolla(m, n), k)
+
+
+# ---------------------------------------------------------------------------
+# the unordered canonical form against iso_set
+
+
+def _shuffled(g, rnd):
+    """A copy of g with fresh names and every order permuted: isomorphic
+    in the graphical category, and usually not strictly isomorphic."""
+    edges = {e: f"y{k}" for k, e in enumerate(rnd.sample(g.edges, len(g.edges)))}
+    vertices = rnd.sample(g.vertices, len(g.vertices))
+    return graph(
+        sorted(edges.values()),
+        [
+            (
+                f"u{k}",
+                [edges[e] for e in rnd.sample(v.ins, len(v.ins))],
+                [edges[e] for e in rnd.sample(v.outs, len(v.outs))],
+            )
+            for k, v in enumerate(vertices)
+        ],
+    )
+
+
+def assert_form_decides_iso(g, k):
+    """Equal forms exactly when iso_set(g, k) is non-empty, and then the
+    renamings compose to one of those isomorphisms."""
+    form_g, g_edges, g_vertices = unordered_canonical_form(g)
+    form_k, k_edges, k_vertices = unordered_canonical_form(k)
+    isos = iso_set(g, k)
+    assert (form_g == form_k) == bool(isos), (g, k)
+    if isos:
+        edge_back = {c: e for e, c in k_edges.items()}
+        vertex_back = {c: v for v, c in k_vertices.items()}
+        f0 = {e: edge_back[c] for e, c in g_edges.items()}
+        f1v = {v: vertex_corolla(k, vertex_back[c]) for v, c in g_vertices.items()}
+        assert graphical_morphism(g, k, f0, f1v) in isos, (g, k)
+
+
+# three sources feeding three sinks around a hexagon: refinement cannot
+# split the sources or the sinks, so the least certificate has to be
+# searched for among the orders within each class
+CROWN = graph(
+    ["ad", "ae", "be", "bf", "cf", "cd"],
+    [
+        ("a", [], ["ad", "ae"]),
+        ("b", [], ["be", "bf"]),
+        ("c", [], ["cf", "cd"]),
+        ("d", ["ad", "cd"], []),
+        ("e", ["ae", "be"], []),
+        ("f", ["bf", "cf"], []),
+    ],
+)
+
+
+def test_unordered_form_decides_iso_on_the_zoo():
+    rnd = random.Random(11)
+    for g in ZOO + [CROWN]:
+        for _ in range(3):
+            assert_form_decides_iso(g, _shuffled(g, rnd))
+    for g in ZOO:
+        for k in ZOO:
+            assert_form_decides_iso(g, k)
+
+
+def test_unordered_form_forgets_vertex_orders():
+    # x and y share a biarity; with x's inputs swapped the graph is the
+    # same once orderings are forgotten and another one while they are
+    # kept, and refinement must not read the order either
+    def fan(x_ins):
+        return graph(
+            ["p", "q", "r", "s", "t", "u", "w"],
+            [
+                ("a", [], ["p", "q"]),
+                ("b", [], ["r", "s", "t"]),
+                ("x", x_ins, ["u"]),
+                ("y", ["s", "q"], ["w"]),
+                ("c", ["u"], []),
+            ],
+        )
+
+    g, swapped = fan(["p", "r"]), fan(["r", "p"])
+    assert unordered_canonical_form(g)[0] == unordered_canonical_form(swapped)[0]
+    assert canonical_form(g)[0] != canonical_form(swapped)[0]
+    assert_form_decides_iso(g, swapped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_connected_graphs(), small_connected_graphs(), st.randoms())
+def test_unordered_form_decides_iso_on_random_graphs(g, k, rnd):
+    assert_form_decides_iso(g, k)
+    assert_form_decides_iso(g, _shuffled(g, rnd))
+    assert_form_decides_iso(_shuffled(k, rnd), k)

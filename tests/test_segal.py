@@ -1,8 +1,16 @@
 import itertools
+import random
 
 import pytest
 
-from graphcat.digraph import corolla, edge_graph, linear_graph, whole_subgraph
+from graphcat.digraph import (
+    Graph,
+    Vertex,
+    corolla,
+    edge_graph,
+    linear_graph,
+    whole_subgraph,
+)
 from graphcat.errors import NotSegal
 from graphcat.graphical import graphical_morphism, hom_set
 from graphcat.level import elementary_corolla, level_graph, linear_level_graph
@@ -32,6 +40,7 @@ from graphcat.segal import (
 from graphcat.zoo import (
     closed_double_edge_graph,
     closed_square_graph,
+    double_edge_graph,
     three_vertex_graph,
 )
 
@@ -198,6 +207,50 @@ def test_extract_evaluate_matches_flow():
             )
             val = Q.evaluate(dec)
             assert val in ops
+
+
+def test_extract_evaluate_matches_p_on_reordered_graphs():
+    # a decoration on a graph isomorphic to a corpus object, with every
+    # order permuted, is moved onto the object before evaluation; the
+    # result must still be P's evaluation, read through the bijection
+    # between Q's operations and P's
+    P = end_properad({"c": 2})
+    corpus = build_corpus([double_edge_graph()])
+    Q = extract_properad(nerve(P, corpus))
+    (qc,) = Q.colors
+    rnd = random.Random(4)
+
+    def p_ops(v):
+        return P.ops(("c",) * len(v.ins), ("c",) * len(v.outs))
+
+    def q_op(p_op):
+        ins, outs = P.op_profile(p_op)
+        (hit,) = [
+            x for x in Q.ops((qc,) * len(ins), (qc,) * len(outs)) if x[1][0] == p_op
+        ]
+        return hit
+
+    for g in corpus.objects:
+        if not g.vertices:
+            continue
+        for _ in range(10):
+            # renamed vertices keep h off the corpus, so it is transported
+            h = Graph(g.edges, tuple(
+                Vertex("r" + v.name, tuple(rnd.sample(v.ins, len(v.ins))),
+                       tuple(rnd.sample(v.outs, len(v.outs))))
+                for v in rnd.sample(g.vertices, len(g.vertices))
+            ))
+            labels = {v.name: rnd.choice(p_ops(v)) for v in h.vertices}
+            in_order = rnd.sample(h.inputs, len(h.inputs))
+            out_order = rnd.sample(h.outputs, len(h.outputs))
+            dec_p = decorated_graph(
+                h, {e: "c" for e in h.edges}, labels, in_order, out_order
+            )
+            dec_q = decorated_graph(
+                h, {e: qc for e in h.edges},
+                {v: q_op(op) for v, op in labels.items()}, in_order, out_order,
+            )
+            assert Q.evaluate(dec_q)[1][0] == P.evaluate(dec_p)
 
 
 def test_nerve_extract_roundtrip_is_natural():
