@@ -182,6 +182,19 @@ def _presheaf_from_json(data):
     return segal.FinitePresheaf(corpus, values, restrictions)
 
 
+def _valid_level_morphism(data):
+    """A level morphism whose source, target and maps all validate."""
+    f = level.morphism_from_json(data)
+    for role, lg in (("source", f.source), ("target", f.target)):
+        report = level.validate_level(lg)
+        if report is not None:
+            raise DomainFailure(f"{role} {report}")
+    report = level.validate_level_morphism(f)
+    if report is not None:
+        raise DomainFailure(str(report))
+    return f
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -250,10 +263,7 @@ def cmd_factorize(args):
             "inert": _graphical_morphism_to_json(ine),
         }
     else:
-        f = level.morphism_from_json(data)
-        report = level.validate_level_morphism(f)
-        if report is not None:
-            raise DomainFailure(str(report))
+        f = _valid_level_morphism(data)
         act, ine = level.factorize_L(f)
         payload = {
             "active": level.morphism_to_json(act),
@@ -280,11 +290,7 @@ def cmd_substitute(args):
 
 
 def cmd_tau(args):
-    f = level.morphism_from_json(_load_json(args.morphism))
-    report = level.validate_level_morphism(f)
-    if report is not None:
-        raise DomainFailure(str(report))
-    t = level.tau(f)
+    t = level.tau(_valid_level_morphism(_load_json(args.morphism)))
     _emit(_graphical_morphism_to_json(t), args.format)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .digraph import (
     Graph,
@@ -58,6 +58,10 @@ class LevelGraph:
         return tuple(
             v.name for layer in self.vertex_layers for v in layer
         )
+
+    @cached_property
+    def _components(self):
+        return SpecialFunctor(self)
 
     def __repr__(self):
         return (
@@ -169,27 +173,34 @@ class SpecialFunctor:
     F_{i,j} is the quotient of the edges at levels i..j and the vertices
     at layers i..j-1 by incidence; its elements (the level subgraphs)
     are represented by their least atom.  Atoms are ("e", level, name)
-    or ("v", layer, name) tuples.
+    or ("v", layer, name) tuples.  Each pair's tables are built on first
+    use.
     """
 
     def __init__(self, lg):
         self.lg = lg
-        n = lg.height
         self._reps = {}
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                self._reps[(i, j)] = self._component_reps(i, j)
+        self._elements = {}
+        self._members = {}
 
-    def _atoms(self, i, j):
-        atoms = []
-        for k in range(i, j + 1):
-            atoms.extend(("e", k, e) for e in self.lg.edge_layers[k])
-        for k in range(i, j):
-            atoms.extend(("v", k, v.name) for v in self.lg.vertex_layers[k])
-        return atoms
+    def reps(self, pair):
+        """Each atom of F at ``pair``, in atom order, to its representative."""
+        table = self._reps.get(pair)
+        if table is None:
+            if not 0 <= pair[0] <= pair[1] <= self.lg.height:
+                raise KeyError(pair)
+            table = self._reps[pair] = self._component_reps(*pair)
+        return table
 
     def _component_reps(self, i, j):
-        parent = {a: a for a in self._atoms(i, j)}
+        lg = self.lg
+        parent = {}
+        for k in range(i, j + 1):
+            for e in lg.edge_layers[k]:
+                parent[("e", k, e)] = ("e", k, e)
+        for k in range(i, j):
+            for v in lg.vertex_layers[k]:
+                parent[("v", k, v.name)] = ("v", k, v.name)
 
         def find(a):
             while parent[a] != a:
@@ -205,7 +216,7 @@ class SpecialFunctor:
                 parent[rb] = ra
 
         for k in range(i, j):
-            for v in self.lg.vertex_layers[k]:
+            for v in lg.vertex_layers[k]:
                 va = ("v", k, v.name)
                 for e in v.ins:
                     union(va, ("e", k, e))
@@ -213,26 +224,35 @@ class SpecialFunctor:
                     union(va, ("e", k + 1, e))
         return {a: find(a) for a in parent}
 
+    def _classes(self, pair):
+        grouped = {}
+        for atom, rep in self.reps(pair).items():
+            grouped.setdefault(rep, []).append(atom)
+        self._elements[pair] = tuple(sorted(grouped))
+        self._members[pair] = {
+            rep: tuple(sorted(atoms)) for rep, atoms in grouped.items()
+        }
+
     def cls(self, pair, atom):
         """Representative of the class of ``atom`` in F at ``pair``."""
-        return self._reps[pair][atom]
+        return self.reps(pair)[atom]
 
     def elements(self, pair):
-        return tuple(sorted(set(self._reps[pair].values())))
+        """The representatives at ``pair``, sorted."""
+        if pair not in self._elements:
+            self._classes(pair)
+        return self._elements[pair]
 
     def members(self, pair, rep):
-        return tuple(
-            sorted(a for a, r in self._reps[pair].items() if r == rep)
-        )
-
-    def lift(self, small, big, rep):
-        """Image of a class under F(small) -> F(big) for nested intervals."""
-        return self._reps[big][rep]
+        """The atoms of the class of ``rep`` at ``pair``, sorted."""
+        if pair not in self._members:
+            self._classes(pair)
+        return self._members[pair].get(rep, ())
 
 
-@lru_cache(maxsize=None)
 def special_extension(lg):
-    return SpecialFunctor(lg)
+    """The components functor of ``lg``, memoised on the graph object."""
+    return lg._components
 
 
 def is_connected_level(lg):
@@ -283,6 +303,20 @@ class LevelMorphism:
     def vertex_maps(self):
         return tuple(dict(layer) for layer in self.eta_v)
 
+    @cached_property
+    def atom_images(self):
+        """Each source atom's image atom: a level-k edge goes to its image
+        edge at level alpha[k], a vertex to its component representative."""
+        images = {}
+        for k, layer in enumerate(self.eta_e):
+            level = self.alpha[k]
+            for e, y in layer:
+                images[("e", k, e)] = ("e", level, y)
+        for k, layer in enumerate(self.eta_v):
+            for v, rep in layer:
+                images[("v", k, v)] = rep
+        return images
+
     def sort_key(self):
         return (self.alpha, self.eta_e, self.eta_v)
 
@@ -317,24 +351,15 @@ def derived_class_map(f, pair):
     the layerwise data is not natural.
     """
     i, j = pair
-    sf_s = special_extension(f.source)
-    sf_t = special_extension(f.target)
-    tpair = (f.alpha[i], f.alpha[j])
-    emaps, vmaps = f.edge_maps, f.vertex_maps
+    target = special_extension(f.target).reps((f.alpha[i], f.alpha[j]))
+    images = f.atom_images
     out = {}
-    for atom in sf_s._atoms(i, j):
-        kind, k, name = atom
-        if kind == "e":
-            timage = ("e", f.alpha[k], emaps[k][name])
-        else:
-            timage = vmaps[k][name]  # already a representative atom
-        target_rep = sf_t.cls(tpair, timage)
-        source_rep = sf_s.cls(pair, atom)
-        if source_rep in out and out[source_rep] != target_rep:
+    for atom, source_rep in special_extension(f.source).reps(pair).items():
+        target_rep = target[images[atom]]
+        if out.setdefault(source_rep, target_rep) != target_rep:
             raise GraphcatError(
                 f"map is not natural at {pair}: class {source_rep} has two images"
             )
-        out[source_rep] = target_rep
     return out
 
 
@@ -342,27 +367,39 @@ def validate_level_morphism(f):
     """Check monotonicity, naturality, monomorphy, cartesianness."""
     G, H = f.source, f.target
     n, m = G.height, H.height
-    if len(f.alpha) != n + 1 or any(
-        f.alpha[i] > f.alpha[i + 1] for i in range(n)
-    ) or f.alpha[0] < 0 or f.alpha[-1] > m:
-        return Violation("AlphaError", f"alpha {f.alpha} is not monotone into [0,{m}]")
+    alpha = f.alpha
+    if len(alpha) != n + 1 or any(
+        alpha[i] > alpha[i + 1] for i in range(n)
+    ) or alpha[0] < 0 or alpha[-1] > m:
+        return Violation("AlphaError", f"alpha {alpha} is not monotone into [0,{m}]")
     sf_t = special_extension(H)
     emaps, vmaps = f.edge_maps, f.vertex_maps
+    if len(emaps) != n + 1:
+        return Violation(
+            "EdgeMapError", f"{len(emaps)} edge map layers for {n + 1} levels"
+        )
+    if len(vmaps) != n:
+        return Violation(
+            "VertexMapError", f"{len(vmaps)} vertex map layers for {n} layers"
+        )
     for i, layer in enumerate(G.edge_layers):
         if sorted(emaps[i]) != sorted(layer):
             return Violation("EdgeMapError", f"edge map at level {i} is not total", (i,))
+        targets = H.edge_layers[alpha[i]]
         for e, y in emaps[i].items():
-            if y not in H.edge_layers[f.alpha[i]]:
+            if y not in targets:
                 return Violation(
-                    "EdgeMapError", f"{e} maps outside level {f.alpha[i]}", (i, e)
+                    "EdgeMapError", f"{e} maps outside level {alpha[i]}", (i, e)
                 )
     for i, layer in enumerate(G.vertex_layers):
-        tpair = (f.alpha[i], f.alpha[i + 1])
-        elements = set(sf_t.elements(tpair))
-        if sorted(vmaps[i]) != sorted(v.name for v in layer):
+        tpair = (alpha[i], alpha[i + 1])
+        elements = sf_t.elements(tpair)
+        reps = sf_t.reps(tpair)
+        vmap, below, above = vmaps[i], emaps[i], emaps[i + 1]
+        if sorted(vmap) != sorted(v.name for v in layer):
             return Violation("VertexMapError", f"vertex map at layer {i} is not total", (i,))
         for v in layer:
-            c = vmaps[i][v.name]
+            c = vmap[v.name]
             if c not in elements:
                 return Violation(
                     "VertexMapError",
@@ -370,28 +407,27 @@ def validate_level_morphism(f):
                     (i, v.name),
                 )
             for e in v.ins:
-                if sf_t.cls(tpair, ("e", f.alpha[i], emaps[i][e])) != c:
+                if reps[("e", alpha[i], below[e])] != c:
                     return Violation(
                         "Naturality",
                         f"in-edge {e} of {v.name} lands outside its component",
                         (i, v.name, e),
                     )
             for e in v.outs:
-                if sf_t.cls(tpair, ("e", f.alpha[i + 1], emaps[i + 1][e])) != c:
+                if reps[("e", alpha[i + 1], above[e])] != c:
                     return Violation(
                         "Naturality",
                         f"out-edge {e} of {v.name} lands outside its component",
                         (i, v.name, e),
                     )
-    sf_s = special_extension(G)
+    dmaps = {}
     for i in range(n + 1):
         for j in range(i, n + 1):
             try:
-                dmap = derived_class_map(f, (i, j))
+                dmap = dmaps[(i, j)] = derived_class_map(f, (i, j))
             except GraphcatError as exc:
                 return Violation("Naturality", str(exc), (i, j))
-            images = list(dmap.values())
-            if len(set(images)) != len(images):
+            if len(set(dmap.values())) != len(dmap):
                 return Violation(
                     "MonoViolation",
                     f"component map at ({i},{j}) is not injective",
@@ -399,21 +435,18 @@ def validate_level_morphism(f):
                 )
     # cartesianness against the terminal pair; smaller squares follow by
     # pullback cancellation
-    full = derived_class_map(f, (0, n))
-    im_full = set(full.values())
-    tfull = (f.alpha[0], f.alpha[n])
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            dmap = derived_class_map(f, (i, j))
-            im = set(dmap.values())
-            tpair = (f.alpha[i], f.alpha[j])
-            for y in sf_t.elements(tpair):
-                if sf_t.lift(tpair, tfull, y) in im_full and y not in im:
-                    return Violation(
-                        "CartesianViolation",
-                        f"component {y} at {tpair} misses the image",
-                        (i, j, 0, n),
-                    )
+    im_full = set(dmaps[(0, n)].values())
+    tfull = sf_t.reps((alpha[0], alpha[n]))
+    for (i, j), dmap in dmaps.items():
+        im = set(dmap.values())
+        tpair = (alpha[i], alpha[j])
+        for y in sf_t.elements(tpair):
+            if tfull[y] in im_full and y not in im:
+                return Violation(
+                    "CartesianViolation",
+                    f"component {y} at {tpair} misses the image",
+                    (i, j, 0, n),
+                )
     return None
 
 
@@ -492,10 +525,10 @@ def factorize_L(f):
     im_full = set(full.values())
 
     def keep_edge(level, e):
-        return sf_t.lift((level, level), tfull, ("e", level, e)) in im_full
+        return sf_t.cls(tfull, ("e", level, e)) in im_full
 
     def keep_vertex(layer, name):
-        return sf_t.lift((layer, layer + 1), tfull, ("v", layer, name)) in im_full
+        return sf_t.cls(tfull, ("v", layer, name)) in im_full
 
     edge_layers = tuple(
         tuple(e for e in H.edge_layers[t + i] if keep_edge(t + i, e))
@@ -774,13 +807,24 @@ def hom_level(G, H):
     sf_t = special_extension(H)
     results = []
     n = G.height
+    vertex_slots = [
+        (i, v.name) for i, layer in enumerate(G.vertex_layers) for v in layer
+    ]
+    # each edge with the vertex consuming it (below level n) and the
+    # vertex producing it (above level 0)
+    consumer, producer = {}, {}
+    for i, layer in enumerate(G.vertex_layers):
+        for v in layer:
+            consumer.update(((i, e), v.name) for e in v.ins)
+            producer.update(((i + 1, e), v.name) for e in v.outs)
+    edge_slots = [
+        (i, e, consumer.get((i, e)), producer.get((i, e)))
+        for i, layer in enumerate(G.edge_layers) for e in layer
+    ]
     for alpha in _monotone_maps(n, H.height):
-        vertex_slots = [
-            (i, v) for i, layer in enumerate(G.vertex_layers) for v in layer
-        ]
-        edge_slots = [
-            (i, e) for i, layer in enumerate(G.edge_layers) for e in layer
-        ]
+        pairs = [(alpha[i], alpha[i + 1]) for i in range(n)]
+        tables = [sf_t.reps(pair) for pair in pairs]
+        elements = [sf_t.elements(pair) for pair in pairs]
 
         def assign_edges(idx, emaps, vmaps):
             if idx == len(edge_slots):
@@ -788,45 +832,35 @@ def hom_level(G, H):
                 if validate_level_morphism(cand) is None:
                     results.append(cand)
                 return
-            i, e = edge_slots[idx]
+            i, e, below, above = edge_slots[idx]
             used = set(emaps[i].values())
-            for y in H.edge_layers[alpha[i]]:
+            level = alpha[i]
+            for y in H.edge_layers[level]:
                 if y in used:
                     continue
-                ok = True
-                if i < n:
-                    v = next(v for v in G.vertex_layers[i] if e in v.ins)
-                    pair = (alpha[i], alpha[i + 1])
-                    if sf_t.cls(pair, ("e", alpha[i], y)) != vmaps[i][v.name]:
-                        ok = False
-                if ok and i > 0:
-                    w = next(
-                        (w for w in G.vertex_layers[i - 1] if e in w.outs), None
-                    )
-                    if w is not None:
-                        pair = (alpha[i - 1], alpha[i])
-                        if sf_t.cls(pair, ("e", alpha[i], y)) != vmaps[i - 1][w.name]:
-                            ok = False
-                if ok:
-                    emaps[i][e] = y
-                    assign_edges(idx + 1, emaps, vmaps)
-                    del emaps[i][e]
+                atom = ("e", level, y)
+                if below is not None and tables[i][atom] != vmaps[i][below]:
+                    continue
+                if above is not None and tables[i - 1][atom] != vmaps[i - 1][above]:
+                    continue
+                emaps[i][e] = y
+                assign_edges(idx + 1, emaps, vmaps)
+                del emaps[i][e]
 
         def assign_vertices(idx, vmaps):
             if idx == len(vertex_slots):
                 assign_edges(0, [dict() for _ in range(n + 1)], vmaps)
                 return
-            i, v = vertex_slots[idx]
-            pair = (alpha[i], alpha[i + 1])
+            i, name = vertex_slots[idx]
             used = set(vmaps[i].values())
-            for rep in sf_t.elements(pair):
+            for rep in elements[i]:
                 if rep in used:
                     continue
-                vmaps[i][v.name] = rep
+                vmaps[i][name] = rep
                 assign_vertices(idx + 1, vmaps)
-                del vmaps[i][v.name]
+                del vmaps[i][name]
 
-        assign_vertices(0, [dict() for _ in range(max(n, 0))])
+        assign_vertices(0, [dict() for _ in range(n)])
     results.sort(key=lambda f: f.sort_key())
     return tuple(results)
 

@@ -515,6 +515,8 @@ class ExtractedProperad(FiniteProperad):
         self._fingerprints = {}
         # unordered form -> (object index, edge renaming, vertex renaming)
         self._by_form = {}
+        # decorated graph -> (object index, its isomorphism from the object)
+        self._isos = {}
         for gi, obj in enumerate(self.corpus.objects):
             form, edge_map, vertex_map = unordered_canonical_form(obj)
             self._by_form[form] = (gi, edge_map, vertex_map)
@@ -583,25 +585,39 @@ class ExtractedProperad(FiniteProperad):
             }
         return self._fingerprints[gi]
 
+    def _iso_from_object(self, g):
+        """The corpus object isomorphic to ``g`` and the isomorphism
+        object -> g on edges and on vertices, found once per graph."""
+        iso = self._isos.get(g)
+        if iso is None:
+            form, g_edges, g_vertices = unordered_canonical_form(g)
+            if form not in self._by_form:
+                raise GraphcatError(
+                    "decorated graph is not isomorphic to a corpus object"
+                )
+            gi, obj_edges, obj_vertices = self._by_form[form]
+            # through the shared form
+            edge_back = {c: e for e, c in g_edges.items()}
+            vertex_back = {c: v for v, c in g_vertices.items()}
+            iso = self._isos[g] = (
+                gi,
+                {e: edge_back[c] for e, c in obj_edges.items()},
+                {w: vertex_back[c] for w, c in obj_vertices.items()},
+            )
+        return iso
+
     def _transport(self, dec):
         """Move a decoration onto the corpus representative."""
         g = dec.graph
         if g in self.corpus.objects:
             return self.corpus.object_index(g), dec
-        form, g_edges, g_vertices = unordered_canonical_form(g)
-        if form not in self._by_form:
-            raise GraphcatError("decorated graph is not isomorphic to a corpus object")
-        gi, obj_edges, obj_vertices = self._by_form[form]
+        gi, z0, z1 = self._iso_from_object(g)
         obj = self.corpus.objects[gi]
-        # the isomorphism obj -> g: through the shared form
-        edge_back = {c: e for e, c in g_edges.items()}
-        vertex_back = {c: v for v, c in g_vertices.items()}
-        z0 = {e: edge_back[c] for e, c in obj_edges.items()}
         inv = {img: e for e, img in z0.items()}
         colors = {e: dec.color_of[z0[e]] for e in obj.edges}
         labels = {}
         for w in obj.vertices:
-            x_name = vertex_back[obj_vertices[w.name]]
+            x_name = z1[w.name]
             xv = g.vertex(x_name)
             op = dec.label_of[x_name]
             in_perm = tuple(xv.ins.index(z0[e]) for e in w.ins)

@@ -196,6 +196,54 @@ def test_segal_presheaf_of_wrong_size_exits_2(tmp_path, capsys):
     _assert_usage_error(capsys, "segal", str(presheaf_file))
 
 
+def _corolla_identity_json():
+    from graphcat.level import elementary_corolla, identity_level, morphism_to_json
+
+    return morphism_to_json(identity_level(elementary_corolla(1, 1)))
+
+
+def _drop_edge_layer(f):
+    f["edge_maps"] = f["edge_maps"][:1]
+
+
+def _drop_vertex_layer(f):
+    f["vertex_maps"] = []
+
+
+def _source_vertex_off_level(f):
+    f["source"]["vertex_layers"][0][0]["in"] = ["x"]
+
+
+LEVEL_COMMANDS = pytest.mark.parametrize(
+    "command", [["tau"], ["factorize", "--cat", "L"]], ids=["tau", "factorize"]
+)
+
+
+@LEVEL_COMMANDS
+@pytest.mark.parametrize("spoil, kind", [
+    (_drop_edge_layer, "EdgeMapError"),
+    (_drop_vertex_layer, "VertexMapError"),
+    (_source_vertex_off_level, "source UnknownEdge"),
+], ids=["edge-layer", "vertex-layer", "source"])
+def test_malformed_level_morphism_exits_1(tmp_path, capsys, command, spoil, kind):
+    f = _corolla_identity_json()
+    spoil(f)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"violation: {kind}") and err.count("\n") == 1
+
+
+@LEVEL_COMMANDS
+def test_level_morphism_commands_accept_identity(tmp_path, capsys, command):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(_corolla_identity_json()))
+    code, out, err = run_cli(capsys, "--format", "json", *command, str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)
+
+
 def test_determinism(tmp_path, capsys):
     path = write_graph(tmp_path, "g3.json", three_vertex_graph())
     outs = set()

@@ -1,0 +1,259 @@
+"""A brute-force oracle for level morphisms, written from the definition.
+
+A morphism G -> H of level graphs of heights n and m is a monotone map
+alpha: [n] -> [m] with
+
+* an edge map from each level k of G to level alpha(k) of H, and
+* a vertex map from each layer k of G to the components of H at the
+  index pair (alpha(k), alpha(k+1)),
+
+such that, for every index pair (i, j) of G,
+
+* naturality: the atoms of each component of G at (i, j) land in one
+  component of H at (alpha(i), alpha(j)), so that the data induce a map
+  of components at (i, j);
+* monomorphism: that induced map is injective; and
+* cartesianness: for every pair (k, l) containing (i, j), the square of
+  induced maps and inclusions of components is a pullback of sets.
+
+The oracle tries every monotone alpha, every layerwise edge map and
+every vertex map, and keeps the data that pass these clauses.  It finds
+the components of a slice by its own breadth-first search and shares no
+code with ``SpecialFunctor``, ``derived_class_map``,
+``validate_level_morphism`` or ``hom_level``.  A component is named as
+``LevelMorphism`` names it: by its least atom, where atoms are
+("e", level, edge) and ("v", layer, vertex) tuples.
+"""
+
+import itertools
+from collections import deque
+
+from graphcat.level import (
+    LevelMorphism,
+    elementary_corolla,
+    elementary_edge,
+    hom_level,
+    level_graph,
+    linear_level_graph,
+    validate_level_morphism,
+)
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+
+def slice_components(lg, i, j):
+    """Components of the slice at levels i..j (layers i..j-1), each a
+    frozenset of atoms, found by breadth-first search."""
+    atoms = [("e", k, e) for k in range(i, j + 1) for e in lg.edge_layers[k]]
+    atoms += [("v", k, v.name) for k in range(i, j) for v in lg.vertex_layers[k]]
+    neighbours = {a: [] for a in atoms}
+    for k in range(i, j):
+        for v in lg.vertex_layers[k]:
+            va = ("v", k, v.name)
+            ends = [("e", k, e) for e in v.ins] + [("e", k + 1, e) for e in v.outs]
+            for ea in ends:
+                neighbours[va].append(ea)
+                neighbours[ea].append(va)
+    seen, components = set(), []
+    for start in atoms:
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = {start}, deque([start])
+        while queue:
+            for b in neighbours[queue.popleft()]:
+                if b not in seen:
+                    seen.add(b)
+                    component.add(b)
+                    queue.append(b)
+        components.append(frozenset(component))
+    return components
+
+
+def containing(components, atom):
+    """The component that holds ``atom``."""
+    return next(c for c in components if atom in c)
+
+
+def pairs(n):
+    return [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+
+
+def induced_map(G, H, alpha, image, i, j):
+    """The map of components at (i, j), or None where data are not natural."""
+    target = slice_components(H, alpha[i], alpha[j])
+    out = {}
+    for comp in slice_components(G, i, j):
+        hit = {containing(target, b) for a in comp for b in image[a]}
+        if len(hit) != 1:
+            return None
+        out[comp] = hit.pop()
+    return out
+
+
+def is_pullback(G, H, alpha, maps, small, big):
+    """The square of the maps at ``small`` and ``big`` and the inclusions
+    small -> big in G and in H is a pullback of sets."""
+    (i, j), (k, l) = small, big
+    g_big = slice_components(G, k, l)
+    h_big = slice_components(H, alpha[k], alpha[l])
+    for b in slice_components(H, alpha[i], alpha[j]):
+        b_up = containing(h_big, next(iter(b)))
+        for c in g_big:
+            if maps[big][c] != b_up:
+                continue
+            over = [
+                a for a, y in maps[small].items()
+                if y == b and containing(g_big, next(iter(a))) == c
+            ]
+            if len(over) != 1:
+                return False
+    return True
+
+
+def is_morphism(G, H, alpha, image, cartesian=True):
+    n = G.height
+    maps = {}
+    for i, j in pairs(n):
+        dmap = induced_map(G, H, alpha, image, i, j)
+        if dmap is None or len(set(dmap.values())) != len(dmap):
+            return False
+        maps[(i, j)] = dmap
+    if not cartesian:
+        return True
+    return all(
+        is_pullback(G, H, alpha, maps, small, big)
+        for small in pairs(n) for big in pairs(n)
+        if big[0] <= small[0] and small[1] <= big[1]
+    )
+
+
+def candidates(G, H):
+    """Every monotone alpha with every edge map and vertex map, as
+    ((alpha, edge maps, vertex maps), image of each atom); each map is a
+    tuple per layer of sorted (name, image) pairs."""
+    n, m = G.height, H.height
+    for alpha in itertools.product(range(m + 1), repeat=n + 1):
+        if any(alpha[k] > alpha[k + 1] for k in range(n)):
+            continue
+        edge_choices = [
+            itertools.product(H.edge_layers[alpha[k]], repeat=len(G.edge_layers[k]))
+            for k in range(n + 1)
+        ]
+        vertex_choices = [
+            list(itertools.product(
+                slice_components(H, alpha[k], alpha[k + 1]),
+                repeat=len(G.vertex_layers[k]),
+            ))
+            for k in range(n)
+        ]
+        for edges in itertools.product(*edge_choices):
+            for verts in itertools.product(*vertex_choices):
+                image = {}
+                for k, layer in enumerate(G.edge_layers):
+                    for e, y in zip(layer, edges[k]):
+                        image[("e", k, e)] = {("e", alpha[k], y)}
+                for k, layer in enumerate(G.vertex_layers):
+                    for v, comp in zip(layer, verts[k]):
+                        image[("v", k, v.name)] = comp
+                key = (
+                    alpha,
+                    tuple(
+                        tuple(sorted(zip(layer, edges[k])))
+                        for k, layer in enumerate(G.edge_layers)
+                    ),
+                    tuple(
+                        tuple(sorted(
+                            (v.name, min(comp)) for v, comp in zip(layer, verts[k])
+                        ))
+                        for k, layer in enumerate(G.vertex_layers)
+                    ),
+                )
+                yield key, image
+
+
+def oracle_hom(G, H, cartesian=True):
+    """The keys of every candidate that is a morphism."""
+    return {
+        key for key, image in candidates(G, H)
+        if is_morphism(G, H, key[0], image, cartesian)
+    }
+
+
+# ---------------------------------------------------------------------------
+# the level graphs of tests/test_level.py
+
+
+def branching_level():
+    return level_graph(
+        [["a"], ["b", "c"], ["d", "e"]],
+        [
+            [("u", ["a"], ["b", "c"])],
+            [("v", ["b"], ["d"]), ("w", ["c"], ["e"])],
+        ],
+    )
+
+
+def two_vertex_layer():
+    return level_graph(
+        [["a", "b"], ["c", "d"]],
+        [[("v1", ["a"], ["c"]), ("v2", ["b"], ["d"])]],
+    )
+
+
+GRAPHS = (
+    [("edge", elementary_edge())]
+    + [
+        (f"corolla({p},{q})", elementary_corolla(p, q))
+        for p in range(3) for q in range(3)
+    ]
+    + [(f"linear({k})", linear_level_graph(k)) for k in (1, 2)]
+    + [("branching", branching_level()), ("two", two_vertex_layer())]
+)
+
+
+# ---------------------------------------------------------------------------
+# the checks
+
+
+def test_hom_level_matches_oracle_on_every_pair():
+    nonempty = 0
+    for (gname, G), (hname, H) in itertools.product(GRAPHS, repeat=2):
+        keys = [f.sort_key() for f in hom_level(G, H)]
+        assert len(set(keys)) == len(keys), (gname, hname)
+        assert set(keys) == oracle_hom(G, H), (gname, hname)
+        nonempty += bool(keys)
+    assert nonempty > 50
+
+
+def test_validator_agrees_with_oracle_on_every_candidate():
+    tried = 0
+    for (gname, G), (hname, H) in itertools.product(GRAPHS, repeat=2):
+        for key, image in candidates(G, H):
+            verdict = validate_level_morphism(LevelMorphism(G, H, *key))
+            assert (verdict is None) == is_morphism(G, H, key[0], image), (
+                gname, hname, key, verdict)
+            tried += 1
+    assert tried > 1000
+
+
+def test_cartesian_clause_alone_rejects_a_candidate():
+    # the input of corolla(1, 1) may land on either input of corolla(2, 1):
+    # natural and injective at every pair, but the other input then lies
+    # over the image at (0, 1) without being hit at (0, 0)
+    small, big = elementary_corolla(1, 1), elementary_corolla(2, 1)
+    kept = oracle_hom(small, big)
+    rejected = oracle_hom(small, big, cartesian=False) - kept
+    assert len(rejected) == 2 and all(key[0] == (0, 1) for key in rejected)
+    assert {f.sort_key() for f in hom_level(small, big)} == kept
+    for alpha, eta_e, eta_v in rejected:
+        f = LevelMorphism(small, big, alpha, eta_e, eta_v)
+        assert validate_level_morphism(f).kind == "CartesianViolation"
+
+
+def test_hom_level_sorted_by_sort_key():
+    for (_, G), (_, H) in itertools.product(GRAPHS, repeat=2):
+        keys = [f.sort_key() for f in hom_level(G, H)]
+        assert keys == sorted(keys)
