@@ -58,7 +58,15 @@ def _emit_text(data, indent=0):
 
 
 def _graph_arg(path):
-    return digraph.graph_from_json(_load_json(path))
+    """A graph file, checked for shape and then for the graph invariants."""
+    data = _load_json(path)
+    if not _is_graph_json(data):
+        _malformed(
+            "graph",
+            'expected {"edges": [...], "vertices": '
+            '[{"name": ..., "in": [...], "out": [...]}, ...]}',
+        )
+    return _valid_graph(data)
 
 
 def _graphical_morphism_from_json(data):
@@ -94,19 +102,44 @@ def _malformed(kind, problem):
     raise SystemExit(2)
 
 
+def _is_vertex_json(v):
+    return (
+        isinstance(v, dict)
+        and "name" in v
+        and isinstance(v.get("in"), list)
+        and isinstance(v.get("out"), list)
+    )
+
+
 def _is_graph_json(data):
     return (
         isinstance(data, dict)
         and isinstance(data.get("edges"), list)
         and isinstance(data.get("vertices"), list)
+        and all(_is_vertex_json(v) for v in data["vertices"])
+    )
+
+
+def _is_level_json(data):
+    return (
+        isinstance(data, dict)
+        and isinstance(data.get("edge_layers"), list)
+        and isinstance(data.get("vertex_layers"), list)
+        and all(isinstance(layer, list) for layer in data["edge_layers"])
         and all(
-            isinstance(v, dict)
-            and "name" in v
-            and isinstance(v.get("in"), list)
-            and isinstance(v.get("out"), list)
-            for v in data["vertices"]
+            isinstance(layer, list) and all(_is_vertex_json(v) for v in layer)
+            for layer in data["vertex_layers"]
         )
     )
+
+
+def _valid_graph(data):
+    """The graph of well-shaped JSON; a violated invariant exits 1."""
+    g = digraph.graph_from_json(data)
+    report = digraph.validate(g)
+    if report is not None:
+        raise DomainFailure(str(report))
+    return g
 
 
 def _corpus_from_manifest(manifest):
@@ -120,11 +153,7 @@ def _corpus_from_manifest(manifest):
             "corpus",
             'expected {"generators": [graph, ...], "max_vertices": int}',
         )
-    generators = [digraph.graph_from_json(g) for g in manifest["generators"]]
-    for g in generators:
-        report = digraph.validate(g)
-        if report is not None:
-            raise DomainFailure(str(report))
+    generators = [_valid_graph(g) for g in manifest["generators"]]
     return segal.build_corpus(
         generators, max_vertices=manifest.get("max_vertices", 3)
     )
@@ -200,13 +229,19 @@ def _valid_level_morphism(data):
 
 
 def cmd_validate(args):
-    data = _load_json(args.graph)
     if args.level:
+        data = _load_json(args.graph)
+        if not _is_level_json(data):
+            _malformed(
+                "level graph",
+                'expected {"edge_layers": [[...], ...], "vertex_layers": '
+                '[[{"name": ..., "in": [...], "out": [...]}, ...], ...]}',
+            )
         report = level.validate_level(level.level_from_json(data))
+        if report is not None:
+            raise DomainFailure(str(report))
     else:
-        report = digraph.validate(digraph.graph_from_json(data))
-    if report is not None:
-        raise DomainFailure(str(report))
+        _graph_arg(args.graph)
     _emit({"ok": True}, args.format)
 
 

@@ -25,6 +25,7 @@ from .digraph import (
     OpenSubgraph,
     Vertex,
     betti_number,
+    connected_components,
     promote,
     validate as validate_graph,
 )
@@ -62,6 +63,13 @@ class LevelGraph:
     @cached_property
     def _components(self):
         return SpecialFunctor(self)
+
+    @cached_property
+    def _graph(self):
+        return Graph(
+            tuple(e for layer in self.edge_layers for e in layer),
+            tuple(v for layer in self.vertex_layers for v in layer),
+        )
 
     def __repr__(self):
         return (
@@ -157,10 +165,9 @@ def validate_level(lg):
 
 
 def underlying_graph(lg):
-    """Forget levels: the plain directed graph with the same incidences."""
-    edges = tuple(e for layer in lg.edge_layers for e in layer)
-    vs = tuple(v for layer in lg.vertex_layers for v in layer)
-    return Graph(edges, vs)
+    """Forget levels: the plain directed graph with the same incidences,
+    memoised on the graph object."""
+    return lg._graph
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +365,8 @@ def derived_class_map(f, pair):
         target_rep = target[images[atom]]
         if out.setdefault(source_rep, target_rep) != target_rep:
             raise GraphcatError(
-                f"map is not natural at {pair}: class {source_rep} has two images"
+                f"map is not natural at {pair}: class {source_rep} goes to "
+                f"both {out[source_rep]} and {target_rep}"
             )
     return out
 
@@ -391,11 +399,9 @@ def validate_level_morphism(f):
                 return Violation(
                     "EdgeMapError", f"{e} maps outside level {alpha[i]}", (i, e)
                 )
-    for i, layer in enumerate(G.vertex_layers):
+    for i, (layer, vmap) in enumerate(zip(G.vertex_layers, vmaps)):
         tpair = (alpha[i], alpha[i + 1])
         elements = sf_t.elements(tpair)
-        reps = sf_t.reps(tpair)
-        vmap, below, above = vmaps[i], emaps[i], emaps[i + 1]
         if sorted(vmap) != sorted(v.name for v in layer):
             return Violation("VertexMapError", f"vertex map at layer {i} is not total", (i,))
         for v in layer:
@@ -406,33 +412,22 @@ def validate_level_morphism(f):
                     f"{v.name} maps to {c} which is not a component at {tpair}",
                     (i, v.name),
                 )
-            for e in v.ins:
-                if reps[("e", alpha[i], below[e])] != c:
-                    return Violation(
-                        "Naturality",
-                        f"in-edge {e} of {v.name} lands outside its component",
-                        (i, v.name, e),
-                    )
-            for e in v.outs:
-                if reps[("e", alpha[i + 1], above[e])] != c:
-                    return Violation(
-                        "Naturality",
-                        f"out-edge {e} of {v.name} lands outside its component",
-                        (i, v.name, e),
-                    )
+    # naturality at every pair before injectivity at any, so that data
+    # which are not natural are always reported as such
     dmaps = {}
     for i in range(n + 1):
         for j in range(i, n + 1):
             try:
-                dmap = dmaps[(i, j)] = derived_class_map(f, (i, j))
+                dmaps[(i, j)] = derived_class_map(f, (i, j))
             except GraphcatError as exc:
                 return Violation("Naturality", str(exc), (i, j))
-            if len(set(dmap.values())) != len(dmap):
-                return Violation(
-                    "MonoViolation",
-                    f"component map at ({i},{j}) is not injective",
-                    (i, j),
-                )
+    for (i, j), dmap in dmaps.items():
+        if len(set(dmap.values())) != len(dmap):
+            return Violation(
+                "MonoViolation",
+                f"component map at ({i},{j}) is not injective",
+                (i, j),
+            )
     # cartesianness against the terminal pair; smaller squares follow by
     # pullback cancellation
     im_full = set(dmaps[(0, n)].values())
@@ -545,20 +540,13 @@ def factorize_L(f):
     act_emaps = [dict(layer) for layer in f.edge_maps]
     act_vmaps = []
     for i, layer in enumerate(f.vertex_maps):
-        # the H-representative of a class need not survive into the middle
-        # object's atom set, so recompute representatives there
-        out = {}
-        for v, c in layer.items():
-            pair = (f.alpha[i], f.alpha[i + 1])
-            member = next(
-                a for a in sf_t.members(pair, c)
-                if (a[0] == "e" and a[2] in middle.edge_layers[a[1] - t])
-                or (a[0] == "v" and any(
-                    w.name == a[2] for w in middle.vertex_layers[a[1] - t]))
-            )
-            out[v] = sf_m.cls((pair[0] - t, pair[1] - t),
-                              (member[0], member[1] - t, member[2]))
-        act_vmaps.append(out)
+        # naturality at (0, n) puts each image class c inside a top class
+        # in the image, so the middle object keeps every atom of c, c itself
+        # included
+        pair = (f.alpha[i] - t, f.alpha[i + 1] - t)
+        act_vmaps.append(
+            {v: sf_m.cls(pair, (c[0], c[1] - t, c[2])) for v, c in layer.items()}
+        )
     active = level_morphism(G, middle, gamma, act_emaps, act_vmaps)
 
     beta = tuple(range(t, t + p + 1))
@@ -872,104 +860,50 @@ def hom_level(G, H):
 def level_structure(g, height=None):
     """Find level assignments for a plain graph, or None.
 
-    Vertex levels are forced along shared edges; components containing
-    a graph input are anchored at the bottom, components containing a
-    graph output are anchored at the top, and closed components float
-    as low as possible.  Returns None when the constraints conflict.
+    Vertex levels are forced along shared edges; a component containing
+    a graph output is placed at the top, any other component at the
+    bottom, and ``validate_level`` decides the result.  Without a
+    ``height`` the tallest component sets it.  Returns None when no
+    placement is a level graph.
     """
-    from .digraph import connected_components
-
-    comps = connected_components(g)
-    solved = []
-    for comp, _ in comps:
+    comps = [comp for comp, _ in connected_components(g)]
+    placed = []
+    for comp in comps:
         if not comp.vertices:
-            # a loose edge forces height zero
-            solved.append(("loose", comp, {}))
             continue
         rel = {comp.vertices[0].name: 0}
         queue = [comp.vertices[0].name]
         while queue:
             name = queue.pop()
             v = comp.vertex(name)
-            for e in v.outs:
-                w = comp.in_vertex.get(e)
-                if w is None:
-                    continue
-                expected = rel[name] + 1
-                if w in rel:
-                    if rel[w] != expected:
+            for edges, ends, step in (
+                (v.outs, comp.in_vertex, 1),
+                (v.ins, comp.out_vertex, -1),
+            ):
+                for w in (ends[e] for e in edges if e in ends):
+                    if w not in rel:
+                        rel[w] = rel[name] + step
+                        queue.append(w)
+                    elif rel[w] != rel[name] + step:
                         return None
-                else:
-                    rel[w] = expected
-                    queue.append(w)
-            for e in v.ins:
-                w = comp.out_vertex.get(e)
-                if w is None:
-                    continue
-                expected = rel[name] - 1
-                if w in rel:
-                    if rel[w] != expected:
-                        return None
-                else:
-                    rel[w] = expected
-                    queue.append(w)
         lo = min(rel.values())
         rel = {k: val - lo + 1 for k, val in rel.items()}
-        span = max(rel.values())
-        has_input = any(e in comp.inputs and comp.in_vertex.get(e) for e in comp.edges)
-        has_output = any(e in comp.outputs and comp.out_vertex.get(e) for e in comp.edges)
-        # graph inputs force their consumer to level 1 (already normalized);
-        # graph outputs force their producer to the top level
-        if has_input:
-            if any(
-                rel[comp.in_vertex[e]] != 1
-                for e in comp.inputs
-                if comp.in_vertex.get(e)
-            ):
-                return None
-        solved.append(("anchored" if has_input else "floating", comp, rel, span, has_output))
+        has_output = any(e in comp.out_vertex for e in comp.outputs)
+        placed.append((rel, max(rel.values()), has_output))
 
-    if any(tag == "loose" for tag, *_ in solved):
-        if any(tag != "loose" for tag, *_ in solved):
+    if len(placed) < len(comps):
+        # a loose edge forces height zero and no vertices
+        if placed or height not in (None, 0):
             return None
-        n = 0 if height is None else height
-        if n != 0:
-            return None
-        edges = [e for _, comp, _ in solved for e in comp.edges]
-        return LevelGraph((tuple(edges),), ())
+        return LevelGraph((tuple(e for comp in comps for e in comp.edges),), ())
 
-    spans = [item[3] for item in solved]
-    outputs_at = []
-    for tag, comp, rel, span, has_output in solved:
-        if has_output:
-            if tag == "anchored":
-                outputs_at.append(span)
-    n = height
-    if n is None:
-        candidates = [s for s in spans]
-        n = max(outputs_at) if outputs_at else max(candidates)
-        n = max(n, max(spans))
+    n = max((span for _, span, _ in placed), default=0) if height is None else height
     levels = {}
-    for tag, comp, rel, span, has_output in solved:
-        offset = 0
-        if tag == "anchored":
-            if has_output and span != n:
-                return None
-        else:
-            if has_output:
-                offset = n - span
-        for name, lvl in rel.items():
-            lvl = lvl + offset
-            if lvl < 1 or lvl > n:
-                return None
-            levels[name] = lvl
-        for e in comp.edges:
-            v_in = comp.in_vertex.get(e)
-            v_out = comp.out_vertex.get(e)
-            if v_in is None and v_out is not None and levels[v_out] != n:
-                return None  # graph output not at the top
-            if v_out is None and v_in is not None and levels[v_in] != 1:
-                return None  # graph input not at the bottom
+    for rel, span, has_output in placed:
+        if span > n:
+            return None
+        offset = n - span if has_output else 0
+        levels.update((name, lvl + offset) for name, lvl in rel.items())
 
     edge_layers = [[] for _ in range(n + 1)]
     vertex_layers = [[] for _ in range(n)]
@@ -980,13 +914,8 @@ def level_structure(g, height=None):
             edge_layers[levels[g.in_vertex[e]] - 1].append(e)
     for v in g.vertices:
         vertex_layers[levels[v.name] - 1].append(v)
-    lg = LevelGraph(
-        tuple(tuple(l) for l in edge_layers),
-        tuple(tuple(l) for l in vertex_layers),
-    )
-    if validate_level(lg) is not None:
-        return None
-    return lg
+    lg = LevelGraph(tuple(map(tuple, edge_layers)), tuple(map(tuple, vertex_layers)))
+    return lg if validate_level(lg) is None else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcat.cli import main
 from graphcat.digraph import graph_to_json
@@ -214,6 +217,20 @@ def _source_vertex_off_level(f):
     f["source"]["vertex_layers"][0][0]["in"] = ["x"]
 
 
+def _out_edge_to_other_vertex(f):
+    # the target has two (1, 1) vertices; the vertex goes to the first
+    # one's component and its out-edge into the second one's
+    f["target"] = {
+        "edge_layers": [["a", "b"], ["c", "d"]],
+        "vertex_layers": [[
+            {"name": "w1", "in": ["a"], "out": ["c"]},
+            {"name": "w2", "in": ["b"], "out": ["d"]},
+        ]],
+    }
+    f["edge_maps"] = [{"i1": "a"}, {"o1": "d"}]
+    f["vertex_maps"] = [{"v": ["e", 0, "a"]}]
+
+
 LEVEL_COMMANDS = pytest.mark.parametrize(
     "command", [["tau"], ["factorize", "--cat", "L"]], ids=["tau", "factorize"]
 )
@@ -224,7 +241,8 @@ LEVEL_COMMANDS = pytest.mark.parametrize(
     (_drop_edge_layer, "EdgeMapError"),
     (_drop_vertex_layer, "VertexMapError"),
     (_source_vertex_off_level, "source UnknownEdge"),
-], ids=["edge-layer", "vertex-layer", "source"])
+    (_out_edge_to_other_vertex, "Naturality"),
+], ids=["edge-layer", "vertex-layer", "source", "naturality"])
 def test_malformed_level_morphism_exits_1(tmp_path, capsys, command, spoil, kind):
     f = _corolla_identity_json()
     spoil(f)
@@ -242,6 +260,99 @@ def test_level_morphism_commands_accept_identity(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, "--format", "json", *command, str(path))
     assert code == 0 and err == ""
     assert json.loads(out)
+
+
+GRAPH_COMMANDS = pytest.mark.parametrize(
+    "command", [["validate"], ["subgraphs"], ["hom"]],
+    ids=["validate", "subgraphs", "hom"],
+)
+
+
+def _graph_command(command, path):
+    # hom reads the same file as source and target
+    return [*command, path, path] if command == ["hom"] else [*command, path]
+
+
+@GRAPH_COMMANDS
+@pytest.mark.parametrize("data", [
+    {},
+    [],
+    {"edges": "ab", "vertices": []},
+    {"edges": [], "vertices": [{"name": "v"}]},
+], ids=["empty", "list", "edge-string", "vertex-without-ends"])
+def test_malformed_graph_file_exits_2(tmp_path, capsys, command, data):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    _assert_usage_error(capsys, *_graph_command(command, str(path)))
+
+
+@pytest.mark.parametrize("data", [
+    {},
+    {"edge_layers": [["a"]]},
+    {"edge_layers": [["a"], ["b"]], "vertex_layers": [["v"]]},
+], ids=["empty", "no-vertex-layers", "vertex-string"])
+def test_malformed_level_graph_file_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps(data))
+    _assert_usage_error(capsys, "validate", str(path), "--level")
+
+
+@GRAPH_COMMANDS
+@pytest.mark.parametrize("data, kind", [
+    ({"edges": ["a"], "vertices": [{"name": "v", "in": ["a"], "out": ["x"]}]},
+     "UnknownEdge"),
+    ({"edges": ["a", "b"], "vertices": [
+        {"name": "u", "in": ["a"], "out": ["b"]},
+        {"name": "w", "in": ["b"], "out": ["a"]},
+    ]}, "CycleViolation"),
+], ids=["unknown-edge", "two-cycle"])
+def test_invalid_graph_file_exits_1(tmp_path, capsys, command, data, kind):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *_graph_command(command, str(path)))
+    assert code == 1 and out == ""
+    assert err.startswith(f"violation: {kind}") and err.count("\n") == 1
+
+
+# hypothesis-drawn JSON: arbitrary values, and graph- or level-graph-shaped
+# values over a few names, so that some of them are valid
+NAMES = st.sampled_from(["a", "b", "c", 1])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+VERTEX = st.fixed_dictionaries(
+    {"name": NAMES | JSON, "in": st.lists(NAMES, max_size=2) | JSON,
+     "out": st.lists(NAMES, max_size=2) | JSON}
+)
+GRAPH = st.fixed_dictionaries(
+    {"edges": st.lists(NAMES, max_size=4) | JSON,
+     "vertices": st.lists(VERTEX, max_size=3) | JSON}
+)
+LEVEL = st.fixed_dictionaries(
+    {"edge_layers": st.lists(st.lists(NAMES, max_size=2), max_size=3) | JSON,
+     "vertex_layers": st.lists(st.lists(VERTEX, max_size=2), max_size=2) | JSON}
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([["validate"], ["validate", "--level"], ["subgraphs"]]),
+    JSON | GRAPH | LEVEL,
+)
+def test_graph_loaders_never_raise(tmp_path_factory, command, data):
+    path = tmp_path_factory.mktemp("fuzz") / "g.json"
+    path.write_text(json.dumps(data))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main([command[0], str(path), *command[1:]])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_determinism(tmp_path, capsys):

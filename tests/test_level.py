@@ -121,6 +121,18 @@ def test_level_structure_rejects_three_vertex():
     assert level_structure(three_vertex_graph()) is None
 
 
+def test_level_structure_edge_cases():
+    from graphcat.digraph import graph
+
+    empty = level_structure(Graph((), ()))
+    assert empty is not None and empty.height == 0 and empty.edge_layers == ((),)
+    # a source named "" whose output is a graph output sits at the top
+    g = graph(["x", "y", "z"], [("p", [], ["x"]), ("q", ["x"], ["y"]), ("", [], ["z"])])
+    lg = level_structure(g)
+    assert lg is not None and validate_level(lg) is None
+    assert lg.edge_layers == ((), ("x",), ("y", "z"))
+
+
 def test_level_structure_closed_component():
     g = Graph(
         ("p1", "p2"),

@@ -28,13 +28,18 @@ code with ``SpecialFunctor``, ``derived_class_map``,
 import itertools
 from collections import deque
 
+from graphcat import zoo
+from graphcat.digraph import Graph, Vertex, corolla, edge_graph, linear_graph
 from graphcat.level import (
+    LevelGraph,
     LevelMorphism,
     elementary_corolla,
     elementary_edge,
     hom_level,
     level_graph,
+    level_structure,
     linear_level_graph,
+    validate_level,
     validate_level_morphism,
 )
 
@@ -257,3 +262,111 @@ def test_hom_level_sorted_by_sort_key():
     for (_, G), (_, H) in itertools.product(GRAPHS, repeat=2):
         keys = [f.sort_key() for f in hom_level(G, H)]
         assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# recovering a level structure
+#
+# A level structure of height h on a plain graph puts each vertex on a
+# layer 0..h-1 and each edge on a level 0..h, and is one when the result
+# passes ``validate_level``.  An edge must sit one level above the layer
+# of the vertex it leaves and on the layer of the vertex it enters, so
+# only the vertex layers and the levels of edges touching no vertex are
+# free; the oracle tries all of them.
+
+
+def placements(g, h):
+    """Every level graph of height h that places g's vertices on layers
+    and its edges on levels as above."""
+    producer = {e: v for v in g.vertices for e in v.outs}
+    consumer = {e: v for v in g.vertices for e in v.ins}
+    loose = [e for e in g.edges if e not in producer and e not in consumer]
+    for layers in itertools.product(range(h), repeat=len(g.vertices)):
+        layer_of = {v.name: k for v, k in zip(g.vertices, layers)}
+        for free in itertools.product(range(h + 1), repeat=len(loose)):
+            level_of = dict(zip(loose, free))
+            for e in g.edges:
+                if e in producer:
+                    level_of[e] = layer_of[producer[e].name] + 1
+                elif e in consumer:
+                    level_of[e] = layer_of[consumer[e].name]
+            yield LevelGraph(
+                tuple(
+                    tuple(e for e in g.edges if level_of[e] == k)
+                    for k in range(h + 1)
+                ),
+                tuple(
+                    tuple(v for v in g.vertices if layer_of[v.name] == k)
+                    for k in range(h)
+                ),
+            )
+
+
+def has_level_structure(g, h):
+    return any(validate_level(lg) is None for lg in placements(g, h))
+
+
+def disjoint_union(*graphs):
+    renamed = [
+        Graph(
+            tuple(f"{k}{e}" for e in g.edges),
+            tuple(
+                Vertex(f"{k}{v.name}", tuple(f"{k}{e}" for e in v.ins),
+                       tuple(f"{k}{e}" for e in v.outs))
+                for v in g.vertices
+            ),
+        )
+        for k, g in enumerate(graphs)
+    ]
+    return Graph(
+        sum((g.edges for g in renamed), ()), sum((g.vertices for g in renamed), ())
+    )
+
+
+PLAIN_BASE = (
+    [
+        zoo.three_vertex_graph(), zoo.double_edge_graph(),
+        zoo.closed_double_edge_graph(), zoo.dangling_pair_graph(),
+        zoo.two_component_graph(), edge_graph(),
+    ]
+    + [linear_graph(k) for k in (1, 2, 3)]
+    + [corolla(m, n) for m in range(3) for n in range(3)]
+)
+PLAIN_GRAPHS = PLAIN_BASE + [
+    disjoint_union(g, k)
+    for g, k in itertools.combinations(PLAIN_BASE, 2)
+    if len(g.vertices) + len(k.vertices) <= 4
+] + [disjoint_union(edge_graph(), edge_graph(), corolla(0, 0))]
+
+
+def assert_structure_of(g, lg):
+    assert validate_level(lg) is None
+    assert sorted(e for level in lg.edge_layers for e in level) == sorted(g.edges)
+    assert {v for layer in lg.vertex_layers for v in layer} == set(g.vertices)
+
+
+def test_level_structure_matches_oracle_at_each_height():
+    found = 0
+    for g in PLAIN_GRAPHS:
+        for h in range(len(g.vertices) + 2):
+            lg = level_structure(g, h)
+            assert (lg is not None) == has_level_structure(g, h), (g, h)
+            if lg is not None:
+                assert lg.height == h
+                assert_structure_of(g, lg)
+                found += 1
+    assert found > 50
+
+
+def test_level_structure_without_height_matches_oracle():
+    found = 0
+    for g in PLAIN_GRAPHS:
+        lg = level_structure(g)
+        exists = any(
+            has_level_structure(g, h) for h in range(len(g.vertices) + 1)
+        )
+        assert (lg is not None) == exists, g
+        if lg is not None:
+            assert_structure_of(g, lg)
+            found += 1
+    assert 20 < found < len(PLAIN_GRAPHS)
