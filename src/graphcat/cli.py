@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import digraph, graphical, level, properad, segal
-from .errors import GraphcatError
+from .errors import GraphcatError, Violation
 
 
 class DomainFailure(Exception):
@@ -69,10 +69,32 @@ def _graph_arg(path):
     return _valid_graph(data)
 
 
-def _graphical_morphism_from_json(data):
-    src = digraph.graph_from_json(data["source"])
-    tgt = digraph.graph_from_json(data["target"])
-    return graphical.morphism_from_json(src, tgt, data)
+def _valid_graphical_morphism(data):
+    """A graphical morphism file, checked for shape, then validated."""
+    if not (
+        isinstance(data, dict)
+        and _is_graph_json(data.get("source"))
+        and _is_graph_json(data.get("target"))
+        and isinstance(data.get("f0"), dict)
+        and isinstance(data.get("f1"), dict)
+        and all(
+            isinstance(sub, dict) and _list_of(sub.get("edges"))
+            and _list_of(sub.get("vertices"))
+            for sub in data["f1"].values()
+        )
+    ):
+        _malformed(
+            "graphical morphism",
+            'expected {"source": graph, "target": graph, "f0": {edge: edge}, '
+            '"f1": {vertex: {"edges": [...], "vertices": [...]}}}',
+        )
+    f = graphical.morphism_from_json(
+        _valid_graph(data["source"]), _valid_graph(data["target"]), data
+    )
+    report = graphical.validate_graphical(f)
+    if report is not None:
+        raise DomainFailure(str(report))
+    return f
 
 
 def _graphical_morphism_to_json(f):
@@ -102,34 +124,44 @@ def _malformed(kind, problem):
     raise SystemExit(2)
 
 
+def _list_of(data, fits=lambda item: True):
+    """Is ``data`` a list whose items all pass ``fits``?"""
+    return isinstance(data, list) and all(map(fits, data))
+
+
 def _is_vertex_json(v):
     return (
         isinstance(v, dict)
         and "name" in v
-        and isinstance(v.get("in"), list)
-        and isinstance(v.get("out"), list)
+        and _list_of(v.get("in"))
+        and _list_of(v.get("out"))
     )
 
 
 def _is_graph_json(data):
     return (
         isinstance(data, dict)
-        and isinstance(data.get("edges"), list)
-        and isinstance(data.get("vertices"), list)
-        and all(_is_vertex_json(v) for v in data["vertices"])
+        and _list_of(data.get("edges"))
+        and _list_of(data.get("vertices"), _is_vertex_json)
     )
 
 
 def _is_level_json(data):
     return (
         isinstance(data, dict)
-        and isinstance(data.get("edge_layers"), list)
-        and isinstance(data.get("vertex_layers"), list)
-        and all(isinstance(layer, list) for layer in data["edge_layers"])
-        and all(
-            isinstance(layer, list) and all(_is_vertex_json(v) for v in layer)
-            for layer in data["vertex_layers"]
+        and _list_of(data.get("edge_layers"), _list_of)
+        and _list_of(
+            data.get("vertex_layers"), lambda layer: _list_of(layer, _is_vertex_json)
         )
+    )
+
+
+def _is_operation_json(data):
+    return (
+        _is_graph_json(data)
+        and _list_of(data.get("in_order"))
+        and _list_of(data.get("out_order"))
+        and isinstance(data.get("colors") or {}, dict)
     )
 
 
@@ -145,8 +177,7 @@ def _valid_graph(data):
 def _corpus_from_manifest(manifest):
     if not (
         isinstance(manifest, dict)
-        and isinstance(manifest.get("generators"), list)
-        and all(_is_graph_json(g) for g in manifest["generators"])
+        and _list_of(manifest.get("generators"), _is_graph_json)
         and isinstance(manifest.get("max_vertices", 3), int)
     ):
         _malformed(
@@ -176,8 +207,7 @@ def _presheaf_to_json(F, manifest):
 def _presheaf_from_json(data):
     if not (
         isinstance(data, dict)
-        and isinstance(data.get("values"), list)
-        and all(isinstance(entry, list) for entry in data["values"])
+        and _list_of(data.get("values"), _list_of)
         and isinstance(data.get("restrictions"), dict)
     ):
         _malformed(
@@ -212,7 +242,25 @@ def _presheaf_from_json(data):
 
 
 def _valid_level_morphism(data):
-    """A level morphism whose source, target and maps all validate."""
+    """A level morphism file, checked for shape, whose source, target
+    and maps all validate."""
+    if not (
+        isinstance(data, dict)
+        and _is_level_json(data.get("source"))
+        and _is_level_json(data.get("target"))
+        and _list_of(data.get("alpha"), lambda a: isinstance(a, int))
+        and _list_of(data.get("edge_maps"), lambda m: isinstance(m, dict))
+        and _list_of(data.get("vertex_maps"), lambda m: isinstance(m, dict) and all(
+            _list_of(rep) and len(rep) == 3 and isinstance(rep[1], int)
+            for rep in m.values()
+        ))
+    ):
+        _malformed(
+            "level morphism",
+            'expected {"source": level graph, "target": level graph, '
+            '"alpha": [int, ...], "edge_maps": [{edge: edge}, ...], '
+            '"vertex_maps": [{vertex: [kind, level, name]}, ...]}',
+        )
     f = level.morphism_from_json(data)
     for role, lg in (("source", f.source), ("target", f.target)):
         report = level.validate_level(lg)
@@ -288,11 +336,7 @@ def cmd_hom(args):
 def cmd_factorize(args):
     data = _load_json(args.morphism)
     if args.cat == "G":
-        f = _graphical_morphism_from_json(data)
-        report = graphical.validate_graphical(f)
-        if report is not None:
-            raise DomainFailure(str(report))
-        act, ine = graphical.factorize_G(f)
+        act, ine = graphical.factorize_G(_valid_graphical_morphism(data))
         payload = {
             "active": _graphical_morphism_to_json(act),
             "inert": _graphical_morphism_to_json(ine),
@@ -309,14 +353,30 @@ def cmd_factorize(args):
 
 def cmd_substitute(args):
     data = _load_json(args.data)
-    outer = digraph.graph_from_json(data["outer"])
-    inner = digraph.graph_from_json(data["inner"])
+    if not (
+        isinstance(data, dict)
+        and _is_graph_json(data.get("outer"))
+        and _is_graph_json(data.get("inner"))
+        and "vertex" in data
+        and all(isinstance(data.get(k) or {}, dict) for k in ("bij_in", "bij_out"))
+    ):
+        _malformed(
+            "substitution",
+            'expected {"outer": graph, "inner": graph, "vertex": name, '
+            '"bij_in"?: {edge: edge}, "bij_out"?: {edge: edge}}',
+        )
+    outer, inner = _valid_graph(data["outer"]), _valid_graph(data["inner"])
+    vertex = str(data["vertex"])
+    if vertex not in outer.vertex_by_name:
+        raise DomainFailure(str(Violation(
+            "UnknownVertex", "not a vertex of the outer graph", (vertex,)
+        )))
     bij_in = data.get("bij_in")
     bij_out = data.get("bij_out")
     sub = digraph.substitution_data(
         outer,
         inner,
-        str(data["vertex"]),
+        vertex,
         {str(k): str(v) for k, v in bij_in.items()} if bij_in else None,
         {str(k): str(v) for k, v in bij_out.items()} if bij_out else None,
     )
@@ -345,6 +405,19 @@ def cmd_free_properad(args):
 def cmd_prpd(args):
     data = _load_json(args.data)
     if args.operation == "compose":
+        if not (
+            isinstance(data, dict)
+            and _is_operation_json(data.get("outer"))
+            and isinstance(data.get("inner"), dict)
+            and all(
+                k.isdecimal() and _is_operation_json(op)
+                for k, op in data["inner"].items()
+            )
+        ):
+            _malformed(
+                "composition",
+                'expected {"outer": operation, "inner": {"0": operation, ...}}',
+            )
         outer = properad.operation_from_json(data["outer"])
         inner = {
             int(k): properad.operation_from_json(v)
@@ -353,6 +426,12 @@ def cmd_prpd(args):
         result = properad.prpd_compose(outer, inner)
         _emit(properad.operation_to_json(result), args.format)
     else:
+        if not _is_operation_json(data):
+            _malformed(
+                "operation",
+                'expected a graph with "in_order": [...], "out_order": [...] '
+                'and optionally "colors": {edge: color}',
+            )
         op = properad.operation_from_json(data)
         stab = properad.stabilizer(op)
         _emit(
@@ -362,11 +441,7 @@ def cmd_prpd(args):
 
 
 def cmd_theta(args):
-    f = _graphical_morphism_from_json(_load_json(args.morphism))
-    report = graphical.validate_graphical(f)
-    if report is not None:
-        raise DomainFailure(str(report))
-    arrow = properad.theta(f)
+    arrow = properad.theta(_valid_graphical_morphism(_load_json(args.morphism)))
     payload = {
         "source": [list(p) for p in arrow.source],
         "target": [list(p) for p in arrow.target],

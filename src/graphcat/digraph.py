@@ -348,6 +348,8 @@ class OpenSubgraph:
     vertex_names_set: frozenset
 
     def is_open(self):
+        if not self.vertex_names_set <= self.parent.vertex_by_name.keys():
+            return False
         for name in self.vertex_names_set:
             v = self.parent.vertex(name)
             for e in itertools.chain(v.ins, v.outs):
@@ -553,12 +555,6 @@ class SubstitutionData:
     bij_in: tuple
     bij_out: tuple
 
-    def in_map(self):
-        return dict(self.bij_in)
-
-    def out_map(self):
-        return dict(self.bij_out)
-
 
 def substitution_data(outer, inner, vertex, bij_in=None, bij_out=None):
     """Build SubstitutionData; default bijections pair edges by position."""
@@ -574,6 +570,7 @@ def substitution_data(outer, inner, vertex, bij_in=None, bij_out=None):
     return SubstitutionData(outer, inner, vertex, bij_in, bij_out)
 
 
+@dataclass
 class Correspondence:
     """Tracks where edges and vertices land after substitution.
 
@@ -582,31 +579,13 @@ class Correspondence:
     maps (vertex, inner vertex) pairs to result vertex names.
     """
 
-    def __init__(self, outer_edge, inner_edge, inner_vertex, outer_vertex):
-        self.outer_edge = outer_edge
-        self.inner_edge = inner_edge
-        self.inner_vertex = inner_vertex
-        self.outer_vertex = outer_vertex
+    outer_edge: dict
+    inner_edge: dict
+    inner_vertex: dict
 
 
-def _check_substitution(data):
-    v = data.outer.vertex(data.vertex)
-    inner = data.inner
-    in_map, out_map = data.in_map(), data.out_map()
-    if sorted(in_map) != sorted(v.ins) or sorted(in_map.values()) != sorted(inner.inputs):
-        raise ProfileMismatch(
-            f"in({data.vertex}) does not match the inputs of the inner graph"
-        )
-    if sorted(out_map) != sorted(v.outs) or sorted(out_map.values()) != sorted(inner.outputs):
-        raise ProfileMismatch(
-            f"out({data.vertex}) does not match the outputs of the inner graph"
-        )
-    if not is_connected(inner):
-        raise ConnectivityError("inner graph must be connected")
-
-
-def _fresh(name, used):
-    while name in used:
+def _fresh(name, *taken):
+    while any(name in names for names in taken):
         name = name + "'"
     return name
 
@@ -614,116 +593,106 @@ def _fresh(name, used):
 def substitute(data):
     """Replace a vertex by a graph with matching boundary.
 
-    Internal edges and vertices of the inner graph are renamed
-    ``<vertex>.<name>``; boundary edges keep the outer identifiers.
-    When the inner graph is a single edge, the input and output edge of
-    the removed vertex merge and the merged edge keeps the outer
-    *input*-side identifier.
+    The one-vertex case of ``multi_substitute``, which gives the naming
+    rules; an unknown vertex raises KeyError.
     """
-    g, corr = substitute_with_correspondence(data)
-    return g
-
-
-def substitute_with_correspondence(data):
-    _check_substitution(data)
-    outer, inner, vname = data.outer, data.inner, data.vertex
-    in_map, out_map = data.in_map(), data.out_map()
-
-    if not inner.vertices:
-        # single loose edge: delete the vertex and merge its two edges
-        e_in = next(iter(in_map))
-        e_out = next(iter(out_map))
-        edges = tuple(e for e in outer.edges if e != e_out)
-        vs = []
-        for w in outer.vertices:
-            if w.name == vname:
-                continue
-            ins = tuple(e_in if e == e_out else e for e in w.ins)
-            outs = tuple(e_in if e == e_out else e for e in w.outs)
-            vs.append(Vertex(w.name, ins, outs))
-        result = Graph(edges, tuple(vs))
-        outer_edge = {e: (e_in if e == e_out else e) for e in outer.edges}
-        inner_edge = {(vname, inner.edges[0]): e_in}
-        outer_vertex = {w.name: w.name for w in vs}
-        return result, Correspondence(outer_edge, inner_edge, {}, outer_vertex)
-
-    used = set(outer.edges) | set(outer.vertex_names)
-    rename_e, rename_v = {}, {}
-    inv_in = {ie: oe for oe, ie in in_map.items()}
-    inv_out = {ie: oe for oe, ie in out_map.items()}
-    for e in inner.edges:
-        if e in inv_in:
-            rename_e[e] = inv_in[e]
-        elif e in inv_out:
-            rename_e[e] = inv_out[e]
-        else:
-            fresh = _fresh(f"{vname}.{e}", used)
-            used.add(fresh)
-            rename_e[e] = fresh
-    for w in inner.vertices:
-        fresh = _fresh(f"{vname}.{w.name}", used)
-        used.add(fresh)
-        rename_v[w.name] = fresh
-
-    edges = tuple(outer.edges) + tuple(
-        rename_e[e] for e in inner.edges if e not in inv_in and e not in inv_out
+    data.outer.vertex(data.vertex)
+    result, _ = multi_substitute(
+        data.outer, {data.vertex: (data.inner, data.bij_in, data.bij_out)}
     )
-    vs = []
-    for w in outer.vertices:
-        if w.name == vname:
-            for u in inner.vertices:
-                vs.append(
-                    Vertex(
-                        rename_v[u.name],
-                        tuple(rename_e[e] for e in u.ins),
-                        tuple(rename_e[e] for e in u.outs),
-                    )
-                )
-        else:
-            vs.append(w)
-    result = Graph(edges, tuple(vs))
-    corr = Correspondence(
-        {e: e for e in outer.edges},
-        {(vname, e): rename_e[e] for e in inner.edges},
-        {(vname, w.name): rename_v[w.name] for w in inner.vertices},
-        {w.name: w.name for w in outer.vertices if w.name != vname},
-    )
-    return result, corr
+    return result
 
 
 def multi_substitute(outer, assignment):
-    """Substitute a graph for every vertex in the assignment.
+    """Substitute a graph for every vertex in the assignment, in one pass.
 
     ``assignment`` maps vertex names to either a Graph (boundaries are
-    then paired by position) or SubstitutionData-like triples
-    ``(graph, bij_in, bij_out)``.  Substitutions are applied in the
-    outer graph's vertex order; the result does not depend on that
-    order up to strict isomorphism, and the returned correspondence
-    composes the individual ones.
+    then paired by position) or triples ``(graph, bij_in, bij_out)``
+    pairing the vertex's edges with the inner graph's boundary; names
+    that are not vertices of ``outer`` are ignored.
+
+    The result equals substituting one vertex at a time in the outer
+    graph's vertex order.  Inner vertices take the place of the vertex
+    they replace, and internal edges follow the outer edges.  Boundary
+    edges keep the outer identifiers; internal edges and vertices are
+    renamed ``<vertex>.<name>``, primed until the name is unused in the
+    graph as it stands at that vertex.  A vertex replaced by a single
+    edge merges its output edge into its input edge, so a chain of them
+    keeps the input-most identifier.  Returns (result, Correspondence).
     """
-    current = outer
-    outer_edge = {e: e for e in outer.edges}
-    inner_edge = {}
-    inner_vertex = {}
-    outer_vertex = {v.name: v.name for v in outer.vertices if v.name not in assignment}
-    for vname in outer.vertex_names:
-        if vname not in assignment:
+    name = {e: e for e in outer.edges}  # outer edge -> its current name
+    live_edges, live_vertices = set(outer.edges), set(outer.vertex_names)
+    internal = []
+    pieces = []  # per outer vertex: the vertex kept, or what replaces it
+    for w in outer.vertices:
+        if w.name not in assignment:
+            pieces.append(w)
             continue
-        spec = assignment[vname]
+        spec = assignment[w.name]
+        ins = tuple(name[e] for e in w.ins)
+        outs = tuple(name[e] for e in w.outs)
         if isinstance(spec, Graph):
-            data = substitution_data(current, spec, vname)
+            inner = spec
+            in_map = dict(zip(ins, inner.inputs))
+            out_map = dict(zip(outs, inner.outputs))
         else:
-            # remap bijection keys through merges performed so far
             inner, bij_in, bij_out = spec
-            bij_in = {outer_edge[e]: x for e, x in dict(bij_in).items()}
-            bij_out = {outer_edge[e]: x for e, x in dict(bij_out).items()}
-            data = substitution_data(current, inner, vname, bij_in, bij_out)
-        current, corr = substitute_with_correspondence(data)
-        outer_edge = {e: corr.outer_edge[x] for e, x in outer_edge.items()}
-        inner_edge = {k: corr.outer_edge[x] for k, x in inner_edge.items()}
-        inner_edge.update(corr.inner_edge)
-        inner_vertex.update(corr.inner_vertex)
-    return current, Correspondence(outer_edge, inner_edge, inner_vertex, outer_vertex)
+            # a key that is no outer edge stays, and fails the check below
+            in_map = {name.get(e, e): x for e, x in dict(bij_in).items()}
+            out_map = {name.get(e, e): x for e, x in dict(bij_out).items()}
+        for side, ends, pairs, targets in (
+            ("in", ins, in_map, inner.inputs),
+            ("out", outs, out_map, inner.outputs),
+        ):
+            if sorted(pairs) != sorted(ends) or sorted(pairs.values()) != sorted(targets):
+                raise ProfileMismatch(
+                    f"{side}({w.name}) does not match the {side}puts of the inner graph"
+                )
+        if not is_connected(inner):
+            raise ConnectivityError("inner graph must be connected")
+        # inner boundary edge -> the outer edge glued to it
+        bound = {x: e for e, x in out_map.items()} | {x: e for e, x in in_map.items()}
+        fresh_e, fresh_v = {}, {}
+        if not inner.vertices:
+            # a single edge: the output edge of w merges into its input edge
+            (e_in,), (e_out,) = in_map, out_map
+            name = {e: e_in if x == e_out else x for e, x in name.items()}
+            live_edges.discard(e_out)
+        for e in inner.edges:
+            if e not in bound:
+                fresh_e[e] = _fresh(f"{w.name}.{e}", live_edges, live_vertices)
+                live_edges.add(fresh_e[e])
+                internal.append(fresh_e[e])
+        for u in inner.vertices:
+            fresh_v[u.name] = _fresh(f"{w.name}.{u.name}", live_edges, live_vertices)
+            live_vertices.add(fresh_v[u.name])
+        live_vertices.discard(w.name)
+        pieces.append((w.name, inner, bound, fresh_e, fresh_v))
+
+    vertices, inner_edge, inner_vertex = [], {}, {}
+    for piece in pieces:
+        if isinstance(piece, Vertex):
+            vertices.append(Vertex(
+                piece.name,
+                tuple(name[e] for e in piece.ins),
+                tuple(name[e] for e in piece.outs),
+            ))
+            continue
+        vname, inner, bound, fresh_e, fresh_v = piece
+        # later merges may have renamed a glued outer edge again
+        ref = {e: name[bound[e]] if e in bound else fresh_e[e] for e in inner.edges}
+        inner_edge.update(((vname, e), ref[e]) for e in inner.edges)
+        for u in inner.vertices:
+            inner_vertex[(vname, u.name)] = fresh_v[u.name]
+            vertices.append(Vertex(
+                fresh_v[u.name],
+                tuple(ref[e] for e in u.ins),
+                tuple(ref[e] for e in u.outs),
+            ))
+    edges = tuple(e for e in outer.edges if name[e] == e) + tuple(internal)
+    return Graph(edges, tuple(vertices)), Correspondence(
+        name, inner_edge, inner_vertex
+    )
 
 
 def subgraph_witness(h):

@@ -92,13 +92,14 @@ def assembly(f):
     vertex map to target).  The boundary bijections are induced by the
     edge map, so this is the induced etale comparison with the target.
     """
-    assignment = {}
-    for v in f.source.vertex_names:
-        h = f.f1v[v]
-        vert = f.source.vertex(v)
-        bij_in = {e: f.f0[e] for e in vert.ins}
-        bij_out = {e: f.f0[e] for e in vert.outs}
-        assignment[v] = (h.as_graph, bij_in, bij_out)
+    assignment = {
+        v.name: (
+            f.f1v[v.name].as_graph,
+            {e: f.f0[e] for e in v.ins},
+            {e: f.f0[e] for e in v.outs},
+        )
+        for v in f.source.vertices
+    }
     assembled, corr = multi_substitute(f.source, assignment)
     edge_to_target = {}
     for e in f.source.edges:
@@ -225,28 +226,34 @@ def is_inert_G(f):
     return all(f.f1v[v].is_corolla() for v in f.source.vertex_names)
 
 
+def active_onto_substitution(g, target, corr, inner):
+    """The active map from ``g`` onto the result ``target`` (its vertices
+    in any order) of substituting ``inner[v]`` at each vertex v of ``g``,
+    with correspondence ``corr``: v goes to the image of ``inner[v]``."""
+    f0 = {e: corr.outer_edge[e] for e in g.edges}
+    f1v = {
+        v: StructuredSubgraph(
+            target,
+            frozenset(corr.inner_edge[(v, e)] for e in h.edges),
+            frozenset(corr.inner_vertex[(v, w)] for w in h.vertex_names),
+        )
+        for v, h in inner.items()
+    }
+    return graphical_morphism(g, target, f0, f1v)
+
+
 def factorize_G(f):
     """Factor as an active map onto the assembled middle object followed
     by an inert inclusion into the target."""
     assembled, corr, e_map, v_map = assembly(f)
-    G, K = f.source, f.target
-    active_f0 = {e: corr.outer_edge[e] for e in G.edges}
-    active_f1v = {}
-    for v in G.vertex_names:
-        h = f.f1v[v]
-        edges = frozenset(
-            corr.inner_edge[(v, e)] for e in h.as_graph.edges
-        )
-        vs = frozenset(
-            corr.inner_vertex[(v, w)] for w in h.as_graph.vertex_names
-        )
-        active_f1v[v] = StructuredSubgraph(assembled, edges, vs)
-    active = graphical_morphism(G, assembled, active_f0, active_f1v)
-    inert_f0 = dict(e_map)
+    active = active_onto_substitution(
+        f.source, assembled, corr,
+        {v: f.f1v[v].as_graph for v in f.source.vertex_names},
+    )
     inert_f1v = {
-        res: vertex_corolla(K, kv) for res, kv in v_map.items()
+        res: vertex_corolla(f.target, kv) for res, kv in v_map.items()
     }
-    inert = graphical_morphism(assembled, K, inert_f0, inert_f1v)
+    inert = graphical_morphism(assembled, f.target, dict(e_map), inert_f1v)
     return active, inert
 
 
@@ -368,7 +375,7 @@ def morphism_to_json(f):
 def morphism_from_json(source, target, data):
     f0 = {str(k): str(v) for k, v in data["f0"].items()}
     f1v = {
-        str(v): (tuple(val["edges"]), tuple(val["vertices"]))
+        str(v): (tuple(map(str, val["edges"])), tuple(map(str, val["vertices"])))
         for v, val in data["f1"].items()
     }
     return graphical_morphism(source, target, f0, f1v)

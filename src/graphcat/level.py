@@ -487,22 +487,6 @@ def is_active_L(f):
     return len(dmap) == len(target) and set(dmap.values()) == set(target)
 
 
-def is_active_L_full(f):
-    """The unabbreviated active condition: every component map bijective."""
-    G, H = f.source, f.target
-    if f.alpha[0] != 0 or f.alpha[-1] != H.height:
-        return False
-    sf_t = special_extension(H)
-    n = G.height
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            dmap = derived_class_map(f, (i, j))
-            tgt = sf_t.elements((f.alpha[i], f.alpha[j]))
-            if len(dmap) != len(tgt) or set(dmap.values()) != set(tgt):
-                return False
-    return True
-
-
 def factorize_L(f):
     """Factor as an active map followed by an inert one.
 

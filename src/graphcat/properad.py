@@ -21,7 +21,6 @@ from functools import cached_property
 
 from .digraph import (
     Graph,
-    StructuredSubgraph,
     Vertex,
     canonical_form,
     is_connected,
@@ -36,7 +35,7 @@ from .errors import (
     ProfileMismatch,
     SizeLimit,
 )
-from .graphical import graphical_morphism, vertex_map_G
+from .graphical import active_onto_substitution, vertex_map_G
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +109,8 @@ def zgraph(graph, in_order, out_order, colors=None):
     color_map = dict(colors) if isinstance(colors, dict) else (
         dict(zip(graph.edges, colors)) if colors is not None else None
     )
+    if color_map is not None and not graph.edge_set <= color_map.keys():
+        raise ColorMismatch("colors must cover every edge")
     canon, emap, vmap = canonical_form(
         graph,
         edge_label=(color_map.get if color_map else None),
@@ -172,32 +173,21 @@ def prpd_compose(outer, inner):
         if outer.colors is not None:
             if outer.vertex_profile(z) != op.profile():
                 raise ColorMismatch(f"colors disagree at index {z}")
-        bij_in = tuple(zip(v.ins, op.in_order))
-        bij_out = tuple(zip(v.outs, op.out_order))
-        assignment[v.name] = (op.graph, bij_in, bij_out)
+        assignment[v.name] = (op.graph, zip(v.ins, op.in_order), zip(v.outs, op.out_order))
     result, corr = multi_substitute(outer.graph, assignment)
-    order = []
-    for z in range(outer.size):
-        vname = outer.graph.vertices[z].name
-        for w in inner[z].graph.vertices:
-            order.append(corr.inner_vertex[(vname, w.name)])
-    by_name = {v.name: v for v in result.vertices}
-    reordered = Graph(result.edges, tuple(by_name[name] for name in order))
     colors = None
     if outer.colors is not None:
-        colors = {}
-        for e in outer.graph.edges:
-            colors[corr.outer_edge[e]] = outer.color_of[e]
-        for z in range(outer.size):
-            op = inner[z]
-            vname = outer.graph.vertices[z].name
-            for e in op.graph.edges:
-                res = corr.inner_edge[(vname, e)]
-                prev = colors.setdefault(res, op.color_of[e])
-                if prev != op.color_of[e]:
-                    raise ColorMismatch(f"merged edge {res} has two colors")
+        # the profile checks make the colours met at each glued edge agree
+        colors = {
+            corr.outer_edge[e]: c for e, c in zip(outer.graph.edges, outer.colors)
+        }
+        for z, v in enumerate(outer.graph.vertices):
+            colors.update(
+                (corr.inner_edge[(v.name, e)], c)
+                for e, c in zip(inner[z].graph.edges, inner[z].colors)
+            )
     return zgraph(
-        reordered,
+        result,
         tuple(corr.outer_edge[e] for e in outer.in_order),
         tuple(corr.outer_edge[e] for e in outer.out_order),
         colors,
@@ -603,33 +593,18 @@ class FreeProperad(FiniteProperad):
         )
 
     def evaluate(self, dec):
-        """Grafting: substitute each label's graph and renormalize."""
+        """Grafting: compose the labels' indexed graphs into the decorated
+        graph, indexed in its vertex order, and renormalize."""
         if not self.check_decoration(dec):
             raise ColorMismatch("decoration does not match vertex profiles")
-        assignment = {}
-        inner_info = {}
-        for v in dec.graph.vertices:
-            el = dec.label_of[v.name]
-            _, zg, labels = el
-            bij_in = tuple(zip(v.ins, zg.in_order))
-            bij_out = tuple(zip(v.outs, zg.out_order))
-            assignment[v.name] = (zg.graph, bij_in, bij_out)
-            inner_info[v.name] = (zg, labels)
-        result, corr = multi_substitute(dec.graph, assignment)
-        colors, labels = {}, {}
-        for e in dec.graph.edges:
-            colors[corr.outer_edge[e]] = dec.color_of[e]
-        for vname, (zg, labs) in inner_info.items():
-            lab_of = dict(zip(zg.graph.vertex_names, labs))
-            for e in zg.graph.edges:
-                res = corr.inner_edge[(vname, e)]
-                colors.setdefault(res, zg.color_of[e])
-            for w in zg.graph.vertex_names:
-                labels[corr.inner_vertex[(vname, w)]] = lab_of[w]
+        outer = zgraph(dec.graph, dec.in_order, dec.out_order, dec.color_of)
+        elements = [dec.label_of[name] for name in dec.graph.vertex_names]
+        zg = prpd_compose(outer, {z: el[1] for z, el in enumerate(elements)})
+        g = zg.graph
         return self._element(
-            result, colors, labels,
-            tuple(corr.outer_edge[e] for e in dec.in_order),
-            tuple(corr.outer_edge[e] for e in dec.out_order),
+            g, dict(zip(g.edges, zg.colors)),
+            dict(zip(g.vertex_names, (lab for el in elements for lab in el[2]))),
+            zg.in_order, zg.out_order,
         )
 
 
@@ -832,11 +807,7 @@ def cartesian_lift_active(g, arrow):
         v = g.vertex(vname)
         if op.biarity() != v.biarity():
             raise ProfileMismatch(f"operation at {vname} has wrong biarity")
-        assignment[vname] = (
-            op.graph,
-            tuple(zip(v.ins, op.in_order)),
-            tuple(zip(v.outs, op.out_order)),
-        )
+        assignment[vname] = (op.graph, zip(v.ins, op.in_order), zip(v.outs, op.out_order))
     result, corr = multi_substitute(g, assignment)
     # order result vertices by the arrow's source indexing
     placed = []
@@ -848,18 +819,9 @@ def cartesian_lift_active(g, arrow):
     placed.sort()
     by_name = {v.name: v for v in result.vertices}
     target = Graph(result.edges, tuple(by_name[name] for _, name in placed))
-    f0 = {e: corr.outer_edge[e] for e in g.edges}
-    f1v = {}
-    for a, vname in enumerate(g.vertex_names):
-        op = arrow.ops[a]
-        edges = frozenset(
-            corr.inner_edge[(vname, e)] for e in op.graph.edges
-        )
-        vs = frozenset(
-            corr.inner_vertex[(vname, w)] for w in op.graph.vertex_names
-        )
-        f1v[vname] = StructuredSubgraph(target, edges, vs)
-    return graphical_morphism(g, target, f0, f1v)
+    return active_onto_substitution(
+        g, target, corr, {name: spec[0] for name, spec in assignment.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,57 @@ def test_substitute(tmp_path, capsys):
     assert len(result["vertices"]) == 2
 
 
+def _substitution(**changes):
+    from graphcat.digraph import corolla, linear_graph
+
+    data = {
+        "outer": graph_to_json(linear_graph(2)),
+        "inner": graph_to_json(corolla(1, 1, name="z")),
+        "vertex": "v1",
+    }
+    return {**data, **changes}
+
+
+def _graphical_identity_json(vertices):
+    from graphcat.digraph import corolla
+
+    g = graph_to_json(corolla(1, 1))
+    return {
+        "source": g, "target": g, "f0": {"i1": "i1", "o1": "o1"},
+        "f1": {"v": {"edges": ["i1", "o1"], "vertices": vertices}},
+    }
+
+
+@pytest.mark.parametrize("command, data, code, report", [
+    (["substitute"], {}, 2, "error: malformed substitution"),
+    (["substitute"], _substitution(vertex="nope"), 1, "violation: UnknownVertex"),
+    (["substitute"], _substitution(outer={
+        "edges": ["a"], "vertices": [{"name": "v", "in": ["a"], "out": ["a"]}],
+    }), 1, "violation: CycleViolation"),
+    (["substitute"], _substitution(bij_in={"nope": "i1"}), 1,
+     "violation: ProfileMismatch"),
+    (["theta"], _graphical_identity_json(["nope"]), 1,
+     "violation: NotConvexOpenImage"),
+    (["prpd", "stabilizer"], {
+        **graph_to_json(closed_square_graph()), "in_order": [], "out_order": [],
+        "colors": {"e00": "c"},
+    }, 1, "violation: ColorMismatch"),
+], ids=[
+    "substitution-shape", "unknown-vertex", "cyclic-outer", "unknown-bijection-edge",
+    "image-names-unknown-vertex", "colors-miss-an-edge",
+])
+def test_command_file_errors(tmp_path, capsys, command, data, code, report):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    try:
+        got = main([*command, str(path)])
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code and out == ""
+    assert err.startswith(report) and err.count("\n") == 1
+
+
 def test_free_properad_profiles(tmp_path, capsys):
     from graphcat.zoo import two_component_graph
 
@@ -314,8 +365,8 @@ def test_invalid_graph_file_exits_1(tmp_path, capsys, command, data, kind):
     assert err.startswith(f"violation: {kind}") and err.count("\n") == 1
 
 
-# hypothesis-drawn JSON: arbitrary values, and graph- or level-graph-shaped
-# values over a few names, so that some of them are valid
+# hypothesis-drawn JSON: arbitrary values, and values shaped like each file
+# format over a few names, so that some of them pass the shape checks
 NAMES = st.sampled_from(["a", "b", "c", 1])
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | st.text(max_size=2),
@@ -337,10 +388,43 @@ LEVEL = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=150, deadline=None)
+OPERATION = GRAPH.flatmap(lambda g: st.fixed_dictionaries(
+    {"in_order": st.lists(NAMES, max_size=2), "out_order": st.lists(NAMES, max_size=2)},
+    optional={"colors": st.dictionaries(st.sampled_from(["a", "b", "c"]), NAMES)},
+).map(lambda orders: {**g, **orders}))
+SUBSTITUTION = st.fixed_dictionaries(
+    {"outer": GRAPH, "inner": GRAPH, "vertex": NAMES},
+    optional={"bij_in": st.dictionaries(NAMES.map(str), NAMES),
+              "bij_out": st.dictionaries(NAMES.map(str), NAMES)},
+)
+COMPOSITION = st.fixed_dictionaries({
+    "outer": OPERATION,
+    "inner": st.dictionaries(st.sampled_from(["0", "1", "x"]), OPERATION),
+})
+MORPHISM = st.fixed_dictionaries({
+    "source": GRAPH, "target": GRAPH,
+    "f0": st.dictionaries(NAMES.map(str), NAMES),
+    "f1": st.dictionaries(NAMES.map(str), st.fixed_dictionaries(
+        {"edges": st.lists(NAMES, max_size=2), "vertices": st.lists(NAMES, max_size=2)}
+    )),
+})
+LEVEL_MORPHISM = st.fixed_dictionaries({
+    "source": LEVEL, "target": LEVEL, "alpha": st.lists(st.integers(-1, 3), max_size=3),
+    "edge_maps": st.lists(st.dictionaries(NAMES.map(str), NAMES), max_size=3),
+    "vertex_maps": st.lists(st.dictionaries(NAMES.map(str), st.tuples(
+        st.sampled_from(["e", "v"]), st.integers(0, 2), NAMES).map(list)), max_size=2),
+})
+
+
+@settings(max_examples=400, deadline=None)
 @given(
-    st.sampled_from([["validate"], ["validate", "--level"], ["subgraphs"]]),
-    JSON | GRAPH | LEVEL,
+    st.sampled_from([
+        ["validate"], ["validate", "--level"], ["subgraphs"], ["substitute"],
+        ["tau"], ["factorize", "--cat", "L"], ["factorize", "--cat", "G"],
+        ["theta"], ["prpd", "compose"], ["prpd", "stabilizer"],
+    ]),
+    JSON | GRAPH | LEVEL | OPERATION | SUBSTITUTION | COMPOSITION | MORPHISM
+    | LEVEL_MORPHISM,
 )
 def test_graph_loaders_never_raise(tmp_path_factory, command, data):
     path = tmp_path_factory.mktemp("fuzz") / "g.json"
@@ -348,7 +432,7 @@ def test_graph_loaders_never_raise(tmp_path_factory, command, data):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            code = main([command[0], str(path), *command[1:]])
+            code = main([*command, str(path)])
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)

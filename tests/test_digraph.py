@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,7 @@ from graphcat.digraph import (
     edge_graph,
     edge_subgraph,
     graph,
+    graph_to_json,
     is_connected,
     is_convex_open,
     linear_graph,
@@ -219,6 +222,15 @@ def test_substitute_edge_merges():
 def test_substitute_profile_mismatch():
     with pytest.raises(ProfileMismatch):
         substitute(substitution_data(G3, corolla(2, 2), "v"))
+    # a bijection naming an edge the graph does not have
+    with pytest.raises(ProfileMismatch):
+        multi_substitute(G3, {"v": (corolla(1, 1), [("nope", "i1")], [("c", "o1")])})
+
+
+def test_substitute_unknown_vertex_raises():
+    data = substitution_data(G3, corolla(1, 1), "v")
+    with pytest.raises(KeyError):
+        substitute(dataclasses.replace(data, vertex="nope"))
 
 
 def test_substitute_boundary_preserved():
@@ -267,6 +279,99 @@ def test_multi_substitute_associativity_random():
         one, _ = multi_substitute(outer, {"v1": inner_u})
         direct = substitute(substitution_data(outer, inner_u, "v1"))
         assert strict_iso(one, direct)
+
+    # every vertex at once against one vertex at a time, names and all,
+    # on random outers whose names collide with the fresh ones
+    primed = chains = 0
+    for _ in range(300):
+        outer = _random_outer(rng)
+        assignment = {
+            v.name: _random_inner(rng, v)
+            for v in outer.vertices
+            if rng.random() < 0.8
+        }
+        result, corr = multi_substitute(outer, assignment)
+        reference, *tables = _one_vertex_at_a_time(outer, assignment)
+        assert validate(result) is None
+        assert graph_to_json(result) == graph_to_json(reference)
+        assert [corr.outer_edge, corr.inner_edge, corr.inner_vertex] == tables
+        primed += any("'" in name for name in corr.inner_vertex.values())
+        chains += max(Counter(corr.outer_edge.values()).values(), default=0) > 2
+    assert primed > 10 and chains > 10
+
+
+# outer names that the fresh names ``<vertex>.<name>`` run into
+COLLIDING_EDGES = ["a", "b", "c", "d", "v1.x", "v2.x", "v3.x", "v2.e1", "v3.v1", "v1"]
+COLLIDING_VERTICES = ["v1", "v2", "v3", "v1.x", "v2.v1"]
+
+
+def _random_outer(rng):
+    """A valid graph: a chain of (1,1) vertices, or a random acyclic one,
+    with its vertices listed in a random order."""
+    names = rng.sample(COLLIDING_VERTICES, rng.randint(1, 4))
+    edges = iter(rng.sample(COLLIDING_EDGES, len(COLLIDING_EDGES)))
+    vertices, dangling = [], []
+    if rng.random() < 0.5:
+        first = next(edges)
+        for name in names:
+            out = next(edges)
+            vertices.append((name, [first], [out]))
+            first = out
+    else:
+        for name in names:
+            ins = [
+                dangling.pop(rng.randrange(len(dangling)))
+                if dangling and rng.random() < 0.6 else next(edges)
+                for _ in range(rng.randint(0, 2))
+            ]
+            outs = [next(edges) for _ in range(rng.randint(0, 2))]
+            dangling.extend(outs)
+            vertices.append((name, ins, outs))
+    rng.shuffle(vertices)
+    used = [e for _, ins, outs in vertices for e in ins + outs]
+    return graph(sorted(set(used)) or ["a"], vertices)
+
+
+def _random_inner(rng, v):
+    """A connected graph with the biarity of ``v`` and a shuffled pairing."""
+    m, n = v.biarity()
+    ins = [f"i{k}" for k in range(m)]
+    outs = [f"o{k}" for k in range(n)]
+    choice = rng.randrange(4)
+    if (m, n) == (1, 1) and choice in (0, 3):
+        inner = edge_graph(rng.choice(["x", "e1"]))
+    elif choice == 1:
+        inner = graph(ins + ["x"] + outs, [("v1", ins, ["x"]), ("x", ["x"], outs)])
+    else:
+        inner = corolla(m, n, name=rng.choice(["v1", "x"]))
+    bij_in = list(zip(v.ins, rng.sample(inner.inputs, m)))
+    bij_out = list(zip(v.outs, rng.sample(inner.outputs, n)))
+    return inner, bij_in, bij_out
+
+
+def _one_vertex_at_a_time(outer, assignment):
+    """Reference: substitute each vertex in turn, following every
+    bijection and correspondence through the merges made so far."""
+    current = outer
+    outer_edge = {e: e for e in outer.edges}
+    inner_edge, inner_vertex = {}, {}
+    for name in outer.vertex_names:
+        if name not in assignment:
+            continue
+        inner, bij_in, bij_out = assignment[name]
+        data = substitution_data(
+            current, inner, name,
+            {outer_edge[e]: x for e, x in bij_in},
+            {outer_edge[e]: x for e, x in bij_out},
+        )
+        step = substitute(data)
+        _, corr = multi_substitute(current, {name: (inner, data.bij_in, data.bij_out)})
+        outer_edge = {e: corr.outer_edge[x] for e, x in outer_edge.items()}
+        inner_edge = {k: corr.outer_edge[x] for k, x in inner_edge.items()}
+        inner_edge.update(corr.inner_edge)
+        inner_vertex.update(corr.inner_vertex)
+        current = step
+    return current, outer_edge, inner_edge, inner_vertex
 
 
 def test_nested_substitution_associative():

@@ -22,7 +22,6 @@ from graphcat.level import (
     hom_level,
     identity_level,
     is_active_L,
-    is_active_L_full,
     is_connected_level,
     is_inert_L,
     level_from_json,
@@ -213,6 +212,23 @@ def test_degeneracy_map_exists():
     assert len(maps) == 1
     assert is_active_L(maps[0])
     assert not is_inert_L(maps[0])
+
+
+def is_active_L_full(f):
+    """Oracle for ``is_active_L``: the unabbreviated active condition,
+    every component map bijective."""
+    G, H = f.source, f.target
+    if f.alpha[0] != 0 or f.alpha[-1] != H.height:
+        return False
+    sf_t = special_extension(H)
+    n = G.height
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            dmap = derived_class_map(f, (i, j))
+            tgt = sf_t.elements((f.alpha[i], f.alpha[j]))
+            if len(dmap) != len(tgt) or set(dmap.values()) != set(tgt):
+                return False
+    return True
 
 
 def test_active_weak_equals_full():

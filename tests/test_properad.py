@@ -11,6 +11,8 @@ from graphcat.digraph import (
     graph,
     linear_graph,
     structured_subgraphs,
+    subgraph_witness,
+    whole_subgraph,
 )
 from graphcat.errors import ColorMismatch, ProfileMismatch
 from graphcat.graphical import (
@@ -45,6 +47,7 @@ from graphcat.zoo import (
     closed_square_graph,
     dangling_pair_graph,
     closed_double_edge_graph,
+    double_edge_graph,
     three_vertex_graph,
     two_component_graph,
 )
@@ -255,19 +258,34 @@ def test_free_properad_subgraph_elements():
         assert el in P.ops(ins, outs)
 
 
-def test_free_evaluate_matches_substitution():
-    g = three_vertex_graph()
+@pytest.mark.parametrize("g", [
+    three_vertex_graph(), double_edge_graph(), linear_graph(3), corolla(2, 2),
+], ids=["three-vertex", "double-edge", "linear-3", "corolla-2-2"])
+def test_free_evaluate_matches_substitution(g):
     P = free_properad(g, vertex_bound=4)
-    # decorate the generating graph with its own generators: grafting
-    # them together returns the whole-graph element
-    dec = decorated_graph(
-        g,
-        {e: e for e in g.edges},
-        {v: P.generator_element(v) for v in g.vertex_names},
-    )
-    from graphcat.digraph import whole_subgraph
-
-    assert P.evaluate(dec) == P.subgraph_element(whole_subgraph(g))
+    whole = P.subgraph_element(whole_subgraph(g))
+    for sub in structured_subgraphs(g):
+        # grafting the generators of a structured subgraph gives its element
+        h = sub.as_graph
+        dec = decorated_graph(
+            h,
+            {e: e for e in h.edges},
+            {v: P.generator_element(v) for v in h.vertex_names},
+        )
+        assert P.evaluate(dec) == P.subgraph_element(sub)
+        # so does grafting its element into the graph it was collapsed out of
+        data = subgraph_witness(sub)
+        collapsed = data.outer
+        color = {e: e for e in collapsed.edges} | dict(data.bij_out)
+        labels = {v: P.generator_element(v) for v in g.vertex_names}
+        labels[data.vertex] = P.subgraph_element(sub)
+        dec = decorated_graph(
+            collapsed, color,
+            {v: labels[v] for v in collapsed.vertex_names},
+            g.inputs,
+            tuple({x: e for e, x in data.bij_out}.get(e, e) for e in g.outputs),
+        )
+        assert P.evaluate(dec) == whole
 
 
 def test_free_evaluate_unit():
