@@ -105,18 +105,28 @@ def _graphical_morphism_to_json(f):
 
 
 def _properad_from_json(data):
-    kind = data.get("kind")
-    if kind == "end":
+    """A properad file, checked for shape; a free generator is validated."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind == "end" and isinstance(data.get("sets"), dict) and all(
+        isinstance(v, int) or _list_of(v, _is_scalar) for v in data["sets"].values()
+    ):
         return properad.end_properad({str(c): v for c, v in data["sets"].items()})
-    if kind == "terminal":
+    if kind == "terminal" and _list_of(data.get("colors", []), _is_scalar):
         return properad.terminal_properad(tuple(data.get("colors", ["*"])))
-    if kind == "free":
+    if (
+        kind == "free"
+        and _is_graph_json(data.get("generator"))
+        and isinstance(data.get("vertex_bound", 4), int)
+    ):
         return properad.free_properad(
-            digraph.graph_from_json(data["generator"]),
-            data.get("vertex_bound", 4),
+            _valid_graph(data["generator"]), data.get("vertex_bound", 4)
         )
-    print(f"error: unknown properad kind {kind!r}", file=sys.stderr)
-    raise SystemExit(2)
+    _malformed(
+        "properad",
+        'expected {"kind": "end", "sets": {color: int | [value, ...]}}, '
+        '{"kind": "terminal", "colors"?: [color, ...]} or '
+        '{"kind": "free", "generator": graph, "vertex_bound"?: int}',
+    )
 
 
 def _malformed(kind, problem):
@@ -127,6 +137,10 @@ def _malformed(kind, problem):
 def _list_of(data, fits=lambda item: True):
     """Is ``data`` a list whose items all pass ``fits``?"""
     return isinstance(data, list) and all(map(fits, data))
+
+
+def _is_scalar(x):
+    return isinstance(x, (str, int, float))
 
 
 def _is_vertex_json(v):
@@ -310,6 +324,13 @@ def cmd_convex(args):
     g = _graph_arg(args.graph)
     vertices = [v for v in args.vertices.split(",") if v] if args.vertices else []
     edges = [e for e in args.edges.split(",") if e] if args.edges else []
+    for kind, names, known in (
+        ("UnknownVertex", vertices, g.vertex_by_name),
+        ("UnknownEdge", edges, g.edge_set),
+    ):
+        unknown = tuple(name for name in names if name not in known)
+        if unknown:
+            raise DomainFailure(str(Violation(kind, "not in the graph", unknown)))
     sub = digraph.open_subgraph(g, vertices, edges)
     result = digraph.is_convex_open(sub)
     _emit(

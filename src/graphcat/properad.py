@@ -22,9 +22,10 @@ from functools import cached_property
 from .digraph import (
     Graph,
     Vertex,
+    betti_number,
     canonical_form,
+    check,
     is_connected,
-    is_simply_connected,
     multi_substitute,
     topological_vertices,
     validate as validate_graph,
@@ -91,17 +92,23 @@ class ZGraph:
 
 
 def zgraph(graph, in_order, out_order, colors=None):
-    """Normalize indexed-graph data to its canonical representative.
+    """Indexed-graph data from outside, checked (GraphcatError unless the
+    graph is valid and connected) and then normalized."""
+    check(graph)
+    if not is_connected(graph):
+        raise GraphcatError("indexed graphs must be connected")
+    return _normalize(graph, in_order, out_order, colors)
+
+
+def _normalize(graph, in_order, out_order, colors=None):
+    """The canonical representative of a valid, connected indexed graph.
 
     The vertex order is preserved (it is the indexing); edges are
     renamed deterministically, so two inputs yield equal values exactly
-    when the unique order-preserving comparison is an isomorphism.
+    when the unique order-preserving comparison is an isomorphism.  The
+    graph is not checked again (DECISIONS.md D4); the boundary orders
+    and colors are.
     """
-    report = validate_graph(graph)
-    if report is not None:
-        raise GraphcatError(str(report))
-    if not is_connected(graph):
-        raise GraphcatError("indexed graphs must be connected")
     if sorted(in_order) != sorted(graph.inputs):
         raise ProfileMismatch("in_order must enumerate the graph inputs")
     if sorted(out_order) != sorted(graph.outputs):
@@ -138,7 +145,7 @@ def identity_operation(m, n, in_colors=None, out_colors=None):
     colors = None
     if in_colors is not None or out_colors is not None:
         colors = dict(zip(ins, in_colors)) | dict(zip(outs, out_colors))
-    return zgraph(g, ins, outs, colors)
+    return _normalize(g, ins, outs, colors)
 
 
 def zgraph_of_graph(g, in_order=None, out_order=None, colors=None):
@@ -186,7 +193,7 @@ def prpd_compose(outer, inner):
                 (corr.inner_edge[(v.name, e)], c)
                 for e, c in zip(inner[z].graph.edges, inner[z].colors)
             )
-    return zgraph(
+    return _normalize(
         result,
         tuple(corr.outer_edge[e] for e in outer.in_order),
         tuple(corr.outer_edge[e] for e in outer.out_order),
@@ -213,7 +220,7 @@ def sigma_action(op, perm=None, in_perm=None, out_perm=None):
     if out_perm is not None:
         out_order = tuple(op.out_order[out_perm[j]] for j in range(len(out_order)))
     colors = dict(zip(g.edges, op.colors)) if op.colors is not None else None
-    return zgraph(Graph(g.edges, vertices), in_order, out_order, colors)
+    return _normalize(Graph(g.edges, vertices), in_order, out_order, colors)
 
 
 def stabilizer(op, max_size=8):
@@ -235,14 +242,13 @@ def stabilizer(op, max_size=8):
 def suboperad_member(op):
     """Membership flags for the governing operad's suboperads."""
     g = op.graph
-    sc = is_simply_connected(g)
     out = len(op.out_order) >= 1 and all(len(v.outs) >= 1 for v in g.vertices)
     operad = len(op.out_order) == 1 and all(len(v.outs) == 1 for v in g.vertices)
     cat = (
         op.biarity() == (1, 1)
         and all(v.biarity() == (1, 1) for v in g.vertices)
     )
-    return {"dioperad": sc, "out": out, "operad": operad, "cat": cat}
+    return {"dioperad": betti_number(g) == 0, "out": out, "operad": operad, "cat": cat}
 
 
 def _stub_matchings(boundaries):
@@ -316,9 +322,9 @@ def all_operations(biarities, orderings="canonical"):
         if orderings == "all":
             for ip in itertools.permutations(g.inputs):
                 for op_ in itertools.permutations(g.outputs):
-                    results.append(zgraph(g, ip, op_))
+                    results.append(_normalize(g, ip, op_))
         else:
-            results.append(zgraph(g, g.inputs, g.outputs))
+            results.append(_normalize(g, g.inputs, g.outputs))
     return tuple(dict.fromkeys(results))
 
 
@@ -486,10 +492,7 @@ class FreeProperad(FiniteProperad):
     """
 
     def __init__(self, generator, vertex_bound=4):
-        report = validate_graph(generator)
-        if report is not None:
-            raise GraphcatError(str(report))
-        self.generator = generator
+        self.generator = check(generator)
         self.vertex_bound = vertex_bound
         self.colors = tuple(generator.edges)
 
@@ -501,7 +504,7 @@ class FreeProperad(FiniteProperad):
             reordered = Graph(
                 graph.edges, tuple(graph.vertices[k] for k in perm)
             )
-            cand = zgraph(reordered, in_order, out_order, dict(colors))
+            cand = _normalize(reordered, in_order, out_order, dict(colors))
             labs = tuple(labels[graph.vertices[k].name] for k in perm)
             key = (_zkey(cand), labs)
             if best is None or key < best[0]:
@@ -761,7 +764,7 @@ def theta(f):
         w = H.vertex(wname)
         in_order = tuple(f.f0[e] for e in w.ins)
         out_order = tuple(f.f0[e] for e in w.outs)
-        ops.append(zgraph(subg, in_order, out_order))
+        ops.append(_normalize(subg, in_order, out_order))
     return OperadArrow(theta_object(G), theta_object(H), alpha, tuple(ops))
 
 

@@ -28,7 +28,7 @@ from .digraph import (
     vertex_corolla,
     whole_subgraph,
 )
-from .errors import GraphcatError, NotSegal
+from .errors import ColorMismatch, GraphcatError, NotSegal
 from .graphical import (
     compose_graphical,
     graphical_morphism,
@@ -637,7 +637,7 @@ class ExtractedProperad(FiniteProperad):
         gi, dec = self._transport(dec)
         g = dec.graph
         if not self.check_decoration(dec):
-            raise GraphcatError("decoration does not match vertex profiles")
+            raise ColorMismatch("decoration does not match vertex profiles")
         fingerprint = (
             tuple(dec.label_of[v.name] for v in g.vertices),
             tuple(dec.color_of[e] for e in g.edges),

@@ -132,15 +132,50 @@ def _graphical_identity_json(vertices):
         **graph_to_json(closed_square_graph()), "in_order": [], "out_order": [],
         "colors": {"e00": "c"},
     }, 1, "violation: ColorMismatch"),
+    (["convex", "--vertices", "nope"], graph_to_json(three_vertex_graph()), 1,
+     "violation: UnknownVertex"),
+    (["convex", "--edges", "zz"], graph_to_json(three_vertex_graph()), 1,
+     "violation: UnknownEdge"),
 ], ids=[
     "substitution-shape", "unknown-vertex", "cyclic-outer", "unknown-bijection-edge",
-    "image-names-unknown-vertex", "colors-miss-an-edge",
+    "image-names-unknown-vertex", "colors-miss-an-edge", "convex-unknown-vertex",
+    "convex-unknown-edge",
 ])
 def test_command_file_errors(tmp_path, capsys, command, data, code, report):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(data))
     try:
         got = main([*command, str(path)])
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code and out == ""
+    assert err.startswith(report) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, code, report", [
+    ([], 2, "error: malformed properad"),
+    ({"kind": "end"}, 2, "error: malformed properad"),
+    ({"kind": "end", "sets": {"c": "two"}}, 2, "error: malformed properad"),
+    ({"kind": "terminal", "colors": [["c"]]}, 2, "error: malformed properad"),
+    ({"kind": "free", "generator": {"edges": "ab"}}, 2, "error: malformed properad"),
+    ({"kind": "nope"}, 2, "error: malformed properad"),
+    ({"kind": "free", "generator": {
+        "edges": ["a"], "vertices": [{"name": "v", "in": ["a"], "out": ["a"]}],
+    }}, 1, "violation: CycleViolation"),
+], ids=[
+    "list", "end-without-sets", "end-set-not-a-list", "terminal-color-not-a-name",
+    "free-generator-shape", "unknown-kind", "free-cyclic-generator",
+])
+def test_nerve_properad_file_errors(tmp_path, capsys, data, code, report):
+    from graphcat.digraph import linear_graph
+
+    properad_file = tmp_path / "p.json"
+    properad_file.write_text(json.dumps(data))
+    corpus_file = tmp_path / "corpus.json"
+    corpus_file.write_text(json.dumps({"generators": [graph_to_json(linear_graph(2))]}))
+    try:
+        got = main(["nerve", str(properad_file), str(corpus_file)])
     except SystemExit as exc:
         got = exc.code
     out, err = capsys.readouterr()

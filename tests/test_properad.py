@@ -9,12 +9,14 @@ from graphcat.digraph import (
     corolla,
     edge_graph,
     graph,
+    is_connected,
     linear_graph,
     structured_subgraphs,
     subgraph_witness,
+    validate,
     whole_subgraph,
 )
-from graphcat.errors import ColorMismatch, ProfileMismatch
+from graphcat.errors import ColorMismatch, GraphcatError, ProfileMismatch
 from graphcat.graphical import (
     compose_graphical,
     hom_set,
@@ -298,6 +300,16 @@ def test_free_evaluate_unit():
     assert P.evaluate(c) == el
 
 
+def test_free_evaluate_rejects_mismatched_colors():
+    g = linear_graph(2)
+    P = free_properad(g, vertex_bound=2)
+    # v2's generator sits at v1, whose edges are colored e0 -> e1
+    labels = {"v1": P.generator_element("v2"), "v2": P.generator_element("v2")}
+    dec = decorated_graph(g, {e: e for e in g.edges}, labels)
+    with pytest.raises(ColorMismatch):
+        P.evaluate(dec)
+
+
 # ---------------------------------------------------------------------------
 # end properads
 
@@ -335,6 +347,16 @@ def test_end_evaluate_single_edge():
     e = edge_graph()
     dec = decorated_graph(e, {"e": "c"}, {})
     assert P.evaluate(dec) == P.identity("c")
+
+
+def test_end_evaluate_rejects_mismatched_colors():
+    P = end_properad({"c": 2, "d": 2})
+    lin = linear_graph(2)
+    f = P.ops(("c",), ("c",))[0]
+    g = P.ops(("d",), ("d",))[0]
+    dec = decorated_graph(lin, {e: "c" for e in lin.edges}, {"v1": f, "v2": g})
+    with pytest.raises(ColorMismatch):
+        P.evaluate(dec)
 
 
 def test_end_act_group_law():
@@ -495,3 +517,131 @@ def test_operation_json_roundtrip():
 
     x = zgraph_of_graph(closed_square_graph())
     assert operation_from_json(operation_to_json(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# where an indexed graph is checked (DECISIONS.md D4)
+
+
+SMALL_BIARITIES = [(m, n) for m in range(3) for n in range(3) if (m, n) != (0, 0)]
+# the two-vertex outers of criterion 6's associativity and equivariance checks
+TWO_VERTEX_SHAPES = [
+    ((1, 1), (1, 1)), ((1, 2), (1, 1)), ((1, 2), (2, 1)), ((0, 2), (2, 0)),
+]
+
+
+def _criterion_6_shapes():
+    """The shapes of acceptance criterion 6: one vertex, its two-vertex
+    outers, and two to four vertices with at most 10 stubs."""
+    one = [((m, n),) for m in range(3) for n in range(3)]
+    return one + TWO_VERTEX_SHAPES + [
+        combo
+        for k in (2, 3, 4)
+        for combo in itertools.combinations_with_replacement(SMALL_BIARITIES, k)
+        if sum(m + n for m, n in combo) <= 10
+    ]
+
+
+def _operad_laws_shapes():
+    """Every ordered shape the operad_laws benchmark can draw with at most
+    three vertices: arities at most two, no (0, 0) vertex, at most 8 stubs."""
+    return [
+        shape
+        for k in (1, 2, 3)
+        for shape in itertools.product(SMALL_BIARITIES, repeat=k)
+        if sum(m + n for m, n in shape) <= 8
+    ]
+
+
+def assert_valid_by_construction(op):
+    """``op`` is valid and connected, and checking it changes nothing."""
+    assert validate(op.graph) is None
+    assert is_connected(op.graph)
+    assert zgraph(op.graph, op.in_order, op.out_order, op.colors) == op
+
+
+def test_operad_constructors_are_valid_by_construction():
+    for m in range(3):
+        for n in range(3):
+            assert_valid_by_construction(identity_operation(m, n))
+    assert_valid_by_construction(identity_operation(2, 1, ("a", "b"), ("a",)))
+    pool = op_pool()
+    checked = 0
+    for shape in dict.fromkeys(_criterion_6_shapes() + _operad_laws_shapes()):
+        for op in all_operations(shape):
+            assert_valid_by_construction(op)
+            checked += 1
+            if op.size > 3:  # four vertices: enumeration only, to keep the test short
+                continue
+            assert_valid_by_construction(sigma_action(
+                op, tuple(reversed(range(op.size))),
+                tuple(reversed(range(len(op.in_order)))),
+                tuple(reversed(range(len(op.out_order)))),
+            ))
+            # a non-trivial composition: the pool's last operation of each
+            # vertex's biarity (unit compositions give ``op`` back)
+            inner = {z: pool[b][-1] for z, b in enumerate(op.vertex_biarities())}
+            assert_valid_by_construction(prpd_compose(op, inner))
+    assert checked > 15_000
+    # every composition of two-vertex outers with inner operations
+    for shape in TWO_VERTEX_SHAPES:
+        for outer in all_operations(shape):
+            for inners in itertools.product(
+                *(pool[b] for b in outer.vertex_biarities())
+            ):
+                assert_valid_by_construction(
+                    prpd_compose(outer, dict(enumerate(inners)))
+                )
+    for shape in ([(1, 1), (1, 1)], [(1, 2), (2, 1)]):
+        for op in all_operations(shape, orderings="all"):
+            assert_valid_by_construction(op)
+
+
+def test_theta_is_valid_by_construction():
+    graphs = [
+        corolla(1, 1), linear_graph(2), three_vertex_graph(), double_edge_graph(),
+        closed_double_edge_graph(),
+    ]
+    count = 0
+    for source in graphs:
+        for target in graphs:
+            for f in hom_set(source, target):
+                for op in theta(f).ops:
+                    assert_valid_by_construction(op)
+                    count += 1
+    assert count > 100
+
+
+@pytest.mark.parametrize("g", [
+    three_vertex_graph(), double_edge_graph(), two_component_graph(), corolla(2, 2),
+], ids=["three-vertex", "double-edge", "two-component", "corolla-2-2"])
+def test_free_pool_is_valid_by_construction(g):
+    P = free_properad(g, vertex_bound=3)
+    for els in P._pool.values():
+        for _, zg, _ in els:
+            assert_valid_by_construction(zg)
+
+
+@pytest.mark.parametrize("g", [
+    Graph(("a",), (Vertex("v", ("a",), ("a",)),)),
+    two_component_graph(),
+    Graph(("a", "a"), (Vertex("v", ("a",), ()),)),
+], ids=["cyclic", "disconnected", "duplicate-edge"])
+def test_zgraph_rejects_invalid_graphs(g):
+    with pytest.raises(GraphcatError):
+        zgraph(g, g.inputs, g.outputs)
+
+
+def test_free_properad_rejects_cyclic_generator():
+    with pytest.raises(GraphcatError):
+        free_properad(Graph(("a",), (Vertex("v", ("a",), ("a",)),)))
+
+
+@pytest.mark.parametrize("in_perm, out_perm", [((0, 0), (0, 1)), ((0, 1), (1, 1))])
+def test_non_permutation_boundary_action_raises(in_perm, out_perm):
+    op = identity_operation(2, 2)
+    with pytest.raises(ProfileMismatch):
+        sigma_action(op, in_perm=in_perm, out_perm=out_perm)
+    P = free_properad(corolla(2, 2), vertex_bound=1)
+    with pytest.raises(ProfileMismatch):
+        P.act(P.generator_element("v"), in_perm, out_perm)

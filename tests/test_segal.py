@@ -11,7 +11,7 @@ from graphcat.digraph import (
     linear_graph,
     whole_subgraph,
 )
-from graphcat.errors import NotSegal
+from graphcat.errors import ColorMismatch, NotSegal
 from graphcat.graphical import graphical_morphism, hom_set
 from graphcat.level import elementary_corolla, level_graph, linear_level_graph
 from graphcat.properad import (
@@ -207,6 +207,19 @@ def test_extract_evaluate_matches_flow():
             )
             val = Q.evaluate(dec)
             assert val in ops
+
+
+def test_extract_evaluate_rejects_mismatched_colors():
+    corpus = build_corpus([linear_graph(2)])
+    Q = extract_properad(nerve(end_properad({"a": 1, "b": 2}), corpus))
+    ca, cb = Q.colors
+    chain = next(g for g in corpus.objects if len(g.vertices) == 2)
+    op = Q.ops((cb,), (cb,))[0]
+    dec = decorated_graph(
+        chain, {e: ca for e in chain.edges}, {v: op for v in chain.vertex_names}
+    )
+    with pytest.raises(ColorMismatch):
+        Q.evaluate(dec)
 
 
 def test_extract_evaluate_matches_p_on_reordered_graphs():
