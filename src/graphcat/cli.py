@@ -108,24 +108,24 @@ def _properad_from_json(data):
     """A properad file, checked for shape; a free generator is validated."""
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "end" and isinstance(data.get("sets"), dict) and all(
-        isinstance(v, int) or _list_of(v, _is_scalar) for v in data["sets"].values()
+        _is_size(v) or _list_of(v, _is_scalar) for v in data["sets"].values()
     ):
         return properad.end_properad({str(c): v for c, v in data["sets"].items()})
     if kind == "terminal" and _list_of(data.get("colors", []), _is_scalar):
-        return properad.terminal_properad(tuple(data.get("colors", ["*"])))
+        return properad.terminal_properad(tuple(map(str, data.get("colors", ["*"]))))
     if (
         kind == "free"
         and _is_graph_json(data.get("generator"))
-        and isinstance(data.get("vertex_bound", 4), int)
+        and _is_size(data.get("vertex_bound", 4))
     ):
         return properad.free_properad(
             _valid_graph(data["generator"]), data.get("vertex_bound", 4)
         )
     _malformed(
         "properad",
-        'expected {"kind": "end", "sets": {color: int | [value, ...]}}, '
+        'expected {"kind": "end", "sets": {color: n | [value, ...]}}, '
         '{"kind": "terminal", "colors"?: [color, ...]} or '
-        '{"kind": "free", "generator": graph, "vertex_bound"?: int}',
+        '{"kind": "free", "generator": graph, "vertex_bound"?: n}, with n >= 0',
     )
 
 
@@ -137,6 +137,11 @@ def _malformed(kind, problem):
 def _list_of(data, fits=lambda item: True):
     """Is ``data`` a list whose items all pass ``fits``?"""
     return isinstance(data, list) and all(map(fits, data))
+
+
+def _is_size(x):
+    """A count: an int (not a bool) that is at least 0."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def _is_scalar(x):

@@ -71,6 +71,27 @@ class LevelGraph:
             tuple(v for layer in self.vertex_layers for v in layer),
         )
 
+    @cached_property
+    def _hom_slots(self):
+        """The search plan of ``hom_level`` from this graph: each vertex
+        with its layer and shape (numbers of inputs and outputs), and each
+        edge with its level and the vertices consuming it (below the top
+        level) and producing it (above level 0)."""
+        consumer, producer = {}, {}
+        for i, layer in enumerate(self.vertex_layers):
+            for v in layer:
+                consumer.update(((i, e), v.name) for e in v.ins)
+                producer.update(((i + 1, e), v.name) for e in v.outs)
+        vertex_slots = tuple(
+            (i, v.name, (len(v.ins), len(v.outs)))
+            for i, layer in enumerate(self.vertex_layers) for v in layer
+        )
+        edge_slots = tuple(
+            (i, e, consumer.get((i, e)), producer.get((i, e)))
+            for i, layer in enumerate(self.edge_layers) for e in layer
+        )
+        return vertex_slots, edge_slots
+
     def __repr__(self):
         return (
             f"LevelGraph(height={self.height}, "
@@ -189,6 +210,7 @@ class SpecialFunctor:
         self._reps = {}
         self._elements = {}
         self._members = {}
+        self._shapes = {}
 
     def reps(self, pair):
         """Each atom of F at ``pair``, in atom order, to its representative."""
@@ -256,6 +278,19 @@ class SpecialFunctor:
             self._classes(pair)
         return self._members[pair].get(rep, ())
 
+    def shapes(self, pair):
+        """The representatives at ``pair``, sorted, grouped by shape: the
+        numbers of their edges at levels ``pair[0]`` and ``pair[1]``.  A
+        class at (i, i) is one edge, of shape (1, 1)."""
+        table = self._shapes.get(pair)
+        if table is None:
+            table = self._shapes[pair] = {}
+            for rep in self.elements(pair):
+                levels = [a[1] for a in self.members(pair, rep) if a[0] == "e"]
+                shape = (levels.count(pair[0]), levels.count(pair[1]))
+                table.setdefault(shape, []).append(rep)
+        return table
+
 
 def special_extension(lg):
     """The components functor of ``lg``, memoised on the graph object."""
@@ -265,22 +300,6 @@ def special_extension(lg):
 def is_connected_level(lg):
     sf = special_extension(lg)
     return len(sf.elements((0, lg.height))) == 1
-
-
-def level_subgraph(lg, pair, rep):
-    """The connected level graph carried by a single component element."""
-    sf = special_extension(lg)
-    i, j = pair
-    members = set(sf.members(pair, rep))
-    edge_layers = tuple(
-        tuple(e for e in lg.edge_layers[k] if ("e", k, e) in members)
-        for k in range(i, j + 1)
-    )
-    vls = tuple(
-        tuple(v for v in lg.vertex_layers[k] if ("v", k, v.name) in members)
-        for k in range(i, j)
-    )
-    return LevelGraph(edge_layers, vls)
 
 
 # ---------------------------------------------------------------------------
@@ -773,30 +792,29 @@ def hom_level(G, H):
     """All morphisms G -> H, enumerated by backtracking.
 
     Vertices are assigned component images first, then edges are filled
-    in compatibly; the full validator prunes anything that slips
-    through.
+    in compatibly; the full validator decides each candidate.
+
+    A layer-i vertex v is offered only the components of H at
+    (alpha(i), alpha(i+1)) with |in(v)| edges at level alpha(i) and
+    |out(v)| at level alpha(i+1), and an alpha leaving some vertex no
+    such component is skipped.  This drops no morphism (DECISIONS.md
+    D5): mono at (i, i+1) makes the images of the layer-i vertices
+    distinct, and naturality and cartesianness at (i, i) and
+    (i+1, i+1), against (0, n), then make the edge map a bijection from
+    in(v) onto the level-alpha(i) edges of v's component, and from
+    out(v) onto its level-alpha(i+1) edges.  So a vertex collapsed by
+    alpha(i) = alpha(i+1) needs shape (1, 1).
     """
     sf_t = special_extension(H)
     results = []
     n = G.height
-    vertex_slots = [
-        (i, v.name) for i, layer in enumerate(G.vertex_layers) for v in layer
-    ]
-    # each edge with the vertex consuming it (below level n) and the
-    # vertex producing it (above level 0)
-    consumer, producer = {}, {}
-    for i, layer in enumerate(G.vertex_layers):
-        for v in layer:
-            consumer.update(((i, e), v.name) for e in v.ins)
-            producer.update(((i + 1, e), v.name) for e in v.outs)
-    edge_slots = [
-        (i, e, consumer.get((i, e)), producer.get((i, e)))
-        for i, layer in enumerate(G.edge_layers) for e in layer
-    ]
+    vertex_slots, edge_slots = G._hom_slots
     for alpha in _monotone_maps(n, H.height):
         pairs = [(alpha[i], alpha[i + 1]) for i in range(n)]
+        offers = [sf_t.shapes(pairs[i]).get(shape) for i, _, shape in vertex_slots]
+        if not all(offers):
+            continue
         tables = [sf_t.reps(pair) for pair in pairs]
-        elements = [sf_t.elements(pair) for pair in pairs]
 
         def assign_edges(idx, emaps, vmaps):
             if idx == len(edge_slots):
@@ -823,9 +841,9 @@ def hom_level(G, H):
             if idx == len(vertex_slots):
                 assign_edges(0, [dict() for _ in range(n + 1)], vmaps)
                 return
-            i, name = vertex_slots[idx]
+            i, name, _ = vertex_slots[idx]
             used = set(vmaps[i].values())
-            for rep in elements[i]:
+            for rep in offers[idx]:
                 if rep in used:
                     continue
                 vmaps[i][name] = rep

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphcat.cli import main
 from graphcat.digraph import graph_to_json
@@ -163,9 +163,16 @@ def test_command_file_errors(tmp_path, capsys, command, data, code, report):
     ({"kind": "free", "generator": {
         "edges": ["a"], "vertices": [{"name": "v", "in": ["a"], "out": ["a"]}],
     }}, 1, "violation: CycleViolation"),
+    ({"kind": "end", "sets": {"c": -1}}, 2, "error: malformed properad"),
+    ({"kind": "end", "sets": {"c": True}}, 2, "error: malformed properad"),
+    ({"kind": "free", "generator": {"edges": ["a"], "vertices": []},
+      "vertex_bound": -1}, 2, "error: malformed properad"),
+    ({"kind": "free", "generator": {"edges": ["a"], "vertices": []},
+      "vertex_bound": True}, 2, "error: malformed properad"),
 ], ids=[
     "list", "end-without-sets", "end-set-not-a-list", "terminal-color-not-a-name",
     "free-generator-shape", "unknown-kind", "free-cyclic-generator",
+    "end-negative-size", "end-bool-size", "free-negative-bound", "free-bool-bound",
 ])
 def test_nerve_properad_file_errors(tmp_path, capsys, data, code, report):
     from graphcat.digraph import linear_graph
@@ -464,10 +471,45 @@ LEVEL_MORPHISM = st.fixed_dictionaries({
 def test_graph_loaders_never_raise(tmp_path_factory, command, data):
     path = tmp_path_factory.mktemp("fuzz") / "g.json"
     path.write_text(json.dumps(data))
+    _assert_exits_cleanly([*command, str(path)])
+
+
+# sizes and vertex bounds stay at most 3, and the corpus is one corolla, so
+# that each nerve is small
+SIZE = st.integers(-1, 3) | st.booleans()
+PROPERAD = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("end"), "sets": st.dictionaries(
+        NAMES.map(str), SIZE | st.lists(NAMES, max_size=3) | JSON, max_size=3,
+    ) | JSON}),
+    st.fixed_dictionaries(
+        {"kind": st.just("terminal")},
+        optional={"colors": st.lists(NAMES, max_size=3) | JSON},
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("free"), "generator": GRAPH},
+        optional={"vertex_bound": SIZE | JSON},
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON | PROPERAD)
+@example({"kind": "terminal", "colors": ["a", 1]})
+def test_nerve_properad_loader_never_raises(tmp_path_factory, data):
+    from graphcat.digraph import linear_graph
+
+    folder = tmp_path_factory.mktemp("fuzz")
+    properad_file, corpus_file = folder / "p.json", folder / "corpus.json"
+    properad_file.write_text(json.dumps(data))
+    corpus_file.write_text(json.dumps({"generators": [graph_to_json(linear_graph(1))]}))
+    _assert_exits_cleanly(["nerve", str(properad_file), str(corpus_file)])
+
+
+def _assert_exits_cleanly(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            code = main([*command, str(path)])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)

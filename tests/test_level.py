@@ -13,6 +13,7 @@ from graphcat.digraph import (
 )
 from graphcat.errors import ConnectivityError, HeightError
 from graphcat.level import (
+    LevelGraph,
     cartesian_reindex,
     compose_level,
     derived_class_map,
@@ -27,7 +28,6 @@ from graphcat.level import (
     level_from_json,
     level_graph,
     level_structure,
-    level_subgraph,
     level_to_json,
     linear_level_graph,
     membership,
@@ -370,6 +370,22 @@ def test_collapse_section_roundtrip():
     assert len(sections) == 2
     assert sorted(f.alpha for f in sections) == [(0, 2), (1, 2)]
     assert sum(1 for f in sections if is_active_L(f)) == 1
+
+
+def level_subgraph(lg, pair, rep):
+    """The connected level graph carried by a single component element."""
+    sf = special_extension(lg)
+    i, j = pair
+    members = set(sf.members(pair, rep))
+    edge_layers = tuple(
+        tuple(e for e in lg.edge_layers[k] if ("e", k, e) in members)
+        for k in range(i, j + 1)
+    )
+    vls = tuple(
+        tuple(v for v in lg.vertex_layers[k] if ("v", k, v.name) in members)
+        for k in range(i, j)
+    )
+    return LevelGraph(edge_layers, vls)
 
 
 def test_level_subgraph_is_connected():

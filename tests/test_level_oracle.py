@@ -208,14 +208,27 @@ def two_vertex_layer():
     )
 
 
+def merge_level():
+    return level_graph(
+        [["a", "b"], ["c", "d"], ["e"]],
+        [
+            [("v1", ["a"], ["c"]), ("v2", ["b"], ["d"])],
+            [("w", ["c", "d"], ["e"])],
+        ],
+    )
+
+
 GRAPHS = (
     [("edge", elementary_edge())]
     + [
         (f"corolla({p},{q})", elementary_corolla(p, q))
         for p in range(3) for q in range(3)
     ]
-    + [(f"linear({k})", linear_level_graph(k)) for k in (1, 2)]
-    + [("branching", branching_level()), ("two", two_vertex_layer())]
+    + [(f"linear({k})", linear_level_graph(k)) for k in (1, 2, 3)]
+    + [
+        ("branching", branching_level()), ("two", two_vertex_layer()),
+        ("merge", merge_level()),
+    ]
 )
 
 
@@ -231,6 +244,24 @@ def test_hom_level_matches_oracle_on_every_pair():
         assert set(keys) == oracle_hom(G, H), (gname, hname)
         nonempty += bool(keys)
     assert nonempty > 50
+
+
+def test_hom_level_validates_only_what_it_returns(monkeypatch):
+    # each vertex is offered only components of its own shape (DECISIONS.md
+    # D5), and on these pairs that leaves the search building morphisms
+    # only; the validator still runs on each one
+    verdicts = []
+
+    def counted(f):
+        verdict = validate_level_morphism(f)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr("graphcat.level.validate_level_morphism", counted)
+    for (gname, G), (hname, H) in itertools.product(GRAPHS, repeat=2):
+        del verdicts[:]
+        found = hom_level(G, H)
+        assert verdicts == [None] * len(found), (gname, hname)
 
 
 def test_validator_agrees_with_oracle_on_every_candidate():
