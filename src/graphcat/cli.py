@@ -108,7 +108,8 @@ def _properad_from_json(data):
     """A properad file, checked for shape; a free generator is validated."""
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "end" and isinstance(data.get("sets"), dict) and all(
-        _is_size(v) or _list_of(v, _is_scalar) for v in data["sets"].values()
+        _is_size(v) or (_list_of(v, _is_scalar) and len(set(v)) == len(v))
+        for v in data["sets"].values()
     ):
         return properad.end_properad({str(c): v for c, v in data["sets"].items()})
     if kind == "terminal" and _list_of(data.get("colors", []), _is_scalar):
@@ -125,7 +126,8 @@ def _properad_from_json(data):
         "properad",
         'expected {"kind": "end", "sets": {color: n | [value, ...]}}, '
         '{"kind": "terminal", "colors"?: [color, ...]} or '
-        '{"kind": "free", "generator": graph, "vertex_bound"?: n}, with n >= 0',
+        '{"kind": "free", "generator": graph, "vertex_bound"?: n}, with n >= 0 '
+        'and distinct values',
     )
 
 
@@ -197,11 +199,11 @@ def _corpus_from_manifest(manifest):
     if not (
         isinstance(manifest, dict)
         and _list_of(manifest.get("generators"), _is_graph_json)
-        and isinstance(manifest.get("max_vertices", 3), int)
+        and _is_size(manifest.get("max_vertices", 3))
     ):
         _malformed(
             "corpus",
-            'expected {"generators": [graph, ...], "max_vertices": int}',
+            'expected {"generators": [graph, ...], "max_vertices"?: n}, with n >= 0',
         )
     generators = [_valid_graph(g) for g in manifest["generators"]]
     return segal.build_corpus(
@@ -248,7 +250,7 @@ def _presheaf_from_json(data):
             if not (
                 isinstance(table, list)
                 and len(table) == sizes[j]
-                and all(isinstance(y, int) and 0 <= y < sizes[i] for y in table)
+                and all(_is_size(y) and y < sizes[i] for y in table)
             ):
                 _malformed(
                     "presheaf",

@@ -211,6 +211,7 @@ class SpecialFunctor:
         self._elements = {}
         self._members = {}
         self._shapes = {}
+        self._subgraphs = {}
 
     def reps(self, pair):
         """Each atom of F at ``pair``, in atom order, to its representative."""
@@ -290,6 +291,19 @@ class SpecialFunctor:
                 shape = (levels.count(pair[0]), levels.count(pair[1]))
                 table.setdefault(shape, []).append(rep)
         return table
+
+    def subgraph(self, pair, rep):
+        """The open subgraph of the underlying graph carried by the class
+        of ``rep`` at ``pair``, built once per class."""
+        sub = self._subgraphs.get((pair, rep))
+        if sub is None:
+            members = self.members(pair, rep)
+            sub = self._subgraphs[(pair, rep)] = OpenSubgraph(
+                self.lg._graph,
+                frozenset(a[2] for a in members if a[0] == "e"),
+                frozenset(a[2] for a in members if a[0] == "v"),
+            )
+        return sub
 
 
 def special_extension(lg):
@@ -468,17 +482,17 @@ def compose_level(f, g):
     """The composite of f: G -> H followed by g: H -> K."""
     if f.target != g.source:
         raise GraphcatError("morphisms are not composable")
+    # f's layers are sorted by source name, so are these (DECISIONS.md D6)
     alpha = tuple(g.alpha[a] for a in f.alpha)
-    emaps = [
-        {e: g.edge_maps[f.alpha[i]][y] for e, y in layer.items()}
-        for i, layer in enumerate(f.edge_maps)
-    ]
-    vmaps = []
-    for i, layer in enumerate(f.vertex_maps):
-        pair = (f.alpha[i], f.alpha[i + 1])
-        dmap = derived_class_map(g, pair)
-        vmaps.append({v: dmap[c] for v, c in layer.items()})
-    return level_morphism(f.source, g.target, alpha, emaps, vmaps)
+    eta_e = tuple(
+        tuple((e, g.edge_maps[f.alpha[i]][y]) for e, y in layer)
+        for i, layer in enumerate(f.eta_e)
+    )
+    eta_v = []
+    for i, layer in enumerate(f.eta_v):
+        dmap = derived_class_map(g, (f.alpha[i], f.alpha[i + 1]))
+        eta_v.append(tuple((v, dmap[c]) for v, c in layer))
+    return LevelMorphism(f.source, g.target, alpha, eta_e, tuple(eta_v))
 
 
 # ---------------------------------------------------------------------------
@@ -736,19 +750,15 @@ def component_images(f):
     subgraph of the target's underlying graph carried by its component
     image.
     """
-    tgt = underlying_graph(f.target)
     sf_t = special_extension(f.target)
     f0 = {}
     for layer in f.edge_maps:
         f0.update(layer)
     images = {}
-    for i, layer in enumerate(f.vertex_maps):
+    for i, layer in enumerate(f.eta_v):
         tpair = (f.alpha[i], f.alpha[i + 1])
-        for vname, rep in layer.items():
-            members = sf_t.members(tpair, rep)
-            edges = frozenset(a[2] for a in members if a[0] == "e")
-            vnames = frozenset(a[2] for a in members if a[0] == "v")
-            images[vname] = OpenSubgraph(tgt, edges, vnames)
+        for vname, rep in layer:
+            images[vname] = sf_t.subgraph(tpair, rep)
     return f0, images
 
 

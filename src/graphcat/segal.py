@@ -149,10 +149,14 @@ class Corpus:
         self.objects = tuple(objects)
         self.graphs = tuple(category.graph_of(x) for x in self.objects)
         self.homs = homs
-        self._hom_index = {
-            key: {m: k for k, m in enumerate(entry)}
-            for key, entry in homs.items()
-        }
+        self._covers = {}
+        self._hom_index = {}
+        for key, entry in homs.items():
+            index = self._hom_index[key] = {
+                m.sort_key(): k for k, m in enumerate(entry)
+            }
+            if len(index) != len(entry):
+                raise GraphcatError(f"two maps in hom table {key} share a sort key")
 
     def __len__(self):
         return len(self.objects)
@@ -161,7 +165,10 @@ class Corpus:
         return self.homs[(i, j)]
 
     def hom_index(self, i, j, m):
-        return self._hom_index[(i, j)][m]
+        """The position of m: A_i -> A_j in ``hom(i, j)``, found by its
+        ``sort_key()`` within that pair (DECISIONS.md D6); KeyError if no
+        map there has that key."""
+        return self._hom_index[(i, j)][m.sort_key()]
 
     def object_index(self, x):
         return self.objects.index(x)
@@ -269,29 +276,30 @@ class FinitePresheaf:
     def restrict(self, i, j, k, x):
         return self.restrictions[(i, j, k)][x]
 
+    def table_along(self, i, j, m):
+        """The restriction table along the morphism m: A_i -> A_j."""
+        return self.restrictions[(i, j, self.corpus.hom_index(i, j, m))]
+
     def restrict_along(self, i, j, m, x):
-        return self.restrict(i, j, self.corpus.hom_index(i, j, m), x)
+        return self.table_along(i, j, m)[x]
 
     def check_functorial(self, max_pairs=None):
         """Identities restrict trivially; composites factor."""
         corpus = self.corpus
         for i in range(len(corpus.objects)):
-            k = corpus.hom_index(i, i, corpus.identity_of(i))
-            for x in self.values[i]:
-                if self.restrict(i, i, k, x) != x:
-                    return False
+            ident = self.table_along(i, i, corpus.identity_of(i))
+            if any(ident[x] != x for x in self.values[i]):
+                return False
         count = 0
         for (i, j), fs in corpus.homs.items():
-            for f in fs:
+            for kf, f in enumerate(fs):
+                along_f = self.restrictions[(i, j, kf)]
                 for l in range(len(corpus.objects)):
-                    for g in corpus.homs[(j, l)]:
-                        comp = corpus.compose(f, g)
+                    for kg, g in enumerate(corpus.homs[(j, l)]):
+                        along_g = self.restrictions[(j, l, kg)]
+                        along_fg = self.table_along(i, l, corpus.compose(f, g))
                         for x in self.values[l]:
-                            left = self.restrict_along(i, l, comp, x)
-                            right = self.restrict_along(
-                                i, j, f, self.restrict_along(j, l, g, x)
-                            )
-                            if left != right:
+                            if along_fg[x] != along_f[along_g[x]]:
                                 return False
                             count += 1
                             if max_pairs and count >= max_pairs:
@@ -305,8 +313,10 @@ def representable_presheaf(corpus, x_index):
     restrictions = {}
     for (i, j), fs in corpus.homs.items():
         for k, f in enumerate(fs):
+            # the stored element, found by position, not the fresh composite
             restrictions[(i, j, k)] = {
-                h: corpus.compose(f, h) for h in corpus.homs[(j, x_index)]
+                h: values[i][corpus.hom_index(i, x_index, corpus.compose(f, h))]
+                for h in values[j]
             }
     return FinitePresheaf(corpus, values, restrictions)
 
@@ -335,6 +345,10 @@ class Cover:
 
 
 def elementary_cover(corpus, gi):
+    """The elementary cover of object gi, built on first use and then
+    kept on the corpus."""
+    if gi in corpus._covers:
+        return corpus._covers[gi]
     cat = corpus.category
     x, g = corpus.objects[gi], corpus.graphs[gi]
     ei = corpus.edge_index
@@ -352,7 +366,9 @@ def elementary_cover(corpus, gi):
     edge_entries = tuple(
         (e, ei, cat.edge_inclusion(edge_obj, x, e)) for e in g.edges
     )
-    return Cover(gi, tuple(vertex_entries), edge_entries, tuple(connections))
+    cover = Cover(gi, tuple(vertex_entries), edge_entries, tuple(connections))
+    corpus._covers[gi] = cover
+    return cover
 
 
 def segal_limit(F, gi):
@@ -367,18 +383,19 @@ def segal_limit(F, gi):
             ((), combo)
             for combo in itertools.product(F.value(ei), repeat=len(edge_list))
         )
-    constraints = {}
+    # per vertex, in cover order: its edges and their restriction tables
+    checks = {vname: [] for vname, _, _ in cover.vertex_entries}
     for e, vname, ci, conn in cover.connections:
-        constraints.setdefault(vname, []).append((e, ci, conn))
+        checks[vname].append((e, F.table_along(ei, ci, conn)))
     families = []
     for choice in itertools.product(
         *(F.value(ci) for _, ci, _ in cover.vertex_entries)
     ):
         edge_values = {}
         ok = True
-        for (vname, _, _), x in zip(cover.vertex_entries, choice):
-            for e, ci, conn in constraints.get(vname, ()):
-                y = F.restrict_along(ei, ci, conn, x)
+        for check, x in zip(checks.values(), choice):
+            for e, table in check:
+                y = table[x]
                 if edge_values.setdefault(e, y) != y:
                     ok = False
                     break
@@ -393,18 +410,12 @@ def segal_limit(F, gi):
 def segal_map(F, gi):
     """The canonical comparison from F(G) into the cover limit."""
     cover = elementary_cover(F.corpus, gi)
-    out = {}
-    for x in F.value(gi):
-        vs = tuple(
-            F.restrict_along(ci, gi, incl, x)
-            for _, ci, incl in cover.vertex_entries
-        )
-        es = tuple(
-            F.restrict_along(ci, gi, incl, x)
-            for _, ci, incl in cover.edge_entries
-        )
-        out[x] = (vs, es)
-    return out
+    vtables = [F.table_along(ci, gi, incl) for _, ci, incl in cover.vertex_entries]
+    etables = [F.table_along(ci, gi, incl) for _, ci, incl in cover.edge_entries]
+    return {
+        x: (tuple(t[x] for t in vtables), tuple(t[x] for t in etables))
+        for x in F.value(gi)
+    }
 
 
 def _bijective_onto(comparison, limit):
@@ -438,7 +449,11 @@ def nerve(P, corpus):
 
     A decoration is an edge coloring plus a color-compatible operation
     per vertex of the underlying graph; restriction along a morphism
-    evaluates the decoration on each vertex's image subgraph.
+    evaluates the decoration on each vertex's image subgraph.  Within
+    one call, ``P.evaluate`` runs once per target object and distinct
+    key: the image's edges and vertices, its boundary order, and the
+    decoration's colors and operations on the image, which is all that
+    evaluation reads (DECISIONS.md D6).
     """
     values = []
     for g in corpus.graphs:
@@ -456,15 +471,29 @@ def nerve(P, corpus):
                 entries.append((coloring, ops))
         values.append(tuple(entries))
     values = tuple(values)
+    # per target object: image and boundary -> {(colors, operations): value}
+    memos = [{} for _ in corpus.graphs]
     restrictions = {}
     for (i, j), fs in corpus.homs.items():
         src, tgt = corpus.graphs[i], corpus.graphs[j]
+        edge_pos = {e: p for p, e in enumerate(tgt.edges)}
+        vertex_pos = {w: p for p, w in enumerate(tgt.vertex_names)}
         for k, f in enumerate(fs):
             f0, subs = corpus.category.images(f)
-            images = {v: sub.as_graph for v, sub in subs.items()}
+            plans = []
+            for v in src.vertices:
+                img = subs[v.name].as_graph
+                ins = tuple(f0[e] for e in v.ins)
+                outs = tuple(f0[e] for e in v.outs)
+                memo = memos[j].setdefault((img.edges, img.vertex_names, ins, outs), {})
+                plans.append((
+                    img, ins, outs, memo,
+                    [edge_pos[e] for e in img.edges],
+                    [vertex_pos[w] for w in img.vertex_names],
+                ))
+            colour_pos = [edge_pos[f0[e]] for e in src.edges]
             restrictions[(i, j, k)] = {
-                x: _restrict_decoration(P, f0, images, src, tgt, x)
-                for x in values[j]
+                x: _restrict_decoration(P, colour_pos, plans, x) for x in values[j]
             }
     return FinitePresheaf(corpus, values, restrictions)
 
@@ -474,23 +503,17 @@ def nerve_level(P, corpus):
     return nerve(P, corpus)
 
 
-def _restrict_decoration(P, f0, images, src, tgt, x):
+def _restrict_decoration(P, colour_pos, plans, x):
     coloring, ops = x
-    cof = dict(zip(tgt.edges, coloring))
-    lof = dict(zip(tgt.vertex_names, ops))
-    new_colors = tuple(cof[f0[e]] for e in src.edges)
     new_ops = []
-    for v in src.vertices:
-        subg = images[v.name]
-        dec = decorated_graph(
-            subg,
-            {e: cof[e] for e in subg.edges},
-            {w: lof[w] for w in subg.vertex_names},
-            tuple(f0[e] for e in v.ins),
-            tuple(f0[e] for e in v.outs),
-        )
-        new_ops.append(P.evaluate(dec))
-    return (new_colors, tuple(new_ops))
+    for img, ins, outs, memo, epos, vpos in plans:
+        key = (tuple(coloring[p] for p in epos), tuple(ops[p] for p in vpos))
+        if key not in memo:
+            colors = dict(zip(img.edges, key[0]))
+            labels = dict(zip(img.vertex_names, key[1]))
+            memo[key] = P.evaluate(decorated_graph(img, colors, labels, ins, outs))
+        new_ops.append(memo[key])
+    return (tuple(coloring[p] for p in colour_pos), tuple(new_ops))
 
 
 class ExtractedProperad(FiniteProperad):
@@ -524,11 +547,12 @@ class ExtractedProperad(FiniteProperad):
         # inputs, then to its outputs, along the cover's connections
         ei = self.corpus.edge_index
         for (m, n), ci in self.corpus.corolla_index.items():
-            conns = elementary_cover(self.corpus, ci).connections
+            tables = [
+                F.table_along(ei, ci, conn)
+                for _, _, _, conn in elementary_cover(self.corpus, ci).connections
+            ]
             for x in F.value(ci):
-                ys = tuple(
-                    F.restrict_along(ei, ci, conn, x) for _, _, _, conn in conns
-                )
+                ys = tuple(t[x] for t in tables)
                 self._profiles[x] = (ys[:m], ys[m:])
 
     def _corolla(self, m, n):
@@ -681,39 +705,29 @@ def segmentation_local(F):
         pieces, interfaces = segmentation_pieces(lg)
         piece_idx = [corpus.object_index(p) for p, _ in pieces]
         face_idx = [corpus.object_index(p) for p, _ in interfaces]
-        # interface i sits between pieces i-1 and i
-        top_incl, bottom_incl = [], []
+        # interface i sits between pieces i-1 and i: the restriction
+        # tables from the top of piece i and from the bottom of piece i+1
+        faces = []
         for i, (face, _) in enumerate(interfaces):
             emap = [{e: e for e in face.edge_layers[0]}]
-            top_incl.append(
-                level_morphism(face, pieces[i][0], (1,), emap, [])
+            top = level_morphism(face, pieces[i][0], (1,), emap, [])
+            bottom = level_morphism(face, pieces[i + 1][0], (0,), emap, [])
+            faces.append((
+                F.table_along(face_idx[i], piece_idx[i], top),
+                F.table_along(face_idx[i], piece_idx[i + 1], bottom),
+            ))
+        families = [
+            choice
+            for choice in itertools.product(*(F.value(pi) for pi in piece_idx))
+            if all(
+                top[choice[i]] == bottom[choice[i + 1]]
+                for i, (top, bottom) in enumerate(faces)
             )
-            bottom_incl.append(
-                level_morphism(face, pieces[i + 1][0], (0,), emap, [])
-            )
-        families = []
-        for choice in itertools.product(
-            *(F.value(pi) for pi in piece_idx)
-        ):
-            ok = True
-            for i in range(len(interfaces)):
-                left = F.restrict_along(
-                    face_idx[i], piece_idx[i], top_incl[i], choice[i]
-                )
-                right = F.restrict_along(
-                    face_idx[i], piece_idx[i + 1], bottom_incl[i], choice[i + 1]
-                )
-                if left != right:
-                    ok = False
-                    break
-            if ok:
-                families.append(choice)
-        comparison = {}
-        for x in F.value(li):
-            comparison[x] = tuple(
-                F.restrict_along(piece_idx[i], li, incl, x)
-                for i, (_, incl) in enumerate(pieces)
-            )
+        ]
+        tables = [
+            F.table_along(pi, li, incl) for pi, (_, incl) in zip(piece_idx, pieces)
+        ]
+        comparison = {x: tuple(t[x] for t in tables) for x in F.value(li)}
         if not _bijective_onto(comparison, families):
             return False, li
     return True, None

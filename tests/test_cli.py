@@ -169,10 +169,13 @@ def test_command_file_errors(tmp_path, capsys, command, data, code, report):
       "vertex_bound": -1}, 2, "error: malformed properad"),
     ({"kind": "free", "generator": {"edges": ["a"], "vertices": []},
       "vertex_bound": True}, 2, "error: malformed properad"),
+    ({"kind": "end", "sets": {"c": [1, 1]}}, 2, "error: malformed properad"),
+    ({"kind": "end", "sets": {"c": [1, True]}}, 2, "error: malformed properad"),
 ], ids=[
     "list", "end-without-sets", "end-set-not-a-list", "terminal-color-not-a-name",
     "free-generator-shape", "unknown-kind", "free-cyclic-generator",
     "end-negative-size", "end-bool-size", "free-negative-bound", "free-bool-bound",
+    "end-repeated-values", "end-bool-collides",
 ])
 def test_nerve_properad_file_errors(tmp_path, capsys, data, code, report):
     from graphcat.digraph import linear_graph
@@ -248,7 +251,12 @@ def _assert_usage_error(capsys, *argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("manifest", [{}, {"generators": [{"edges": "ab"}]}])
+@pytest.mark.parametrize("manifest", [
+    {},
+    {"generators": [{"edges": "ab"}]},
+    {"generators": [], "max_vertices": True},
+    {"generators": [], "max_vertices": -1},
+])
 def test_nerve_malformed_corpus_exits_2(tmp_path, capsys, manifest):
     properad_file = tmp_path / "p.json"
     properad_file.write_text(json.dumps({"kind": "end", "sets": {"c": 2}}))
@@ -288,6 +296,47 @@ def test_segal_presheaf_of_wrong_size_exits_2(tmp_path, capsys):
     assert code == 0
     data = json.loads(presheaf_file.read_text())
     data["values"] = data["values"][:-1]
+    presheaf_file.write_text(json.dumps(data))
+    _assert_usage_error(capsys, "segal", str(presheaf_file))
+
+
+@pytest.fixture(scope="module")
+def corolla_nerve_file(tmp_path_factory):
+    """The presheaf file ``nerve`` writes for the end properad on a
+    two-element set over the corpus of one corolla (1, 1), as JSON text."""
+    from graphcat.digraph import corolla
+
+    folder = tmp_path_factory.mktemp("nerve")
+    properad_file = folder / "p.json"
+    properad_file.write_text(json.dumps({"kind": "end", "sets": {"c": 2}}))
+    corpus_file = folder / "corpus.json"
+    corpus_file.write_text(json.dumps({"generators": [graph_to_json(corolla(1, 1))]}))
+    presheaf_file = folder / "nerve.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["nerve", str(properad_file), str(corpus_file),
+                     "-o", str(presheaf_file)])
+    assert code == 0
+    return presheaf_file.read_text()
+
+
+def _edit_restriction(data):
+    # an entry 1 of a table into the two-valued edge object, written true
+    key, table = next(
+        (key, table) for key, table in sorted(data["restrictions"].items())
+        if 1 in table
+    )
+    table[table.index(1)] = True
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_restriction,
+    lambda data: data["corpus"].update(max_vertices=True),
+    lambda data: data["corpus"].update(max_vertices=-1),
+], ids=["bool-restriction-entry", "corpus-bool-bound", "corpus-negative-bound"])
+def test_segal_malformed_presheaf_exits_2(tmp_path, capsys, corolla_nerve_file, edit):
+    data = json.loads(corolla_nerve_file)
+    edit(data)
+    presheaf_file = tmp_path / "edited.json"
     presheaf_file.write_text(json.dumps(data))
     _assert_usage_error(capsys, "segal", str(presheaf_file))
 
@@ -503,6 +552,44 @@ def test_nerve_properad_loader_never_raises(tmp_path_factory, data):
     properad_file.write_text(json.dumps(data))
     corpus_file.write_text(json.dumps({"generators": [graph_to_json(linear_graph(1))]}))
     _assert_exits_cleanly(["nerve", str(properad_file), str(corpus_file)])
+
+
+CORPUS = st.fixed_dictionaries(
+    {"generators": st.lists(GRAPH, max_size=2) | JSON},
+    optional={"max_vertices": SIZE | JSON},
+)
+# a presheaf file that ``nerve`` writes (end properad on one corolla),
+# with one part replaced by drawn JSON
+PRESHEAF_EDIT = st.one_of(
+    st.tuples(st.just("corpus"), CORPUS | JSON),
+    st.tuples(
+        st.just("values"), st.lists(st.lists(SIZE, max_size=3), max_size=3) | JSON
+    ),
+    st.tuples(st.just("restrictions"), JSON),
+    st.tuples(st.just("entry"), st.lists(SIZE, max_size=4) | JSON),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CORPUS | JSON, PRESHEAF_EDIT)
+def test_corpus_and_presheaf_loaders_never_raise(
+    tmp_path_factory, corolla_nerve_file, manifest, edit
+):
+    folder = tmp_path_factory.mktemp("fuzz")
+    properad_file, corpus_file = folder / "p.json", folder / "corpus.json"
+    properad_file.write_text(json.dumps({"kind": "terminal"}))
+    corpus_file.write_text(json.dumps(manifest))
+    _assert_exits_cleanly(["nerve", str(properad_file), str(corpus_file)])
+
+    data = json.loads(corolla_nerve_file)
+    part, value = edit
+    if part == "entry":
+        data["restrictions"][min(data["restrictions"])] = value
+    else:
+        data[part] = value
+    presheaf_file = folder / "presheaf.json"
+    presheaf_file.write_text(json.dumps(data))
+    _assert_exits_cleanly(["segal", str(presheaf_file)])
 
 
 def _assert_exits_cleanly(argv):

@@ -5,15 +5,26 @@ import pytest
 
 from graphcat.digraph import (
     Graph,
+    OpenSubgraph,
     Vertex,
     corolla,
     edge_graph,
     linear_graph,
     whole_subgraph,
 )
-from graphcat.errors import ColorMismatch, NotSegal
-from graphcat.graphical import graphical_morphism, hom_set
-from graphcat.level import elementary_corolla, level_graph, linear_level_graph
+from graphcat.errors import ColorMismatch, GraphcatError, NotSegal
+from graphcat.graphical import graphical_morphism, hom_set, identity_graphical
+from graphcat.level import (
+    compose_level,
+    derived_class_map,
+    elementary_corolla,
+    elementary_edge,
+    hom_level,
+    level_graph,
+    level_morphism,
+    linear_level_graph,
+    special_extension,
+)
 from graphcat.properad import (
     decorated_graph,
     end_properad,
@@ -21,6 +32,8 @@ from graphcat.properad import (
     terminal_properad,
 )
 from graphcat.segal import (
+    GRAPHICAL,
+    Corpus,
     Cover,
     build_corpus,
     build_level_corpus,
@@ -418,3 +431,151 @@ def test_linear_corpus_reduces_to_category_segal():
     assert len(N.value(chain)) == len(N.value(c11)) ** 2 // len(N.value(lc.edge_index))
     full, short_seg = segmentation_check(N)
     assert full and short_seg
+
+
+# ---------------------------------------------------------------------------
+# the table-reading paths against their definitions
+
+
+def graphical_images(f):
+    return f.f0, {v: sub.as_graph for v, sub in f.f1v.items()}
+
+
+def level_images(f):
+    """The edge map of a level morphism, and each source vertex's image:
+    the open subgraph of the target's underlying graph carried by the
+    members of its component."""
+    sf = special_extension(f.target)
+    tgt = f.target._graph
+    f0 = {e: y for layer in f.edge_maps for e, y in layer.items()}
+    images = {}
+    for i, layer in enumerate(f.vertex_maps):
+        pair = (f.alpha[i], f.alpha[i + 1])
+        for v, rep in layer.items():
+            members = sf.members(pair, rep)
+            images[v] = OpenSubgraph(
+                tgt,
+                frozenset(a[2] for a in members if a[0] == "e"),
+                frozenset(a[2] for a in members if a[0] == "v"),
+            ).as_graph
+    return f0, images
+
+
+def reference_nerve(P, corpus, images_of):
+    """The nerve from its definition: every decoration of every object,
+    and each restriction evaluating P once on every vertex image, with
+    nothing remembered between evaluations."""
+    values = []
+    for g in corpus.graphs:
+        entries = []
+        for coloring in itertools.product(P.colors, repeat=len(g.edges)):
+            color = dict(zip(g.edges, coloring))
+            per_vertex = [
+                P.ops(tuple(color[e] for e in v.ins), tuple(color[e] for e in v.outs))
+                for v in g.vertices
+            ]
+            entries += [(coloring, ops) for ops in itertools.product(*per_vertex)]
+        values.append(tuple(entries))
+    restrictions = {}
+    for (i, j), fs in corpus.homs.items():
+        src, tgt = corpus.graphs[i], corpus.graphs[j]
+        for k, f in enumerate(fs):
+            f0, images = images_of(f)
+            table = {}
+            for coloring, ops in values[j]:
+                color = dict(zip(tgt.edges, coloring))
+                label = dict(zip(tgt.vertex_names, ops))
+                new_ops = tuple(
+                    P.evaluate(decorated_graph(
+                        images[v.name],
+                        {e: color[e] for e in images[v.name].edges},
+                        {w: label[w] for w in images[v.name].vertex_names},
+                        tuple(f0[e] for e in v.ins),
+                        tuple(f0[e] for e in v.outs),
+                    ))
+                    for v in src.vertices
+                )
+                new_colors = tuple(color[f0[e]] for e in src.edges)
+                table[(coloring, ops)] = (new_colors, new_ops)
+            restrictions[(i, j, k)] = table
+    return tuple(values), restrictions
+
+
+def criterion_9_level_corpus():
+    cospan = level_graph(
+        [["m1", "m2"], ["n1", "n2", "n3"]],
+        [[("k1", ["m1"], ["n1", "n2"]), ("k2", ["m2"], ["n3"])]],
+    )
+    return build_level_corpus([
+        elementary_edge(), elementary_corolla(1, 1), elementary_corolla(2, 1),
+        elementary_corolla(1, 2), elementary_corolla(0, 2),
+        linear_level_graph(2), branching_level(), cospan,
+    ])
+
+
+@pytest.mark.parametrize("P", [terminal_properad(), end_properad({"c": 2})],
+                         ids=["terminal", "end-2"])
+@pytest.mark.parametrize("corpus, images_of", [
+    (g3_corpus, graphical_images),
+    (criterion_9_level_corpus, level_images),
+], ids=["g3", "criterion-9-level"])
+def test_nerve_matches_reference_nerve(P, corpus, images_of):
+    corpus = corpus()
+    N = nerve(P, corpus)
+    values, restrictions = reference_nerve(P, corpus, images_of)
+    assert N.values == values
+    assert N.restrictions.keys() == restrictions.keys()
+    for key, table in restrictions.items():
+        assert N.restrictions[key] == table, key
+
+
+@pytest.mark.parametrize("corpus", [g3_corpus, level_corpus], ids=["g3", "level"])
+def test_representable_restricts_to_stored_composites(corpus):
+    corpus = corpus()
+    for x in range(len(corpus)):
+        R = representable_presheaf(corpus, x)
+        for (i, j, k), table in R.restrictions.items():
+            f = corpus.homs[(i, j)][k]
+            stored = {id(h) for h in R.values[i]}
+            assert list(table) == list(R.values[j])
+            for h, y in table.items():
+                assert y == corpus.compose(f, h)
+                assert id(y) in stored
+
+
+def test_compose_level_matches_dict_built_composite():
+    from test_level_oracle import GRAPHS
+
+    def dict_built(f, g):
+        emaps = [
+            {e: g.edge_maps[f.alpha[i]][y] for e, y in layer.items()}
+            for i, layer in enumerate(f.edge_maps)
+        ]
+        vmaps = [
+            {v: derived_class_map(g, (f.alpha[i], f.alpha[i + 1]))[c]
+             for v, c in layer.items()}
+            for i, layer in enumerate(f.vertex_maps)
+        ]
+        alpha = tuple(g.alpha[a] for a in f.alpha)
+        return level_morphism(f.source, g.target, alpha, emaps, vmaps)
+
+    homs = {
+        (a, b): hom_level(A, B)
+        for (a, A), (b, B) in itertools.product(GRAPHS, repeat=2)
+    }
+    pairs = 0
+    for (a, b), fs in homs.items():
+        for c, _ in GRAPHS:
+            for f in fs:
+                for g in homs[(b, c)]:
+                    assert compose_level(f, g) == dict_built(f, g), (a, b, c)
+                    pairs += 1
+    assert pairs > 1000
+
+
+def test_corpus_rejects_maps_sharing_a_sort_key():
+    e = edge_graph()
+    ident = identity_graphical(e)
+    Corpus(GRAPHICAL, [e], {(0, 0): (ident,)})
+    with pytest.raises(GraphcatError):
+        Corpus(GRAPHICAL, [e], {(0, 0): (ident, identity_graphical(e))})
