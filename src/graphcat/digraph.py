@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     ConnectivityError,
@@ -28,6 +27,24 @@ from .errors import (
     SizeLimit,
     Violation,
 )
+
+
+class cached_property:
+    """``functools.cached_property`` without its lock: the first access
+    stores the value in the instance ``__dict__`` (frozen dataclasses
+    too), where later accesses find it."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        instance.__dict__[self.name] = value = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -800,7 +817,8 @@ def _vertex_orders(g, order_sensitive):
         yield tuple(itertools.chain.from_iterable(combo))
 
 
-def _certificate(g, vorder, edge_label, in_order, out_order):
+def _edge_numbering(g, vorder, edge_label):
+    """Number outputs by vertex, then attached inputs, then loose edges."""
     vpos = {name: i for i, name in enumerate(vorder)}
     eid = {}
     counter = itertools.count(1)
@@ -819,6 +837,11 @@ def _certificate(g, vorder, edge_label, in_order, out_order):
         loose.sort(key=lambda e: repr(edge_label(e)))
     for e in loose:
         eid[e] = next(counter)
+    return eid
+
+
+def _certificate(g, vorder, edge_label, in_order, out_order):
+    eid = _edge_numbering(g, vorder, edge_label)
     rows = tuple(
         (
             tuple(eid[e] for e in g.vertex(name).ins),
@@ -848,22 +871,23 @@ def canonical_form(
     Two graphs receive equal canonical forms exactly when there is an
     isomorphism preserving per-vertex orderings, the optional edge
     labels, and the optional boundary orderings.  ``vertex_order`` pins
-    the vertex enumeration (used for indexed graphs); otherwise a
-    backtracking search over refinement-compatible orders picks the
-    lexicographically least certificate.
+    the vertex enumeration (used for indexed graphs), so only its edge
+    numbering is computed; otherwise a backtracking search over
+    refinement-compatible orders picks the lexicographically least
+    certificate.
 
     Returns (canonical graph, edge renaming, vertex renaming).
     """
     if vertex_order is not None:
-        orders = [tuple(vertex_order)]
+        order = tuple(vertex_order)
+        eid = _edge_numbering(g, order, edge_label)
     else:
-        orders = _vertex_orders(g, order_sensitive=True)
-    best = None
-    for order in orders:
-        cert, eid = _certificate(g, order, edge_label, in_order, out_order)
-        if best is None or cert < best[0]:
-            best = (cert, order, eid)
-    _, order, eid = best
+        best = None
+        for order in _vertex_orders(g, order_sensitive=True):
+            cert, eid = _certificate(g, order, edge_label, in_order, out_order)
+            if best is None or cert < best[0]:
+                best = (cert, order, eid)
+        _, order, eid = best
     edge_map = {e: f"e{eid[e]}" for e in g.edges}
     vertex_map = {name: f"v{i+1}" for i, name in enumerate(order)}
     edges = tuple(f"e{k}" for k in range(1, len(g.edges) + 1))

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import digraph
 from .digraph import (
     Graph,
     StructuredSubgraph,
+    cached_property,
     edge_subgraph,
     is_connected,
     is_convex_open,

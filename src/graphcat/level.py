@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .digraph import (
     Graph,
     OpenSubgraph,
     Vertex,
     betti_number,
+    cached_property,
     connected_components,
     promote,
     validate as validate_graph,

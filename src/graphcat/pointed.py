@@ -1,7 +1,8 @@
 """Basepoint-added finite sets and partial maps between them."""
 
 from dataclasses import dataclass
-from functools import cached_property
+
+from .digraph import cached_property
 
 
 @dataclass(frozen=True)

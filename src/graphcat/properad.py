@@ -15,20 +15,20 @@ the interface; the nerve machinery consumes it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .digraph import (
     Graph,
     Vertex,
     betti_number,
+    cached_property,
     canonical_form,
     check,
     is_connected,
     multi_substitute,
     topological_vertices,
-    validate as validate_graph,
 )
 from .errors import (
     ColorMismatch,
@@ -138,7 +138,14 @@ def _normalize(graph, in_order, out_order, colors=None):
 
 
 def identity_operation(m, n, in_colors=None, out_colors=None):
-    """The identity corolla: both boundary orderings match the vertex's."""
+    """The identity corolla: both boundary orderings match the vertex's.
+    Built once per profile, as the value is frozen (DECISIONS.md D7)."""
+    tupled = (None if cs is None else tuple(cs) for cs in (in_colors, out_colors))
+    return _identity_operation(m, n, *tupled)
+
+
+@functools.cache
+def _identity_operation(m, n, in_colors, out_colors):
     ins = tuple(f"i{k}" for k in range(m))
     outs = tuple(f"o{k}" for k in range(n))
     g = Graph(ins + outs, (Vertex("v", ins, outs),))
@@ -223,11 +230,15 @@ def sigma_action(op, perm=None, in_perm=None, out_perm=None):
     return _normalize(Graph(g.edges, vertices), in_order, out_order, colors)
 
 
-def stabilizer(op, max_size=8):
+# the most vertices a stabilizer search may permute
+MAX_STABILIZER_SIZE = 8
+
+
+def stabilizer(op):
     """All index permutations fixing the operation, by brute force."""
     n = op.size
-    if n > max_size:
-        raise SizeLimit(f"stabilizer search bound exceeded ({n} > {max_size})")
+    if n > MAX_STABILIZER_SIZE:
+        raise SizeLimit(f"stabilizer search bound exceeded ({n} > {MAX_STABILIZER_SIZE})")
     found = []
     for perm in itertools.permutations(range(n)):
         if any(
@@ -261,6 +272,9 @@ def _stub_matchings(boundaries):
     in a fixed order.  Edges are listed glued first, then loose
     inputs, then loose outputs, so the graph's boundary orders follow
     the stubs.
+    A glue that would close a directed cycle is refused as it is made,
+    and only leaves whose glues connect every vertex are built, so each
+    graph is valid and connected by construction (DECISIONS.md D7).
     """
     stubs_in, stubs_out = [], []
     for z, (ins, outs) in enumerate(boundaries):
@@ -294,20 +308,30 @@ def _stub_matchings(boundaries):
         )
         return Graph(tuple(edges), vs), colors
 
-    def match(i, used, acc):
+    def connected(matching):
+        # union-find over the glued pairs, by relabelling; no class if empty
+        cls = list(range(len(boundaries)))
+        for (s, _), (t, _), _ in matching:
+            cls = [cls[t] if c == cls[s] else c for c in cls]
+        return len(set(cls)) == 1
+
+    def match(i, used, reach, acc):
+        # reach[z]: the vertices reachable from z along the glues in acc
         if i == len(stubs_in):
-            g, colors = build(acc)
-            if validate_graph(g) is None and is_connected(g):
-                yield g, colors
+            if connected(acc):
+                yield build(acc)
             return
         si, color = stubs_in[i]
-        yield from match(i + 1, used, acc)
+        yield from match(i + 1, used, reach, acc)
+        t = si[0]
         for so, so_color in stubs_out:
-            if so in used or so_color != color or so[0] == si[0]:
+            if so in used or so_color != color or so[0] in reach[t]:
                 continue
-            yield from match(i + 1, used | {so}, acc + [(so, si, color)])
+            glued = tuple(r | reach[t] if so[0] in r else r for r in reach)
+            yield from match(i + 1, used | {so}, glued, acc + [(so, si, color)])
 
-    yield from match(0, frozenset(), [])
+    reach = tuple(frozenset((z,)) for z in range(len(boundaries)))
+    yield from match(0, frozenset(), reach, [])
 
 
 def all_operations(biarities, orderings="canonical"):

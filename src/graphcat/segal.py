@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 from .digraph import (
+    cached_property,
     canonical_form,
     corolla,
     edge_graph,

@@ -26,6 +26,8 @@ from graphcat.graphical import (
 )
 from graphcat.properad import (
     DecoratedGraph,
+    _normalize,
+    _stub_matchings,
     all_operations,
     cartesian_lift_active,
     compose_arrows,
@@ -45,6 +47,7 @@ from graphcat.properad import (
     zgraph,
     zgraph_of_graph,
 )
+from graphcat import zoo
 from graphcat.zoo import (
     closed_square_graph,
     dangling_pair_graph,
@@ -596,6 +599,85 @@ def test_operad_constructors_are_valid_by_construction():
         for op in all_operations(shape, orderings="all"):
             assert_valid_by_construction(op)
 
+
+
+def stub_matchings_oracle(boundaries):
+    """The leaf filter ``_stub_matchings`` replaced: enumerate every
+    matching of an output stub to a same-coloured input stub of another
+    vertex, build each as a graph, and keep it when it is valid and
+    connected."""
+    stubs_in = [((z, k), c) for z, (ins, _) in enumerate(boundaries) for k, c in enumerate(ins)]
+    stubs_out = [((z, k), c) for z, (_, outs) in enumerate(boundaries) for k, c in enumerate(outs)]
+
+    def build(matching):
+        edge_of = {}
+        colors = {}
+        for n, (so, si, color) in enumerate(matching):
+            edge_of["out", so] = edge_of["in", si] = f"m{n}"
+            colors[f"m{n}"] = color
+        for side, stubs in (("in", stubs_in), ("out", stubs_out)):
+            for key, color in stubs:
+                if (side, key) not in edge_of:
+                    edge_of[side, key] = f"{side}{key[0]}_{key[1]}"
+                    colors[edge_of[side, key]] = color
+        vs = tuple(
+            Vertex(
+                f"z{z}",
+                tuple(edge_of["in", (z, k)] for k in range(len(ins))),
+                tuple(edge_of["out", (z, k)] for k in range(len(outs))),
+            )
+            for z, (ins, outs) in enumerate(boundaries)
+        )
+        return Graph(tuple(colors), vs), colors
+
+    def match(i, used, acc):
+        if i == len(stubs_in):
+            g, colors = build(acc)
+            if validate(g) is None and is_connected(g):
+                yield g, colors
+            return
+        si, color = stubs_in[i]
+        yield from match(i + 1, used, acc)
+        for so, so_color in stubs_out:
+            if so not in used and so_color == color and so[0] != si[0]:
+                yield from match(i + 1, used | {so}, acc + [(so, si, color)])
+
+    yield from match(0, frozenset(), [])
+
+
+def test_stub_matchings_match_the_leaf_filter():
+    kept = 0
+    for shape in dict.fromkeys(_criterion_6_shapes() + _operad_laws_shapes()):
+        stubs = [((None,) * m, (None,) * n) for m, n in shape]
+        got = list(_stub_matchings(stubs))
+        assert got == list(stub_matchings_oracle(stubs)), shape
+        kept += len(got)
+    assert kept == 17_551
+    assert list(_stub_matchings([])) == list(stub_matchings_oracle([])) == []
+
+
+@pytest.mark.parametrize("g", [
+    getattr(zoo, name)() for name in sorted(dir(zoo)) if name.endswith("_graph")
+], ids=[name for name in sorted(dir(zoo)) if name.endswith("_graph")])
+def test_coloured_stub_matchings_match_the_leaf_filter(g):
+    # the free properad's pool: combinations of up to three generator vertices
+    for k in (1, 2, 3):
+        for combo in itertools.combinations_with_replacement(g.vertex_names, k):
+            stubs = [(v.ins, v.outs) for v in map(g.vertex, combo)]
+            assert list(_stub_matchings(stubs)) == list(stub_matchings_oracle(stubs))
+
+
+def test_identity_operation_is_the_normalized_corolla():
+    for m in range(3):
+        for n in range(3):
+            g = corolla(m, n)
+            assert identity_operation(m, n) == _normalize(g, g.inputs, g.outputs)
+    g = corolla(2, 1)
+    colors = {"i1": "a", "i2": "b", "o1": "a"}
+    coloured = identity_operation(2, 1, ("a", "b"), ("a",))
+    assert coloured == _normalize(g, g.inputs, g.outputs, colors)
+    assert identity_operation(2, 1, ["a", "b"], ["a"]) == coloured
+    assert identity_operation(2, 1, ["a", "b"], ["a"]) != identity_operation(2, 1)
 
 def test_theta_is_valid_by_construction():
     graphs = [
