@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphcat.cli import main
-from graphcat.digraph import graph_to_json
+from graphcat.digraph import graph_to_json, linear_graph
 from graphcat.zoo import (
     closed_double_edge_graph,
     closed_square_graph,
@@ -132,13 +132,17 @@ def _graphical_identity_json(vertices):
         **graph_to_json(closed_square_graph()), "in_order": [], "out_order": [],
         "colors": {"e00": "c"},
     }, 1, "violation: ColorMismatch"),
+    (["prpd", "stabilizer"], {
+        **graph_to_json(linear_graph(9)), "in_order": ["e0"], "out_order": ["e9"],
+    }, 1, "violation: SizeLimit: stabilizer search bound exceeded (9 > 8)"),
     (["convex", "--vertices", "nope"], graph_to_json(three_vertex_graph()), 1,
      "violation: UnknownVertex"),
     (["convex", "--edges", "zz"], graph_to_json(three_vertex_graph()), 1,
      "violation: UnknownEdge"),
 ], ids=[
     "substitution-shape", "unknown-vertex", "cyclic-outer", "unknown-bijection-edge",
-    "image-names-unknown-vertex", "colors-miss-an-edge", "convex-unknown-vertex",
+    "image-names-unknown-vertex", "colors-miss-an-edge", "stabilizer-nine-vertices",
+    "convex-unknown-vertex",
     "convex-unknown-edge",
 ])
 def test_command_file_errors(tmp_path, capsys, command, data, code, report):
