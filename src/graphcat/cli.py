@@ -5,11 +5,18 @@ factorize, substitute, tau, free-properad, prpd compose/stabilizer,
 theta, nerve, segal, dot.  Exit code 0 on success, 1 on a domain
 violation (with the violation report), 2 on usage or file errors.
 JSON output is sorted and schema-stable.
+
+Every file format has one schema in ``_FORMATS``.  A command walks the
+file it reads against it before decoding anything, and the first
+mismatch exits 2 with ``error: malformed <format>: at <JSON path>:
+expected <what>`` (or ``missing``).  Checks across fields run in the
+loaders and name a path too.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,13 +28,10 @@ class DomainFailure(Exception):
     """A violation that should surface with exit code 1."""
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+def _ok(report, role=""):
+    """Surface the report of a failed check as a violation (exit 1)."""
+    if report is not None:
+        raise DomainFailure(f"{role}{report}")
 
 
 def _emit(data, fmt):
@@ -57,43 +61,195 @@ def _emit_text(data, indent=0):
         print(f"{pad}{data}")
 
 
+# ---------------------------------------------------------------------------
+# file formats: one schema per format, walked before anything is decoded
+
+
+class _Mismatch(Exception):
+    """``(path, expected)``: where a file departs from its schema and what
+    was expected there; ``expected`` is None where a key is missing."""
+
+
+def _at(path, key):
+    """The path of ``key`` in the object at ``path``; a key that is not an
+    ASCII identifier is written as a JSON string."""
+    if key.isascii() and key.isidentifier():
+        return f"{path}.{key}"
+    return f"{path}[{json.dumps(key)}]"
+
+
+def _any(x, path):
+    """Any value at all."""
+
+
+def _leaf(expected, test):
+    """A value that passes ``test``."""
+    def check(x, path):
+        if not test(x):
+            raise _Mismatch(path, expected)
+    return check
+
+
+_SIZE = _leaf(
+    "an int >= 0", lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= 0
+)
+_INT = _leaf("an int", lambda x: isinstance(x, int))  # a bool passes: D8
+_SCALAR = _leaf("a string or a number", lambda x: isinstance(x, (str, int, float)))
+
+
+def _obj(keys):
+    """An object with the schemas of ``keys``, checked in order; a key
+    written ``"name?"`` may be absent, and other keys are ignored."""
+    def check(x, path):
+        if not isinstance(x, dict):
+            raise _Mismatch(path, "an object")
+        for key, schema in keys.items():
+            name = key.rstrip("?")
+            if name in x:
+                schema(x[name], _at(path, name))
+            elif name == key:
+                raise _Mismatch(_at(path, name), None)
+    return check
+
+
+def _map(values=_any, keys=_any):
+    """An object whose every key fits ``keys`` and every value ``values``."""
+    def check(x, path):
+        if not isinstance(x, dict):
+            raise _Mismatch(path, "an object")
+        for key, value in x.items():
+            keys(key, _at(path, key))
+            values(value, _at(path, key))
+    return check
+
+
+def _list(item=_any, *more):
+    """A list whose items all fit ``item``, or, given more schemas, a list
+    of exactly one item per schema."""
+    def check(x, path):
+        if not isinstance(x, list):
+            raise _Mismatch(path, "a list")
+        schemas = (item, *more) if more else (item,) * len(x)
+        if len(x) != len(schemas):
+            raise _Mismatch(path, f"a list of {len(schemas)} items")
+        for i, (schema, y) in enumerate(zip(schemas, x)):
+            schema(y, f"{path}[{i}]")
+    return check
+
+
+def _either(*schemas):
+    """A value that fits one of ``schemas``; else the mismatch that got
+    deepest, or everything that was expected here."""
+    def check(x, path):
+        misses = []
+        for schema in schemas:
+            try:
+                return schema(x, path)
+            except _Mismatch as miss:
+                misses.append(miss)
+        deepest = max(misses, key=lambda miss: len(miss.args[0]))
+        if deepest.args[0] != path:
+            raise deepest
+        raise _Mismatch(path, " or ".join(miss.args[1] for miss in misses))
+    return check
+
+
+def _falsy_or(schema):
+    """A falsy value, which the decoders read as absent, or ``schema``."""
+    return lambda x, path: schema(x, path) if x else None
+
+
+def _tagged(tag, schemas):
+    """An object whose ``tag`` names the one of ``schemas`` it fits."""
+    names = tuple(schemas)
+    pick = _obj({tag: _leaf(" or ".join(map(json.dumps, names)), lambda t: t in names)})
+    return lambda x, path: pick(x, path) or schemas[x[tag]](x, path)
+
+
+_VERTEX = _obj({"name": _any, "in": _list(), "out": _list()})
+_GRAPH_KEYS = {"edges": _list(), "vertices": _list(_VERTEX)}
+_GRAPH = _obj(_GRAPH_KEYS)
+_LEVEL = _obj({"edge_layers": _list(_list()), "vertex_layers": _list(_list(_VERTEX))})
+_OPERATION = _obj({
+    **_GRAPH_KEYS, "in_order": _list(), "out_order": _list(),
+    "colors?": _falsy_or(_map()),
+})
+
+_FORMATS = {
+    "graph": _GRAPH,
+    "level graph": _LEVEL,
+    "graphical morphism": _obj({
+        "source": _GRAPH, "target": _GRAPH, "f0": _map(),
+        "f1": _map(_obj({"edges": _list(), "vertices": _list()})),
+    }),
+    "level morphism": _obj({
+        "source": _LEVEL, "target": _LEVEL, "alpha": _list(_INT),
+        "edge_maps": _list(_map()),
+        "vertex_maps": _list(_map(_list(_any, _INT, _any))),
+    }),
+    "operation": _OPERATION,
+    "substitution": _obj({
+        "outer": _GRAPH, "inner": _GRAPH, "vertex": _any,
+        "bij_in?": _falsy_or(_map()), "bij_out?": _falsy_or(_map()),
+    }),
+    "composition": _obj({
+        "outer": _OPERATION,
+        "inner": _map(_OPERATION, keys=_leaf("a decimal key", str.isdecimal)),
+    }),
+    "properad": _tagged("kind", {
+        "end": _obj({"sets": _map(_either(_SIZE, _list(_SCALAR)))}),
+        "terminal": _obj({"colors?": _list(_SCALAR)}),
+        "free": _obj({"generator": _GRAPH, "vertex_bound?": _SIZE}),
+    }),
+    "corpus": _obj({"generators": _list(_GRAPH), "max_vertices?": _SIZE}),
+    "presheaf": _obj({"values": _list(_list()), "restrictions": _map()}),
+}
+
+
+def _malformed(fmt, path, problem):
+    print(f"error: malformed {fmt}: at {path}: {problem}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(fmt, data, path="$", schema=None):
+    """``data`` if it fits the schema of ``fmt`` (or ``schema``); else
+    exit 2 naming the first mismatch."""
+    try:
+        (schema or _FORMATS[fmt])(data, path)
+    except _Mismatch as miss:
+        where, expected = miss.args
+        _malformed(fmt, where, f"expected {expected}" if expected else "missing")
+    return data
+
+
+def _load(path, fmt):
+    """The JSON in file ``path``, checked against the schema of ``fmt``."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    return _parse(fmt, data)
+
+
+def _valid_graph(data):
+    """The graph of well-shaped JSON; a violated invariant exits 1."""
+    g = digraph.graph_from_json(data)
+    _ok(digraph.validate(g))
+    return g
+
+
 def _graph_arg(path):
-    """A graph file, checked for shape and then for the graph invariants."""
-    data = _load_json(path)
-    if not _is_graph_json(data):
-        _malformed(
-            "graph",
-            'expected {"edges": [...], "vertices": '
-            '[{"name": ..., "in": [...], "out": [...]}, ...]}',
-        )
-    return _valid_graph(data)
+    return _valid_graph(_load(path, "graph"))
 
 
-def _valid_graphical_morphism(data):
-    """A graphical morphism file, checked for shape, then validated."""
-    if not (
-        isinstance(data, dict)
-        and _is_graph_json(data.get("source"))
-        and _is_graph_json(data.get("target"))
-        and isinstance(data.get("f0"), dict)
-        and isinstance(data.get("f1"), dict)
-        and all(
-            isinstance(sub, dict) and _list_of(sub.get("edges"))
-            and _list_of(sub.get("vertices"))
-            for sub in data["f1"].values()
-        )
-    ):
-        _malformed(
-            "graphical morphism",
-            'expected {"source": graph, "target": graph, "f0": {edge: edge}, '
-            '"f1": {vertex: {"edges": [...], "vertices": [...]}}}',
-        )
+def _valid_graphical_morphism(path):
+    data = _load(path, "graphical morphism")
     f = graphical.morphism_from_json(
         _valid_graph(data["source"]), _valid_graph(data["target"]), data
     )
-    report = graphical.validate_graphical(f)
-    if report is not None:
-        raise DomainFailure(str(report))
+    _ok(graphical.validate_graphical(f))
     return f
 
 
@@ -105,110 +261,23 @@ def _graphical_morphism_to_json(f):
 
 
 def _properad_from_json(data):
-    """A properad file, checked for shape; a free generator is validated."""
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "end" and isinstance(data.get("sets"), dict) and all(
-        _is_size(v) or (_list_of(v, _is_scalar) and len(set(v)) == len(v))
-        for v in data["sets"].values()
-    ):
-        return properad.end_properad({str(c): v for c, v in data["sets"].items()})
-    if kind == "terminal" and _list_of(data.get("colors", []), _is_scalar):
+    """The properad of a well-shaped file; a free generator is validated."""
+    if data["kind"] == "end":
+        for color, values in data["sets"].items():
+            if isinstance(values, list) and len(set(values)) < len(values):
+                _malformed("properad", _at("$.sets", color), "expected distinct values")
+        return properad.end_properad(data["sets"])
+    if data["kind"] == "terminal":
         return properad.terminal_properad(tuple(map(str, data.get("colors", ["*"]))))
-    if (
-        kind == "free"
-        and _is_graph_json(data.get("generator"))
-        and _is_size(data.get("vertex_bound", 4))
-    ):
-        return properad.free_properad(
-            _valid_graph(data["generator"]), data.get("vertex_bound", 4)
-        )
-    _malformed(
-        "properad",
-        'expected {"kind": "end", "sets": {color: n | [value, ...]}}, '
-        '{"kind": "terminal", "colors"?: [color, ...]} or '
-        '{"kind": "free", "generator": graph, "vertex_bound"?: n}, with n >= 0 '
-        'and distinct values',
+    return properad.free_properad(
+        _valid_graph(data["generator"]), data.get("vertex_bound", 4)
     )
-
-
-def _malformed(kind, problem):
-    print(f"error: malformed {kind}: {problem}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _list_of(data, fits=lambda item: True):
-    """Is ``data`` a list whose items all pass ``fits``?"""
-    return isinstance(data, list) and all(map(fits, data))
-
-
-def _is_size(x):
-    """A count: an int (not a bool) that is at least 0."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
-def _is_scalar(x):
-    return isinstance(x, (str, int, float))
-
-
-def _is_vertex_json(v):
-    return (
-        isinstance(v, dict)
-        and "name" in v
-        and _list_of(v.get("in"))
-        and _list_of(v.get("out"))
-    )
-
-
-def _is_graph_json(data):
-    return (
-        isinstance(data, dict)
-        and _list_of(data.get("edges"))
-        and _list_of(data.get("vertices"), _is_vertex_json)
-    )
-
-
-def _is_level_json(data):
-    return (
-        isinstance(data, dict)
-        and _list_of(data.get("edge_layers"), _list_of)
-        and _list_of(
-            data.get("vertex_layers"), lambda layer: _list_of(layer, _is_vertex_json)
-        )
-    )
-
-
-def _is_operation_json(data):
-    return (
-        _is_graph_json(data)
-        and _list_of(data.get("in_order"))
-        and _list_of(data.get("out_order"))
-        and isinstance(data.get("colors") or {}, dict)
-    )
-
-
-def _valid_graph(data):
-    """The graph of well-shaped JSON; a violated invariant exits 1."""
-    g = digraph.graph_from_json(data)
-    report = digraph.validate(g)
-    if report is not None:
-        raise DomainFailure(str(report))
-    return g
 
 
 def _corpus_from_manifest(manifest):
-    if not (
-        isinstance(manifest, dict)
-        and _list_of(manifest.get("generators"), _is_graph_json)
-        and _is_size(manifest.get("max_vertices", 3))
-    ):
-        _malformed(
-            "corpus",
-            'expected {"generators": [graph, ...], "max_vertices"?: n}, with n >= 0',
-        )
+    """The corpus of a well-shaped manifest; its generators are validated."""
     generators = [_valid_graph(g) for g in manifest["generators"]]
-    return segal.build_corpus(
-        generators, max_vertices=manifest.get("max_vertices", 3)
-    )
+    return segal.build_corpus(generators, max_vertices=manifest.get("max_vertices", 3))
 
 
 def _presheaf_to_json(F, manifest):
@@ -226,70 +295,37 @@ def _presheaf_to_json(F, manifest):
 
 
 def _presheaf_from_json(data):
-    if not (
-        isinstance(data, dict)
-        and _list_of(data.get("values"), _list_of)
-        and isinstance(data.get("restrictions"), dict)
-    ):
-        _malformed(
-            "presheaf",
-            'expected {"corpus": ..., "values": [[...], ...], '
-            '"restrictions": {"i:j:k": [...], ...}}',
-        )
-    corpus = _corpus_from_manifest(data.get("corpus"))
+    """The presheaf of a well-shaped file, its tables checked against its corpus."""
+    # the manifest inside is checked as a corpus file of its own
+    manifest = _parse("corpus", data.get("corpus"), "$.corpus")
+    corpus = _corpus_from_manifest(manifest)
     sizes = [len(entry) for entry in data["values"]]
     if len(sizes) != len(corpus):
-        _malformed(
-            "presheaf",
-            f"{len(sizes)} value lists for a corpus of {len(corpus)} objects",
-        )
+        _malformed("presheaf", "$.values", f"expected a list of length {len(corpus)}")
     restrictions = {}
     for (i, j), fs in corpus.homs.items():
         for k in range(len(fs)):
-            table = data["restrictions"].get(f"{i}:{j}:{k}")
-            if not (
-                isinstance(table, list)
-                and len(table) == sizes[j]
-                and all(_is_size(y) and y < sizes[i] for y in table)
-            ):
+            key = f"{i}:{j}:{k}"
+            table = _parse(
+                "presheaf", data["restrictions"], "$.restrictions",
+                _obj({key: _list(_SIZE)}),
+            )[key]
+            if len(table) != sizes[j] or any(y >= sizes[i] for y in table):
                 _malformed(
-                    "presheaf",
-                    f"restriction {i}:{j}:{k} is not a map from "
-                    f"{sizes[j]} values to {sizes[i]}",
+                    "presheaf", _at("$.restrictions", key),
+                    f"expected a list of length {sizes[j]} with entries < {sizes[i]}",
                 )
             restrictions[(i, j, k)] = dict(enumerate(table))
     values = tuple(tuple(range(n)) for n in sizes)
     return segal.FinitePresheaf(corpus, values, restrictions)
 
 
-def _valid_level_morphism(data):
-    """A level morphism file, checked for shape, whose source, target
-    and maps all validate."""
-    if not (
-        isinstance(data, dict)
-        and _is_level_json(data.get("source"))
-        and _is_level_json(data.get("target"))
-        and _list_of(data.get("alpha"), lambda a: isinstance(a, int))
-        and _list_of(data.get("edge_maps"), lambda m: isinstance(m, dict))
-        and _list_of(data.get("vertex_maps"), lambda m: isinstance(m, dict) and all(
-            _list_of(rep) and len(rep) == 3 and isinstance(rep[1], int)
-            for rep in m.values()
-        ))
-    ):
-        _malformed(
-            "level morphism",
-            'expected {"source": level graph, "target": level graph, '
-            '"alpha": [int, ...], "edge_maps": [{edge: edge}, ...], '
-            '"vertex_maps": [{vertex: [kind, level, name]}, ...]}',
-        )
-    f = level.morphism_from_json(data)
-    for role, lg in (("source", f.source), ("target", f.target)):
-        report = level.validate_level(lg)
-        if report is not None:
-            raise DomainFailure(f"{role} {report}")
-    report = level.validate_level_morphism(f)
-    if report is not None:
-        raise DomainFailure(str(report))
+def _valid_level_morphism(path):
+    """A level morphism file whose source, target and maps all validate."""
+    f = level.morphism_from_json(_load(path, "level morphism"))
+    _ok(level.validate_level(f.source), "source ")
+    _ok(level.validate_level(f.target), "target ")
+    _ok(level.validate_level_morphism(f))
     return f
 
 
@@ -299,16 +335,8 @@ def _valid_level_morphism(data):
 
 def cmd_validate(args):
     if args.level:
-        data = _load_json(args.graph)
-        if not _is_level_json(data):
-            _malformed(
-                "level graph",
-                'expected {"edge_layers": [[...], ...], "vertex_layers": '
-                '[[{"name": ..., "in": [...], "out": [...]}, ...], ...]}',
-            )
-        report = level.validate_level(level.level_from_json(data))
-        if report is not None:
-            raise DomainFailure(str(report))
+        lg = level.level_from_json(_load(args.graph, "level graph"))
+        _ok(level.validate_level(lg))
     else:
         _graph_arg(args.graph)
     _emit({"ok": True}, args.format)
@@ -362,58 +390,36 @@ def cmd_hom(args):
 
 
 def cmd_factorize(args):
-    data = _load_json(args.morphism)
     if args.cat == "G":
-        act, ine = graphical.factorize_G(_valid_graphical_morphism(data))
-        payload = {
-            "active": _graphical_morphism_to_json(act),
-            "inert": _graphical_morphism_to_json(ine),
-        }
+        parts = graphical.factorize_G(_valid_graphical_morphism(args.morphism))
+        to_json = _graphical_morphism_to_json
     else:
-        f = _valid_level_morphism(data)
-        act, ine = level.factorize_L(f)
-        payload = {
-            "active": level.morphism_to_json(act),
-            "inert": level.morphism_to_json(ine),
-        }
-    _emit(payload, args.format)
+        parts = level.factorize_L(_valid_level_morphism(args.morphism))
+        to_json = level.morphism_to_json
+    _emit(dict(zip(("active", "inert"), map(to_json, parts))), args.format)
 
 
 def cmd_substitute(args):
-    data = _load_json(args.data)
-    if not (
-        isinstance(data, dict)
-        and _is_graph_json(data.get("outer"))
-        and _is_graph_json(data.get("inner"))
-        and "vertex" in data
-        and all(isinstance(data.get(k) or {}, dict) for k in ("bij_in", "bij_out"))
-    ):
-        _malformed(
-            "substitution",
-            'expected {"outer": graph, "inner": graph, "vertex": name, '
-            '"bij_in"?: {edge: edge}, "bij_out"?: {edge: edge}}',
-        )
+    data = _load(args.data, "substitution")
     outer, inner = _valid_graph(data["outer"]), _valid_graph(data["inner"])
     vertex = str(data["vertex"])
     if vertex not in outer.vertex_by_name:
         raise DomainFailure(str(Violation(
             "UnknownVertex", "not a vertex of the outer graph", (vertex,)
         )))
-    bij_in = data.get("bij_in")
-    bij_out = data.get("bij_out")
-    sub = digraph.substitution_data(
-        outer,
-        inner,
-        vertex,
-        {str(k): str(v) for k, v in bij_in.items()} if bij_in else None,
-        {str(k): str(v) for k, v in bij_out.items()} if bij_out else None,
+    # a falsy bijection is absent
+    bij_in, bij_out = (
+        {str(k): str(v) for k, v in (data.get(key) or {}).items()} or None
+        for key in ("bij_in", "bij_out")
     )
-    result = digraph.substitute(sub)
+    result = digraph.substitute(
+        digraph.substitution_data(outer, inner, vertex, bij_in, bij_out)
+    )
     _emit(digraph.graph_to_json(result), args.format)
 
 
 def cmd_tau(args):
-    t = level.tau(_valid_level_morphism(_load_json(args.morphism)))
+    t = level.tau(_valid_level_morphism(args.morphism))
     _emit(_graphical_morphism_to_json(t), args.format)
 
 
@@ -431,21 +437,8 @@ def cmd_free_properad(args):
 
 
 def cmd_prpd(args):
-    data = _load_json(args.data)
     if args.operation == "compose":
-        if not (
-            isinstance(data, dict)
-            and _is_operation_json(data.get("outer"))
-            and isinstance(data.get("inner"), dict)
-            and all(
-                k.isdecimal() and _is_operation_json(op)
-                for k, op in data["inner"].items()
-            )
-        ):
-            _malformed(
-                "composition",
-                'expected {"outer": operation, "inner": {"0": operation, ...}}',
-            )
+        data = _load(args.data, "composition")
         outer = properad.operation_from_json(data["outer"])
         inner = {
             int(k): properad.operation_from_json(v)
@@ -454,13 +447,7 @@ def cmd_prpd(args):
         result = properad.prpd_compose(outer, inner)
         _emit(properad.operation_to_json(result), args.format)
     else:
-        if not _is_operation_json(data):
-            _malformed(
-                "operation",
-                'expected a graph with "in_order": [...], "out_order": [...] '
-                'and optionally "colors": {edge: color}',
-            )
-        op = properad.operation_from_json(data)
+        op = properad.operation_from_json(_load(args.data, "operation"))
         stab = properad.stabilizer(op)
         _emit(
             {"order": len(stab), "elements": [list(p) for p in stab]},
@@ -469,7 +456,7 @@ def cmd_prpd(args):
 
 
 def cmd_theta(args):
-    arrow = properad.theta(_valid_graphical_morphism(_load_json(args.morphism)))
+    arrow = properad.theta(_valid_graphical_morphism(args.morphism))
     payload = {
         "source": [list(p) for p in arrow.source],
         "target": [list(p) for p in arrow.target],
@@ -480,8 +467,8 @@ def cmd_theta(args):
 
 
 def cmd_nerve(args):
-    P = _properad_from_json(_load_json(args.properad))
-    manifest = _load_json(args.corpus)
+    P = _properad_from_json(_load(args.properad, "properad"))
+    manifest = _load(args.corpus, "corpus")
     corpus = _corpus_from_manifest(manifest)
     N = segal.nerve(P, corpus)
     payload = _presheaf_to_json(N, manifest)
@@ -494,7 +481,7 @@ def cmd_nerve(args):
 
 
 def cmd_segal(args):
-    F = _presheaf_from_json(_load_json(args.presheaf))
+    F = _presheaf_from_json(_load(args.presheaf, "presheaf"))
     flag, witness = segal.is_segal(F)
     payload = {"segal": flag}
     if witness is not None:
@@ -509,6 +496,7 @@ def cmd_dot(args):
     print(digraph.to_dot(g))
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="graphcat",
@@ -519,74 +507,42 @@ def build_parser():
     parser.add_argument("--max-vertices", type=int, default=10)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check graph invariants")
-    p.add_argument("graph")
+    def command(name, func, help, *files):
+        p = sub.add_parser(name, help=help)
+        for file in files:
+            p.add_argument(file)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("validate", cmd_validate, "check graph invariants", "graph")
     p.add_argument("--level", action="store_true")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("subgraphs", help="list structured subgraphs")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_subgraphs)
-
-    p = sub.add_parser("convex", help="test an open subgraph for convexity")
-    p.add_argument("graph")
+    command("subgraphs", cmd_subgraphs, "list structured subgraphs", "graph")
+    p = command("convex", cmd_convex, "test an open subgraph for convexity", "graph")
     p.add_argument("--vertices", default="")
     p.add_argument("--edges", default="")
-    p.set_defaults(func=cmd_convex)
-
-    p = sub.add_parser("hom", help="enumerate graphical maps")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser("factorize", help="active-inert factorization")
-    p.add_argument("morphism")
+    command("hom", cmd_hom, "enumerate graphical maps", "source", "target")
+    p = command("factorize", cmd_factorize, "active-inert factorization", "morphism")
     p.add_argument("--cat", choices=("L", "G"), required=True)
-    p.set_defaults(func=cmd_factorize)
-
-    p = sub.add_parser("substitute", help="graph substitution")
-    p.add_argument("data")
-    p.set_defaults(func=cmd_substitute)
-
-    p = sub.add_parser("tau", help="underlying graphical map of a level morphism")
-    p.add_argument("morphism")
-    p.set_defaults(func=cmd_tau)
-
-    p = sub.add_parser("free-properad", help="profiles of the free properad")
-    p.add_argument("graph")
+    command("substitute", cmd_substitute, "graph substitution", "data")
+    command("tau", cmd_tau, "underlying graphical map of a level morphism", "morphism")
+    p = command("free-properad", cmd_free_properad, "profiles of the free properad",
+                "graph")
     p.add_argument("--min-vertices", type=int, default=0)
-    p.set_defaults(func=cmd_free_properad)
-
-    p = sub.add_parser("prpd", help="governing operad operations")
+    p = command("prpd", cmd_prpd, "governing operad operations")
     p.add_argument("operation", choices=("compose", "stabilizer"))
     p.add_argument("data")
-    p.set_defaults(func=cmd_prpd)
-
-    p = sub.add_parser("theta", help="operad morphism of a graphical map")
-    p.add_argument("morphism")
-    p.set_defaults(func=cmd_theta)
-
-    p = sub.add_parser("nerve", help="nerve presheaf of a properad")
-    p.add_argument("properad")
-    p.add_argument("corpus")
+    command("theta", cmd_theta, "operad morphism of a graphical map", "morphism")
+    p = command("nerve", cmd_nerve, "nerve presheaf of a properad", "properad",
+                "corpus")
     p.add_argument("--output", "-o")
-    p.set_defaults(func=cmd_nerve)
-
-    p = sub.add_parser("segal", help="check the Segal condition")
-    p.add_argument("presheaf")
+    p = command("segal", cmd_segal, "check the Segal condition", "presheaf")
     p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_segal)
-
-    p = sub.add_parser("dot", help="GraphViz rendering")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_dot)
-
+    command("dot", cmd_dot, "GraphViz rendering", "graph")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except DomainFailure as exc:

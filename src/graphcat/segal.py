@@ -552,6 +552,13 @@ class ExtractedProperad(FiniteProperad):
                 for _, _, _, conn in elementary_cover(self.corpus, ci).connections
             ]
             for x in F.value(ci):
+                if x in self._profiles:
+                    ins, outs = self._profiles[x]
+                    raise GraphcatError(
+                        f"value {x!r} sits at the corollas of biarity "
+                        f"{(len(ins), len(outs))} and {(m, n)}, so its profile "
+                        "is ambiguous"
+                    )
                 ys = tuple(t[x] for t in tables)
                 self._profiles[x] = (ys[:m], ys[m:])
 

@@ -607,6 +607,94 @@ def _assert_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
 
 
+def _operation_json(**changes):
+    return {**graph_to_json(linear_graph(1)), "in_order": ["e0"], "out_order": ["e1"],
+            **changes}
+
+
+@pytest.mark.parametrize("command, data, line", [
+    (["validate", "@"], {"edges": [], "vertices": [{"name": "v", "in": []}]},
+     "graph: at $.vertices[0].out: missing"),
+    (["validate", "--level", "@"], {"edge_layers": [["a"]], "vertex_layers": [["v"]]},
+     "level graph: at $.vertex_layers[0][0]: expected an object"),
+    (["tau", "@"], {"source": {"edge_layers": [["a"], "b"], "vertex_layers": []}},
+     "level morphism: at $.source.edge_layers[1]: expected a list"),
+    (["factorize", "--cat", "L", "@"], {"source": {"edge_layers": [], "vertex_layers": []}},
+     "level morphism: at $.target: missing"),
+    (["tau", "@"], {**_corolla_identity_json(), "vertex_maps": [{"v": ["v", 0]}]},
+     "level morphism: at $.vertex_maps[0].v: expected a list of 3 items"),
+    (["theta", "@"], {**_graphical_identity_json([]), "f1": {"v": {"edges": []}}},
+     "graphical morphism: at $.f1.v.vertices: missing"),
+    (["prpd", "stabilizer", "@"], _operation_json(colors=["c"]),
+     "operation: at $.colors: expected an object"),
+    (["substitute", "@"], _substitution(bij_out=[["o1", "o1"]]),
+     "substitution: at $.bij_out: expected an object"),
+    (["prpd", "compose", "@"], {"outer": _operation_json(), "inner": {"x": {}}},
+     "composition: at $.inner.x: expected a decimal key"),
+    (["nerve", "@", "corpus.json"], {"kind": "end", "sets": {"c": "two"}},
+     "properad: at $.sets.c: expected an int >= 0 or a list"),
+    (["nerve", "@", "corpus.json"], {"kind": "end", "sets": {"c": [1, [2]]}},
+     "properad: at $.sets.c[1]: expected a string or a number"),
+    (["nerve", "@", "corpus.json"], {"kind": "end", "sets": {"c d": [1, True]}},
+     'properad: at $.sets["c d"]: expected distinct values'),
+    (["nerve", "@", "corpus.json"], {"kind": "terminal", "colors": None},
+     "properad: at $.colors: expected a list"),
+    (["nerve", "@", "corpus.json"], {"kind": ["end"]},
+     'properad: at $.kind: expected "end" or "terminal" or "free"'),
+    (["nerve", "properad.json", "@"], {"generators": [], "max_vertices": -1},
+     "corpus: at $.max_vertices: expected an int >= 0"),
+    (["segal", "@"], lambda d: d["corpus"].update(max_vertices=True),
+     "corpus: at $.corpus.max_vertices: expected an int >= 0"),
+    (["segal", "@"], lambda d: d.update(values=d["values"][:1]),
+     "presheaf: at $.values: expected a list of length 2"),
+    (["segal", "@"], lambda d: d["restrictions"].pop("0:0:0"),
+     'presheaf: at $.restrictions["0:0:0"]: missing'),
+    (["segal", "@"], lambda d: d["restrictions"].update({"1:1:1": [0, True, 2, 3]}),
+     'presheaf: at $.restrictions["1:1:1"][1]: expected an int >= 0'),
+    (["segal", "@"], lambda d: d["restrictions"].update({"0:1:0": [0, 0, 0]}),
+     'presheaf: at $.restrictions["0:1:0"]: '
+     "expected a list of length 4 with entries < 1"),
+], ids=[
+    "graph-missing-key", "level-graph", "tau-edge-layer", "level-morphism-missing-target",
+    "representative-length", "graphical-morphism", "operation-colors",
+    "substitution-bijection", "composition-key", "properad-either",
+    "properad-set-value", "properad-repeated-values", "terminal-null-colors",
+    "properad-kind", "corpus", "corpus-inside-presheaf", "presheaf-value-count",
+    "presheaf-missing-table", "presheaf-bool-entry", "presheaf-table-length",
+])
+def test_malformed_file_names_the_path(tmp_path, capsys, corolla_nerve_file,
+                                       command, data, line):
+    # "@" is the file under test; a callable edits the presheaf file of
+    # corolla_nerve_file, whose objects are the edge (0) and the corolla (1)
+    if callable(data):
+        edit, data = data, json.loads(corolla_nerve_file)
+        edit(data)
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    (tmp_path / "properad.json").write_text(json.dumps({"kind": "terminal"}))
+    (tmp_path / "corpus.json").write_text(json.dumps({"generators": []}))
+    argv = [
+        str(path) if a == "@" else str(tmp_path / a) if a.endswith(".json") else a
+        for a in command
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: malformed {line}\n"
+
+
+def test_main_parses_each_call_alone(tmp_path, capsys):
+    # the parser is built once per process; each call still reads its own flags
+    from graphcat.cli import build_parser
+
+    assert build_parser() is build_parser()
+    path = write_graph(tmp_path, "g3.json", three_vertex_graph())
+    code, out, _ = run_cli(capsys, "--format", "json", "subgraphs", path)
+    assert code == 0 and json.loads(out)["count"] > 0
+    code, out, _ = run_cli(capsys, "subgraphs", path)
+    assert code == 0 and out.startswith("count: ")
+
+
 def test_determinism(tmp_path, capsys):
     path = write_graph(tmp_path, "g3.json", three_vertex_graph())
     outs = set()

@@ -200,6 +200,22 @@ def test_extract_roundtrip_end_properad():
     assert prof == ((c,), (c,))
 
 
+def test_extract_rejects_a_value_shared_by_two_corollas():
+    # a presheaf file stores each object's values as positions 0..n-1, so
+    # read back, the corollas (1, 1) and (2, 1) share the values 0..3
+    from graphcat import cli
+    from graphcat.digraph import graph_to_json
+
+    generators = [corolla(1, 1), corolla(2, 1)]
+    N = nerve(end_properad({"c": 2}), build_corpus(generators))
+    Q = extract_properad(N)
+    assert sum(len(Q.ops((a,), (b,))) for a in Q.colors for b in Q.colors) == 4
+    manifest = {"generators": [graph_to_json(g) for g in generators]}
+    F = cli._presheaf_from_json(cli._presheaf_to_json(N, manifest))
+    with pytest.raises(GraphcatError, match=r"value 0 .*\(1, 1\) and \(2, 1\)"):
+        extract_properad(F)
+
+
 def test_extract_evaluate_matches_flow():
     corpus = build_corpus([linear_graph(2)])
     P = end_properad({"c": 2})
@@ -579,3 +595,66 @@ def test_corpus_rejects_maps_sharing_a_sort_key():
     Corpus(GRAPHICAL, [e], {(0, 0): (ident,)})
     with pytest.raises(GraphcatError):
         Corpus(GRAPHICAL, [e], {(0, 0): (ident, identity_graphical(e))})
+
+
+def brute_force_limit(F, gi, images_of):
+    """The Segal limit at object gi from its definition: every tuple of
+    vertex values (at the corollas) and edge values, kept when each
+    vertex value restricts, along each of its edges, to that edge's value.
+
+    Each edge-into-corolla map is found by scanning the hom-set for the
+    one that hits the right edge.  The product is filtered prefix by
+    prefix, vertices first: a prefix is dropped as soon as an incidence
+    with both ends in it disagrees, which drops exactly the tuples the
+    filter on the whole product would."""
+    corpus, g = F.corpus, F.corpus.graphs[gi]
+    ei = corpus.edge_index
+    factors, incidences = [], []
+    for p, v in enumerate(g.vertices):
+        ci = corpus.corolla_index[v.biarity()]
+        factors.append(F.value(ci))
+        cv = corpus.graphs[ci].vertices[0]
+        for e, ce in zip(v.ins + v.outs, cv.ins + cv.outs):
+            (k,) = [k for k, m in enumerate(corpus.hom(ei, ci))
+                    if set(images_of(m)[0].values()) == {ce}]
+            q = len(g.vertices) + g.edges.index(e)
+            incidences.append((p, q, F.restrictions[(ei, ci, k)]))
+    factors += [F.value(ei)] * len(g.edges)
+    prefixes = [()]
+    for q, values in enumerate(factors):
+        # the incidences of the edge at position q, whose vertex comes earlier
+        checks = [(p, t) for p, q_, t in incidences if q_ == q]
+        prefixes = [
+            xs + (x,) for xs in prefixes for x in values
+            if all(t[xs[p]] == x for p, t in checks)
+        ]
+    return {(xs[:len(g.vertices)], xs[len(g.vertices):]) for xs in prefixes}
+
+
+def _limit_test_presheaves(corpus):
+    """Nerves of the terminal and an end properad, each with a phantom
+    element at its largest object and at its first corolla, and every
+    representable."""
+    nerves = [nerve(P, corpus) for P in (terminal_properad(), end_properad({"c": 2}))]
+    largest = len(corpus) - 1
+    first_corolla = min(corpus.corolla_index.values())
+    yield from nerves
+    for N in nerves:
+        yield with_phantom(N, largest)
+        yield with_phantom(N, first_corolla)
+    for x in range(len(corpus)):
+        yield representable_presheaf(corpus, x)
+
+
+@pytest.mark.parametrize("corpus, images_of", [
+    (g3_corpus, graphical_images),
+    (pair_corpus, graphical_images),
+    (criterion_9_level_corpus, level_images),
+], ids=["g3", "pair", "criterion-9-level"])
+def test_segal_limit_matches_brute_force(corpus, images_of):
+    corpus = corpus()
+    for F in _limit_test_presheaves(corpus):
+        for gi in range(len(corpus)):
+            limit = segal_limit(F, gi)
+            assert len(set(limit)) == len(limit)
+            assert set(limit) == brute_force_limit(F, gi, images_of), gi
