@@ -93,7 +93,7 @@ def _leaf(expected, test):
 _SIZE = _leaf(
     "an int >= 0", lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= 0
 )
-_INT = _leaf("an int", lambda x: isinstance(x, int))  # a bool passes: D8
+_INT = _leaf("an int", lambda x: isinstance(x, int))  # a bool passes (DECISIONS.md D8)
 _SCALAR = _leaf("a string or a number", lambda x: isinstance(x, (str, int, float)))
 
 
@@ -266,7 +266,7 @@ def _properad_from_json(data):
         for color, values in data["sets"].items():
             if isinstance(values, list) and len(set(values)) < len(values):
                 _malformed("properad", _at("$.sets", color), "expected distinct values")
-        return properad.end_properad(data["sets"])
+        return properad.end_properad({str(c): v for c, v in data["sets"].items()})
     if data["kind"] == "terminal":
         return properad.terminal_properad(tuple(map(str, data.get("colors", ["*"]))))
     return properad.free_properad(
@@ -277,7 +277,9 @@ def _properad_from_json(data):
 def _corpus_from_manifest(manifest):
     """The corpus of a well-shaped manifest; its generators are validated."""
     generators = [_valid_graph(g) for g in manifest["generators"]]
-    return segal.build_corpus(generators, max_vertices=manifest.get("max_vertices", 3))
+    return segal.build_corpus(
+        generators, max_vertices=manifest.get("max_vertices", 3)
+    )
 
 
 def _presheaf_to_json(F, manifest):

@@ -619,7 +619,8 @@ def _operation_json(**changes):
      "level graph: at $.vertex_layers[0][0]: expected an object"),
     (["tau", "@"], {"source": {"edge_layers": [["a"], "b"], "vertex_layers": []}},
      "level morphism: at $.source.edge_layers[1]: expected a list"),
-    (["factorize", "--cat", "L", "@"], {"source": {"edge_layers": [], "vertex_layers": []}},
+    (["factorize", "--cat", "L", "@"],
+     {"source": {"edge_layers": [], "vertex_layers": []}},
      "level morphism: at $.target: missing"),
     (["tau", "@"], {**_corolla_identity_json(), "vertex_maps": [{"v": ["v", 0]}]},
      "level morphism: at $.vertex_maps[0].v: expected a list of 3 items"),
@@ -655,7 +656,7 @@ def _operation_json(**changes):
      'presheaf: at $.restrictions["0:1:0"]: '
      "expected a list of length 4 with entries < 1"),
 ], ids=[
-    "graph-missing-key", "level-graph", "tau-edge-layer", "level-morphism-missing-target",
+    "graph-missing-key", "level-graph", "tau-edge-layer", "missing-target",
     "representative-length", "graphical-morphism", "operation-colors",
     "substitution-bijection", "composition-key", "properad-either",
     "properad-set-value", "properad-repeated-values", "terminal-null-colors",
