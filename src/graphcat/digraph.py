@@ -608,12 +608,15 @@ def _fresh(name, *taken):
 
 
 def substitute(data):
-    """Replace a vertex by a graph with matching boundary.
+    """Replace a vertex by a connected graph with matching boundary.
 
     The one-vertex case of ``multi_substitute``, which gives the naming
-    rules; an unknown vertex raises KeyError.
+    rules; an unknown vertex raises KeyError, and a disconnected inner
+    graph ConnectivityError.
     """
     data.outer.vertex(data.vertex)
+    if not is_connected(data.inner):
+        raise ConnectivityError("inner graph must be connected")
     result, _ = multi_substitute(
         data.outer, {data.vertex: (data.inner, data.bij_in, data.bij_out)}
     )
@@ -626,7 +629,9 @@ def multi_substitute(outer, assignment):
     ``assignment`` maps vertex names to either a Graph (boundaries are
     then paired by position) or triples ``(graph, bij_in, bij_out)``
     pairing the vertex's edges with the inner graph's boundary; names
-    that are not vertices of ``outer`` are ignored.
+    that are not vertices of ``outer`` are ignored.  Callers pass
+    connected inner graphs (``substitute`` checks its one), and
+    connectivity is not checked again here.
 
     The result equals substituting one vertex at a time in the outer
     graph's vertex order.  Inner vertices take the place of the vertex
@@ -665,8 +670,6 @@ def multi_substitute(outer, assignment):
                 raise ProfileMismatch(
                     f"{side}({w.name}) does not match the {side}puts of the inner graph"
                 )
-        if not is_connected(inner):
-            raise ConnectivityError("inner graph must be connected")
         # inner boundary edge -> the outer edge glued to it
         bound = {x: e for e, x in out_map.items()} | {x: e for e, x in in_map.items()}
         fresh_e, fresh_v = {}, {}

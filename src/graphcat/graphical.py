@@ -80,13 +80,9 @@ def identity_graphical(g):
     )
 
 
-def _multiset(items):
-    return tuple(sorted(items))
-
-
-def assembly(f):
-    """Substitute every image subgraph into the source and map the
-    result into the target.
+def assembly(source, f0, f1v):
+    """Substitute every image subgraph ``f1v[v]`` into the source and map
+    the result into the target by the edge map ``f0``.
 
     Returns (assembled graph, correspondence, edge map to target,
     vertex map to target).  The boundary bijections are induced by the
@@ -94,18 +90,18 @@ def assembly(f):
     """
     assignment = {
         v.name: (
-            f.f1v[v.name].as_graph,
-            {e: f.f0[e] for e in v.ins},
-            {e: f.f0[e] for e in v.outs},
+            f1v[v.name].as_graph,
+            {e: f0[e] for e in v.ins},
+            {e: f0[e] for e in v.outs},
         )
-        for v in f.source.vertices
+        for v in source.vertices
     }
-    assembled, corr = multi_substitute(f.source, assignment)
+    assembled, corr = multi_substitute(source, assignment)
     edge_to_target = {}
-    for e in f.source.edges:
+    for e in source.edges:
         res = corr.outer_edge[e]
-        prev = edge_to_target.setdefault(res, f.f0[e])
-        if prev != f.f0[e]:
+        prev = edge_to_target.setdefault(res, f0[e])
+        if prev != f0[e]:
             raise GraphcatError("inconsistent edge images in assembly")
     for (v, inner_e), res in corr.inner_edge.items():
         # internal edges of an image subgraph are already target edges
@@ -116,6 +112,28 @@ def assembly(f):
         res: inner_v for (v, inner_v), res in corr.inner_vertex.items()
     }
     return assembled, corr, edge_to_target, vertex_to_target
+
+
+def _image_violation(source, target, f0, f1v):
+    """The clauses left once every vertex image is structured and matches
+    its boundary: a consistent assembly, an injective edge comparison and
+    an open convex total image (DECISIONS.md D9)."""
+    try:
+        _, _, e_map, v_map = assembly(source, f0, f1v)
+    except GraphcatError as exc:
+        return Violation("NotConvexOpenImage", str(exc))
+    if len(set(e_map.values())) != len(e_map):
+        return Violation(
+            "NotConvexOpenImage", "assembled edge comparison is not injective"
+        )
+    image = digraph.OpenSubgraph(
+        target, frozenset(e_map.values()), frozenset(v_map.values())
+    )
+    if not image.is_open() or not is_convex_open(image):
+        return Violation(
+            "NotConvexOpenImage", "total image is not a structured subgraph"
+        )
+    return None
 
 
 def validate_graphical(f):
@@ -138,30 +156,15 @@ def validate_graphical(f):
                 "NotConvexOpenImage", f"image of {v} is not structured", (v,)
             )
         vert = G.vertex(v)
-        if _multiset(f.f0[e] for e in vert.ins) != _multiset(h.inputs):
+        if sorted(f.f0[e] for e in vert.ins) != sorted(h.inputs):
             return Violation(
                 "BoundaryMismatch", f"inputs of {v} do not match its image", (v,)
             )
-        if _multiset(f.f0[e] for e in vert.outs) != _multiset(h.outputs):
+        if sorted(f.f0[e] for e in vert.outs) != sorted(h.outputs):
             return Violation(
                 "BoundaryMismatch", f"outputs of {v} do not match its image", (v,)
             )
-    try:
-        assembled, corr, e_map, v_map = assembly(f)
-    except GraphcatError as exc:
-        return Violation("NotConvexOpenImage", str(exc))
-    if len(set(e_map.values())) != len(e_map):
-        return Violation(
-            "NotConvexOpenImage", "assembled edge comparison is not injective"
-        )
-    image = digraph.OpenSubgraph(
-        K, frozenset(e_map.values()), frozenset(v_map.values())
-    )
-    if not image.is_open() or not is_convex_open(image):
-        return Violation(
-            "NotConvexOpenImage", "total image is not a structured subgraph"
-        )
-    return None
+    return _image_violation(G, K, f.f0, f.f1v)
 
 
 def f1_on_subgraph(f, j):
@@ -245,7 +248,7 @@ def active_onto_substitution(g, target, corr, inner):
 def factorize_G(f):
     """Factor as an active map onto the assembled middle object followed
     by an inert inclusion into the target."""
-    assembled, corr, e_map, v_map = assembly(f)
+    assembled, corr, e_map, v_map = assembly(f.source, f.f0, f.f1v)
     active = active_onto_substitution(
         f.source, assembled, corr,
         {v: f.f1v[v].as_graph for v in f.source.vertex_names},
@@ -277,54 +280,48 @@ def vertex_map_G(f):
 def hom_set(G, K, max_vertices=10):
     """All graphical maps G -> K by backtracking over vertex images.
 
-    Candidates are pruned by boundary arity before the per-vertex
-    boundary bijections are enumerated; every completed edge map is run
-    through the validator.
+    Each vertex is offered the structured subgraphs of K of its arity,
+    with each pairing of its edges to their boundary that agrees with
+    the edges already assigned, so a completed map runs only the clauses
+    of ``_image_violation`` (DECISIONS.md D9).  A disconnected K raises
+    ConnectivityError when G has vertices; otherwise a disconnected G
+    or K has no maps.
     """
     if len(G.vertices) > max_vertices or len(K.vertices) > max_vertices:
         raise SizeLimit("hom enumeration bound exceeded")
     if not G.vertices:
-        out = [
+        if len(G.edges) != 1 or not is_connected(K):
+            return ()
+        return tuple(
             graphical_morphism(G, K, {G.edges[0]: y}, {}) for y in K.edges
-        ]
-        return tuple(m for m in out if validate_graphical(m) is None)
+        )
     by_arity = {}
     for sub in structured_subgraphs(K):
         by_arity.setdefault(
             (len(sub.inputs), len(sub.outputs)), []
         ).append(sub)
+    if not is_connected(G):
+        return ()
     results = []
     vnames = G.vertex_names
 
     def backtrack(idx, f0, f1v):
         if idx == len(vnames):
-            cand = graphical_morphism(G, K, f0, f1v)
-            if validate_graphical(cand) is None:
-                results.append(cand)
+            if _image_violation(G, K, f0, f1v) is None:
+                results.append(graphical_morphism(G, K, f0, f1v))
             return
         v = vnames[idx]
         vert = G.vertex(v)
         for sub in by_arity.get(vert.biarity(), ()):
             ins, outs = sub.inputs, sub.outputs
             for in_perm in itertools.permutations(ins):
-                conflict = False
-                for e, y in zip(vert.ins, in_perm):
-                    if f0.get(e, y) != y:
-                        conflict = True
-                        break
-                if conflict:
+                if any(f0.get(e, y) != y for e, y in zip(vert.ins, in_perm)):
                     continue
                 for out_perm in itertools.permutations(outs):
                     trial = dict(f0)
-                    ok = True
-                    for e, y in zip(vert.ins, in_perm):
-                        trial[e] = y
-                    for e, y in zip(vert.outs, out_perm):
-                        if trial.get(e, y) != y:
-                            ok = False
-                            break
-                        trial[e] = y
-                    if not ok:
+                    trial.update(zip(vert.ins, in_perm))
+                    pairs = zip(vert.outs, out_perm)
+                    if any(trial.setdefault(e, y) != y for e, y in pairs):
                         continue
                     f1v[v] = sub
                     backtrack(idx + 1, trial, f1v)

@@ -81,6 +81,26 @@ def test_hom_empty(tmp_path, capsys):
     assert json.loads(out)["count"] == 0
 
 
+@pytest.mark.parametrize("source, target, code", [
+    ("empty", "g3", 0), ("empty", "empty", 0), ("edge", "split", 0),
+    ("split", "g3", 0), ("g3", "split", 1),
+])
+def test_hom_without_connected_graphs(tmp_path, capsys, source, target, code):
+    from graphcat.digraph import edge_graph, graph
+    from graphcat.zoo import two_component_graph
+
+    graphs = {"empty": graph([], []), "edge": edge_graph(), "g3": three_vertex_graph(),
+              "split": two_component_graph()}
+    paths = [write_graph(tmp_path, f"{name}.json", graphs[name])
+             for name in (source, target)]
+    got, out, err = run_cli(capsys, "--format", "json", "hom", *paths)
+    assert got == code
+    if code == 0:
+        assert json.loads(out) == {"count": 0, "morphisms": []} and err == ""
+    else:
+        assert out == "" and err.startswith("violation: ConnectivityError")
+
+
 def test_substitute(tmp_path, capsys):
     from graphcat.digraph import corolla, linear_graph
 
@@ -126,6 +146,9 @@ def _graphical_identity_json(vertices):
     }), 1, "violation: CycleViolation"),
     (["substitute"], _substitution(bij_in={"nope": "i1"}), 1,
      "violation: ProfileMismatch"),
+    (["substitute"], _substitution(inner={"edges": ["i", "o"], "vertices": [
+        {"name": "a", "in": ["i"], "out": []}, {"name": "b", "in": [], "out": ["o"]},
+    ]}), 1, "violation: ConnectivityError"),
     (["theta"], _graphical_identity_json(["nope"]), 1,
      "violation: NotConvexOpenImage"),
     (["prpd", "stabilizer"], {
@@ -141,6 +164,7 @@ def _graphical_identity_json(vertices):
      "violation: UnknownEdge"),
 ], ids=[
     "substitution-shape", "unknown-vertex", "cyclic-outer", "unknown-bijection-edge",
+    "disconnected-inner",
     "image-names-unknown-vertex", "colors-miss-an-edge", "stabilizer-nine-vertices",
     "convex-unknown-vertex",
     "convex-unknown-edge",

@@ -227,6 +227,17 @@ def test_substitute_profile_mismatch():
         multi_substitute(G3, {"v": (corolla(1, 1), [("nope", "i1")], [("c", "o1")])})
 
 
+def test_substitute_disconnected_inner_raises():
+    # one input and one output, as v of linear_graph(2) has, on two
+    # vertices that share no edge
+    split = graph(["i", "o"], [("a", ["i"], []), ("b", [], ["o"])])
+    with pytest.raises(ConnectivityError):
+        substitute(substitution_data(linear_graph(2), split, "v1"))
+    # nor the empty graph at a vertex with no edges
+    with pytest.raises(ConnectivityError):
+        substitute(substitution_data(corolla(0, 0), graph([], []), "v"))
+
+
 def test_substitute_unknown_vertex_raises():
     data = substitution_data(G3, corolla(1, 1), "v")
     with pytest.raises(KeyError):

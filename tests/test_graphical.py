@@ -41,12 +41,14 @@ from graphcat.level import (
     tau,
     vertex_map_L,
 )
+from graphcat.errors import ConnectivityError
 from graphcat.pointed import compose_pointed
 from graphcat.zoo import (
     closed_double_edge_graph,
     closed_square_graph,
     double_edge_graph,
     three_vertex_graph,
+    two_component_graph,
 )
 
 G3 = three_vertex_graph()
@@ -135,6 +137,18 @@ def test_homs_from_double_edge_are_substitution_lifts():
         assert is_active_G(m)
         sizes = sorted(len(m.f1v[v].vertex_names_set) for v in ("u", "v"))
         assert sizes == [1, 3]
+
+
+def test_hom_set_without_connected_graphs():
+    # the search checks connectivity once per call, not at its leaves;
+    # these are the answers the leaf validator used to give
+    empty, split = graph([], []), two_component_graph()
+    assert hom_set(empty, G3) == () and hom_set(empty, empty) == ()
+    assert hom_set(edge_graph(), split) == ()
+    assert hom_set(graph(["a", "b"], []), G3) == ()
+    assert hom_set(split, G3) == ()
+    with pytest.raises(ConnectivityError):
+        hom_set(corolla(1, 1), split)
 
 
 def test_hom_counts():

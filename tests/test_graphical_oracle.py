@@ -36,7 +36,12 @@ from graphcat.digraph import (
     unordered_canonical_form,
     vertex_corolla,
 )
-from graphcat.graphical import graphical_morphism, hom_set, iso_set
+from graphcat.graphical import (
+    graphical_morphism,
+    hom_set,
+    iso_set,
+    validate_graphical,
+)
 from graphcat.zoo import (
     closed_double_edge_graph,
     closed_square_graph,
@@ -327,6 +332,21 @@ def test_oracle_matches_hom_set_on_zoo_endomorphisms_and_edges():
         assert oracle_hom(edge_graph(), g) == engine_hom(edge_graph(), g), g
 
 
+def assert_hom_set_valid(g, k):
+    """Each map hom_set returns passes the public validator, which the
+    search no longer runs at its leaves (DECISIONS.md D9)."""
+    for m in hom_set(g, k):
+        assert validate_graphical(m) is None, (g, k, m)
+
+
+def test_hom_set_returns_valid_maps_on_listed_and_zoo_pairs():
+    for g, k in PAIRS:
+        assert_hom_set_valid(g, k)
+    for g in ZOO:
+        assert_hom_set_valid(g, g)
+        assert_hom_set_valid(edge_graph(), g)
+
+
 @st.composite
 def small_connected_graphs(draw, max_vertices=4):
     """Connected graphs on 1..max_vertices vertices with loose ends and
@@ -364,6 +384,12 @@ def small_connected_graphs(draw, max_vertices=4):
 @given(small_connected_graphs(), small_connected_graphs())
 def test_oracle_matches_hom_set_on_random_graphs(g, k):
     assert oracle_hom(g, k) == engine_hom(g, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_connected_graphs(), small_connected_graphs())
+def test_hom_set_returns_valid_maps_on_random_graphs(g, k):
+    assert_hom_set_valid(g, k)
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,6 +28,8 @@ code with ``SpecialFunctor``, ``derived_class_map``,
 import itertools
 from collections import deque
 
+from hypothesis import example, given, settings, strategies as st
+
 from graphcat import zoo
 from graphcat.digraph import Graph, Vertex, corolla, edge_graph, linear_graph
 from graphcat.level import (
@@ -246,22 +248,54 @@ def test_hom_level_matches_oracle_on_every_pair():
     assert nonempty > 50
 
 
-def test_hom_level_validates_only_what_it_returns(monkeypatch):
-    # each vertex is offered only components of its own shape (DECISIONS.md
-    # D5), and on these pairs that leaves the search building morphisms
-    # only; the validator still runs on each one
-    verdicts = []
-
-    def counted(f):
-        verdict = validate_level_morphism(f)
-        verdicts.append(verdict)
-        return verdict
-
-    monkeypatch.setattr("graphcat.level.validate_level_morphism", counted)
+def test_hom_level_returns_only_morphisms():
+    # the search validates no leaf, as each one is a morphism
+    # (DECISIONS.md D9); the public validator agrees on every map found
     for (gname, G), (hname, H) in itertools.product(GRAPHS, repeat=2):
-        del verdicts[:]
-        found = hom_level(G, H)
-        assert verdicts == [None] * len(found), (gname, hname)
+        for f in hom_level(G, H):
+            assert validate_level_morphism(f) is None, (gname, hname, f.sort_key())
+
+
+@st.composite
+def small_level_graphs(draw, max_height=3):
+    """Level graphs of height 1..max_height with at most two edges at a
+    level, two vertices in a layer and, where the levels allow, four in
+    all, connected or not; vertices may have no inputs or no outputs."""
+    n = draw(st.integers(1, max_height))
+    edge_layers = [[f"e0.{k}" for k in range(draw(st.integers(0, 2)))]]
+    vertex_layers = []
+    for i in range(n):
+        below = edge_layers[i]
+        least = 1 if below else 0
+        spare = 4 - sum(map(len, vertex_layers))
+        count = draw(st.integers(least, max(least, min(2, spare))))
+        ins = [[] for _ in range(count)]
+        for e in below:
+            ins[draw(st.integers(0, count - 1))].append(e)
+        above, layer = [], []
+        for k in range(count):
+            outs = [f"e{i + 1}.{len(above) + t}"
+                    for t in range(draw(st.integers(0, 2 - len(above))))]
+            above += outs
+            layer.append((f"v{i}.{k}", ins[k], outs))
+        edge_layers.append(above)
+        vertex_layers.append(layer)
+    lg = level_graph(edge_layers, vertex_layers)
+    assert validate_level(lg) is None
+    return lg
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_level_graphs(), small_level_graphs())
+@example(two_vertex_layer(), merge_level())
+@example(two_vertex_layer(), two_vertex_layer())
+def test_hom_level_matches_oracle_on_random_pairs(G, H):
+    # the search without leaf validation against the oracle, and each map
+    # it returns against the public validator
+    found = hom_level(G, H)
+    assert [f.sort_key() for f in found] == sorted(oracle_hom(G, H))
+    for f in found:
+        assert validate_level_morphism(f) is None, f.sort_key()
 
 
 def test_validator_agrees_with_oracle_on_every_candidate():
