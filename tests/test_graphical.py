@@ -15,6 +15,7 @@ from graphcat.digraph import (
     vertex_corolla,
     whole_subgraph,
 )
+from graphcat.errors import ConnectivityError
 from graphcat.graphical import (
     boundary_bijective,
     compose_graphical,
@@ -41,7 +42,6 @@ from graphcat.level import (
     tau,
     vertex_map_L,
 )
-from graphcat.errors import ConnectivityError
 from graphcat.pointed import compose_pointed
 from graphcat.zoo import (
     closed_double_edge_graph,
@@ -141,7 +141,8 @@ def test_homs_from_double_edge_are_substitution_lifts():
 
 def test_hom_set_without_connected_graphs():
     # the search checks connectivity once per call, not at its leaves;
-    # these are the answers the leaf validator used to give
+    # these are the answers its leaf validator gave, apart from the empty
+    # source, which raised IndexError against a target with an edge
     empty, split = graph([], []), two_component_graph()
     assert hom_set(empty, G3) == () and hom_set(empty, empty) == ()
     assert hom_set(edge_graph(), split) == ()
