@@ -283,16 +283,9 @@ def _corpus_from_manifest(manifest):
 
 
 def _presheaf_to_json(F, manifest):
-    values = []
-    index_of = []
-    for entry in F.values:
-        values.append([repr(x) for x in entry])
-        index_of.append({x: k for k, x in enumerate(entry)})
-    restrictions = {}
-    for (i, j, k), table in sorted(F.restrictions.items()):
-        restrictions[f"{i}:{j}:{k}"] = [
-            index_of[i][table[x]] for x in F.values[j]
-        ]
+    """The file of a presheaf: its values by repr, its tables as stored."""
+    values = [[repr(x) for x in entry] for entry in F.values]
+    restrictions = {f"{i}:{j}:{k}": list(t) for (i, j, k), t in F.restrictions.items()}
     return {"corpus": manifest, "values": values, "restrictions": restrictions}
 
 
@@ -317,7 +310,7 @@ def _presheaf_from_json(data):
                     "presheaf", _at("$.restrictions", key),
                     f"expected a list of length {sizes[j]} with entries < {sizes[i]}",
                 )
-            restrictions[(i, j, k)] = dict(enumerate(table))
+            restrictions[(i, j, k)] = tuple(table)
     values = tuple(tuple(range(n)) for n in sizes)
     return segal.FinitePresheaf(corpus, values, restrictions)
 

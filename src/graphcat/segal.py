@@ -23,6 +23,7 @@ from .digraph import (
     canonical_form,
     corolla,
     edge_graph,
+    edge_subgraph,
     structured_subgraphs,
     unordered_canonical_form,
     vertex_corolla,
@@ -260,35 +261,46 @@ def build_level_corpus(generators):
 class FinitePresheaf:
     """Value and restriction tables over a corpus.
 
-    ``values[i]`` is the tuple of elements at object i; for the k-th
-    morphism f: A_i -> A_j, ``restrictions[(i, j, k)]`` maps elements
-    at A_j to elements at A_i.
+    ``values[i]`` is the tuple of elements at object i.  For the k-th
+    morphism f: A_i -> A_j, ``restrictions[(i, j, k)]`` is the tuple whose
+    p-th entry is the position in ``values[i]`` of the restriction of
+    ``values[j][p]`` along f, as in a presheaf file (DECISIONS.md D10).
     """
 
     def __init__(self, corpus, values, restrictions):
         self.corpus = corpus
         self.values = values
         self.restrictions = restrictions
+        self._index = {}
 
     def value(self, i):
         return self.values[i]
 
+    def positions(self, i):
+        return range(len(self.values[i]))
+
+    def position(self, i, x):
+        """The position of the element x in ``values[i]``, indexed on first use."""
+        if i not in self._index:
+            self._index[i] = {y: p for p, y in enumerate(self.values[i])}
+        return self._index[i][x]
+
     def restrict(self, i, j, k, x):
-        return self.restrictions[(i, j, k)][x]
+        return self.values[i][self.restrictions[(i, j, k)][self.position(j, x)]]
 
     def table_along(self, i, j, m):
         """The restriction table along the morphism m: A_i -> A_j."""
         return self.restrictions[(i, j, self.corpus.hom_index(i, j, m))]
 
     def restrict_along(self, i, j, m, x):
-        return self.table_along(i, j, m)[x]
+        return self.restrict(i, j, self.corpus.hom_index(i, j, m), x)
 
     def check_functorial(self, max_pairs=None):
         """Identities restrict trivially; composites factor."""
         corpus = self.corpus
         for i in range(len(corpus.objects)):
             ident = self.table_along(i, i, corpus.identity_of(i))
-            if any(ident[x] != x for x in self.values[i]):
+            if any(y != p for p, y in enumerate(ident)):
                 return False
         count = 0
         for (i, j), fs in corpus.homs.items():
@@ -298,7 +310,7 @@ class FinitePresheaf:
                     for kg, g in enumerate(corpus.homs[(j, l)]):
                         along_g = self.restrictions[(j, l, kg)]
                         along_fg = self.table_along(i, l, corpus.compose(f, g))
-                        for x in self.values[l]:
+                        for x in self.positions(l):
                             if along_fg[x] != along_f[along_g[x]]:
                                 return False
                             count += 1
@@ -313,11 +325,9 @@ def representable_presheaf(corpus, x_index):
     restrictions = {}
     for (i, j), fs in corpus.homs.items():
         for k, f in enumerate(fs):
-            # the stored element, found by position, not the fresh composite
-            restrictions[(i, j, k)] = {
-                h: values[i][corpus.hom_index(i, x_index, corpus.compose(f, h))]
-                for h in values[j]
-            }
+            restrictions[(i, j, k)] = tuple(
+                corpus.hom_index(i, x_index, corpus.compose(f, h)) for h in values[j]
+            )
     return FinitePresheaf(corpus, values, restrictions)
 
 
@@ -372,54 +382,48 @@ def elementary_cover(corpus, gi):
 
 
 def segal_limit(F, gi):
-    """Families over the elementary cover agreeing on shared edges."""
+    """Families over the elementary cover agreeing on shared edges: per
+    vertex in cover order a position at its corolla, and per edge one at
+    the edge object.  Each vertex choice is tried once, so none repeats."""
     corpus = F.corpus
     cover = elementary_cover(corpus, gi)
     ei = corpus.edge_index
     edge_list = [e for e, _, _ in cover.edge_entries]
     if not cover.vertex_entries:
         # a vertexless object is covered by its edges alone
-        return tuple(
-            ((), combo)
-            for combo in itertools.product(F.value(ei), repeat=len(edge_list))
-        )
+        combos = itertools.product(F.positions(ei), repeat=len(edge_list))
+        return tuple(((), combo) for combo in combos)
     # per vertex, in cover order: its edges and their restriction tables
     checks = {vname: [] for vname, _, _ in cover.vertex_entries}
     for e, vname, ci, conn in cover.connections:
         checks[vname].append((e, F.table_along(ei, ci, conn)))
     families = []
     for choice in itertools.product(
-        *(F.value(ci) for _, ci, _ in cover.vertex_entries)
+        *(F.positions(ci) for _, ci, _ in cover.vertex_entries)
     ):
+        # an edge takes the value its first vertex gives it; the rest agree
         edge_values = {}
-        ok = True
-        for check, x in zip(checks.values(), choice):
-            for e, table in check:
-                y = table[x]
-                if edge_values.setdefault(e, y) != y:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        families.append((choice, tuple(edge_values[e] for e in edge_list)))
-    return tuple(sorted(set(families), key=repr))
+        if all(
+            edge_values.setdefault(e, table[x]) == table[x]
+            for check, x in zip(checks.values(), choice)
+            for e, table in check
+        ):
+            families.append((choice, tuple(edge_values[e] for e in edge_list)))
+    return tuple(families)
 
 
 def segal_map(F, gi):
-    """The canonical comparison from F(G) into the cover limit."""
+    """The canonical comparison from F(G) into the cover limit, by position."""
     cover = elementary_cover(F.corpus, gi)
     vtables = [F.table_along(ci, gi, incl) for _, ci, incl in cover.vertex_entries]
     etables = [F.table_along(ci, gi, incl) for _, ci, incl in cover.edge_entries]
-    return {
-        x: (tuple(t[x] for t in vtables), tuple(t[x] for t in etables))
-        for x in F.value(gi)
-    }
+    return tuple(
+        (tuple(t[x] for t in vtables), tuple(t[x] for t in etables))
+        for x in F.positions(gi)
+    )
 
 
-def _bijective_onto(comparison, limit):
-    image = list(comparison.values())
+def _bijective_onto(image, limit):
     return len(set(image)) == len(image) and set(image) == set(limit)
 
 
@@ -471,6 +475,7 @@ def nerve(P, corpus):
                 entries.append((coloring, ops))
         values.append(tuple(entries))
     values = tuple(values)
+    positions = [{x: p for p, x in enumerate(entries)} for entries in values]
     # per target object: image and boundary -> {(colors, operations): value}
     memos = [{} for _ in corpus.graphs]
     restrictions = {}
@@ -492,9 +497,10 @@ def nerve(P, corpus):
                     [vertex_pos[w] for w in img.vertex_names],
                 ))
             colour_pos = [edge_pos[f0[e]] for e in src.edges]
-            restrictions[(i, j, k)] = {
-                x: _restrict_decoration(P, colour_pos, plans, x) for x in values[j]
-            }
+            restrictions[(i, j, k)] = tuple(
+                _restrict_decoration(P, positions[i], colour_pos, plans, x)
+                for x in values[j]
+            )
     return FinitePresheaf(corpus, values, restrictions)
 
 
@@ -503,7 +509,7 @@ def nerve_level(P, corpus):
     return nerve(P, corpus)
 
 
-def _restrict_decoration(P, colour_pos, plans, x):
+def _restrict_decoration(P, positions, colour_pos, plans, x):
     coloring, ops = x
     new_ops = []
     for img, ins, outs, memo, epos, vpos in plans:
@@ -513,7 +519,7 @@ def _restrict_decoration(P, colour_pos, plans, x):
             labels = dict(zip(img.vertex_names, key[1]))
             memo[key] = P.evaluate(decorated_graph(img, colors, labels, ins, outs))
         new_ops.append(memo[key])
-    return (tuple(coloring[p] for p in colour_pos), tuple(new_ops))
+    return positions[(tuple(coloring[p] for p in colour_pos), tuple(new_ops))]
 
 
 class ExtractedProperad(FiniteProperad):
@@ -551,7 +557,7 @@ class ExtractedProperad(FiniteProperad):
                 F.table_along(ei, ci, conn)
                 for _, _, _, conn in elementary_cover(self.corpus, ci).connections
             ]
-            for x in F.value(ci):
+            for p, x in enumerate(F.value(ci)):
                 if x in self._profiles:
                     ins, outs = self._profiles[x]
                     raise GraphcatError(
@@ -559,7 +565,7 @@ class ExtractedProperad(FiniteProperad):
                         f"{(len(ins), len(outs))} and {(m, n)}, so its profile "
                         "is ambiguous"
                     )
-                ys = tuple(t[x] for t in tables)
+                ys = tuple(self.colors[t[p]] for t in tables)
                 self._profiles[x] = (ys[:m], ys[m:])
 
     def _corolla(self, m, n):
@@ -581,8 +587,6 @@ class ExtractedProperad(FiniteProperad):
         return self._profiles[op]
 
     def identity(self, color):
-        from .digraph import edge_subgraph
-
         ci, c = self._corolla(1, 1)
         ei = self.corpus.edge_index
         edge_obj = self.corpus.objects[ei]
@@ -612,7 +616,7 @@ class ExtractedProperad(FiniteProperad):
     def _fingerprint_index(self, gi):
         if gi not in self._fingerprints:
             self._fingerprints[gi] = {
-                fp: x for x, fp in segal_map(self.F, gi).items()
+                fp: p for p, fp in enumerate(segal_map(self.F, gi))
             }
         return self._fingerprints[gi]
 
@@ -669,9 +673,12 @@ class ExtractedProperad(FiniteProperad):
         g = dec.graph
         if not self.check_decoration(dec):
             raise ColorMismatch("decoration does not match vertex profiles")
+        # matching profiles put each label at its vertex's corolla
+        cover = elementary_cover(self.corpus, gi)
+        F = self.F
         fingerprint = (
-            tuple(dec.label_of[v.name] for v in g.vertices),
-            tuple(dec.color_of[e] for e in g.edges),
+            tuple(F.position(ci, dec.label_of[v]) for v, ci, _ in cover.vertex_entries),
+            tuple(F.position(ei, dec.color_of[e]) for e, ei, _ in cover.edge_entries),
         )
         target = self._fingerprint_index(gi).get(fingerprint)
         if target is None:
@@ -687,7 +694,7 @@ class ExtractedProperad(FiniteProperad):
             raise GraphcatError(
                 "no active comparison with the given boundary"
             ) from None
-        return self.F.restrict(ci, gi, k, target)
+        return F.values[ci][F.restrictions[(ci, gi, k)][target]]
 
 
 def extract_properad(F):
@@ -725,7 +732,7 @@ def segmentation_local(F):
             ))
         families = [
             choice
-            for choice in itertools.product(*(F.value(pi) for pi in piece_idx))
+            for choice in itertools.product(*(F.positions(pi) for pi in piece_idx))
             if all(
                 top[choice[i]] == bottom[choice[i + 1]]
                 for i, (top, bottom) in enumerate(faces)
@@ -734,8 +741,8 @@ def segmentation_local(F):
         tables = [
             F.table_along(pi, li, incl) for pi, (_, incl) in zip(piece_idx, pieces)
         ]
-        comparison = {x: tuple(t[x] for t in tables) for x in F.value(li)}
-        if not _bijective_onto(comparison, families):
+        # the p-th value of F(lg) -> its restrictions to the pieces
+        if not _bijective_onto(list(zip(*tables)), families):
             return False, li
     return True, None
 

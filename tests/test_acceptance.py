@@ -85,7 +85,6 @@ from graphcat.properad import (
     OperadArrow,
 )
 from graphcat.segal import (
-    FinitePresheaf,
     build_corpus,
     build_level_corpus,
     extract_properad,
@@ -103,6 +102,8 @@ from graphcat.zoo import (
     three_vertex_graph,
     two_component_graph,
 )
+
+from test_segal import with_phantom
 
 
 def report(number, ok, detail=""):
@@ -605,19 +606,7 @@ def test_criterion_9_segmentation_equivalence():
     # a broken modification
     N = nerve_level(terminal_properad(("*",)), lc)
     gi = next(i for i, lg in enumerate(lc.objects) if lg.height == 2)
-    values = list(N.values)
-    phantom = ("phantom",)
-    values[gi] = values[gi] + (phantom,)
-    ident_k = lc.hom_index(gi, gi, lc.identity_of(gi))
-    restrictions = {}
-    for (i, j, k), table in N.restrictions.items():
-        table = dict(table)
-        if j == gi:
-            table[phantom] = (
-                phantom if (i, k) == (gi, ident_k) else table[N.values[gi][0]]
-            )
-        restrictions[(i, j, k)] = table
-    presheaves.append(FinitePresheaf(lc, tuple(values), restrictions))
+    presheaves.append(with_phantom(N, gi))
     results = []
     for F in presheaves:
         full, short_seg = segmentation_check(F)

@@ -271,6 +271,71 @@ def test_nerve_and_segal_roundtrip(tmp_path, capsys):
     assert json.loads(out)["segal"] is True
 
 
+def _pair_corpus_manifest():
+    """The corpus file of the closed square and the closed double edge."""
+    generators = [closed_square_graph(), closed_double_edge_graph()]
+    return {"generators": [graph_to_json(g) for g in generators], "max_vertices": 4}
+
+
+def _pair_representable():
+    """The representable of the pair corpus at its closed two-vertex
+    object, and that object's index."""
+    from graphcat.segal import build_corpus, representable_presheaf
+
+    corpus = build_corpus(
+        [closed_square_graph(), closed_double_edge_graph()], max_vertices=4
+    )
+    (k2,) = [
+        i for i, g in enumerate(corpus.objects)
+        if len(g.vertices) == 2 and not g.inputs and not g.outputs
+    ]
+    return representable_presheaf(corpus, k2), k2
+
+
+def _linear_nerve():
+    from graphcat.properad import end_properad
+    from graphcat.segal import build_corpus, nerve
+
+    N = nerve(end_properad({"c": 2}), build_corpus([linear_graph(2)]))
+    return N, {"generators": [graph_to_json(linear_graph(2))]}
+
+
+@pytest.mark.parametrize("presheaf, digest", [
+    (_linear_nerve,
+     "c35a0a2d537a4e85c8e4b0288185daaa3ca13ea9c616fa00065a087e26caffaf"),
+    (lambda: (_pair_representable()[0], _pair_corpus_manifest()),
+     "d263d1fa4c310176bcf98abae41200a9f3cd345122d84e390c97c2c0d6283b09"),
+], ids=["nerve", "representable"])
+def test_presheaf_file_is_pinned_and_reads_back(presheaf, digest):
+    # the sha256 of the file text that `nerve -o` writes (sorted keys)
+    import hashlib
+
+    from graphcat.cli import _presheaf_from_json, _presheaf_to_json
+
+    F, manifest = presheaf()
+    data = _presheaf_to_json(F, manifest)
+    text = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the file stores the tables as they are held in memory
+    assert _presheaf_from_json(json.loads(text)).restrictions == F.restrictions
+
+
+def test_segal_on_a_presheaf_that_is_not_segal(tmp_path, capsys):
+    from graphcat.cli import _presheaf_to_json
+
+    R, _ = _pair_representable()
+    presheaf_file = tmp_path / "representable.json"
+    presheaf_file.write_text(json.dumps(_presheaf_to_json(R, _pair_corpus_manifest())))
+    code, out, err = run_cli(capsys, "--format", "json", "segal", str(presheaf_file))
+    assert code == 0 and err == ""
+    witness = R.corpus.objects[5]
+    assert json.loads(out) == {"segal": False, "witness": graph_to_json(witness)}
+    code, out, err = run_cli(capsys, "segal", "--strict", str(presheaf_file))
+    assert code == 1
+    assert out.startswith("segal: False\n")
+    assert err == "violation: presheaf fails the Segal condition at 5\n"
+
+
 def _assert_usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
