@@ -419,36 +419,60 @@ def open_union(h1, h2):
 
 
 def is_convex_open(sub):
-    """Is the open subgraph connected and closed under directed paths?
-
-    Convexity is decided by search: starting from each member vertex,
-    follow directed paths through non-member vertices only; if such a
-    path re-enters the subgraph, a directed path of the parent starts
-    and ends inside the subgraph while leaving it, so it is not convex.
-    """
+    """Is the open subgraph connected and closed under directed paths?"""
     if not sub.is_open():
         raise OpennessViolation(
             "subset is not open: missing edges incident to member vertices"
         )
-    if not is_connected(sub.as_graph):
-        return False
-    parent = sub.parent
+    return (
+        is_connected(sub.as_graph)
+        and path_reentry(sub.parent, sub.vertex_names_set) is None
+    )
+
+
+def path_reentry(parent, members):
+    """A member vertex that a directed path re-enters after leaving the
+    vertex set ``members``, or None when the set is closed under
+    directed paths.
+
+    Starting from each member vertex in the parent's order, follow
+    directed paths through non-member vertices only; the first member
+    such a path reaches is returned.
+    """
     outside_reachable = set()
     frontier = []
-    for name in sub.vertex_names_set:
+    for name in parent.vertex_names:
+        if name not in members:
+            continue
         for w in _successors(parent, name):
-            if w not in sub.vertex_names_set and w not in outside_reachable:
+            if w not in members and w not in outside_reachable:
                 outside_reachable.add(w)
                 frontier.append(w)
     while frontier:
         u = frontier.pop()
         for w in _successors(parent, u):
-            if w in sub.vertex_names_set:
-                return False
+            if w in members:
+                return w
             if w not in outside_reachable:
                 outside_reachable.add(w)
                 frontier.append(w)
-    return True
+    return None
+
+
+def _linked(g, members):
+    """Are the member vertices connected through edges between members?
+    (The open subgraph they span is then connected.)"""
+    start = next(iter(members))
+    seen, stack = {start}, [start]
+    while stack:
+        v = g.vertex(stack.pop())
+        for w in itertools.chain(
+            map(g.in_vertex.get, v.outs), map(g.out_vertex.get, v.ins)
+        ):
+            if w in members and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(members)
 
 
 @dataclass(frozen=True)
@@ -479,6 +503,11 @@ class StructuredSubgraph:
     @cached_property
     def outputs(self):
         return self.as_graph.outputs
+
+    @cached_property
+    def internal_edges(self):
+        """The edges with both ends at member vertices."""
+        return self.edge_names.difference(self.inputs, self.outputs)
 
     def is_edge(self):
         return not self.vertex_names_set
@@ -537,9 +566,10 @@ def structured_subgraphs(g, max_vertices=16):
     spanned = []
     for r in range(1, len(names) + 1):
         for combo in itertools.combinations(names, r):
-            sub = open_subgraph(g, combo)
-            if is_convex_open(sub):
-                spanned.append(StructuredSubgraph(g, sub.edge_names, sub.vertex_names_set))
+            members = frozenset(combo)
+            if _linked(g, members) and path_reentry(g, members) is None:
+                sub = open_subgraph(g, combo)
+                spanned.append(StructuredSubgraph(g, sub.edge_names, members))
     spanned.sort(key=lambda s: (len(s.vertex_names_set), sorted(s.vertex_names_set)))
     return tuple(found + spanned)
 

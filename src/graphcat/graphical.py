@@ -11,6 +11,7 @@ substitution of the image subgraphs into the source.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .digraph import (
     is_convex_open,
     multi_substitute,
     open_union,
+    path_reentry,
     promote,
     structured_subgraphs,
     vertex_corolla,
@@ -80,58 +82,35 @@ def identity_graphical(g):
     )
 
 
-def assembly(source, f0, f1v):
-    """Substitute every image subgraph ``f1v[v]`` into the source and map
-    the result into the target by the edge map ``f0``.
-
-    Returns (assembled graph, correspondence, edge map to target,
-    vertex map to target).  The boundary bijections are induced by the
-    edge map, so this is the induced etale comparison with the target.
-    """
-    assignment = {
-        v.name: (
-            f1v[v.name].as_graph,
-            {e: f0[e] for e in v.ins},
-            {e: f0[e] for e in v.outs},
-        )
-        for v in source.vertices
-    }
-    assembled, corr = multi_substitute(source, assignment)
-    edge_to_target = {}
-    for e in source.edges:
-        res = corr.outer_edge[e]
-        prev = edge_to_target.setdefault(res, f0[e])
-        if prev != f0[e]:
-            raise GraphcatError("inconsistent edge images in assembly")
-    for (v, inner_e), res in corr.inner_edge.items():
-        # internal edges of an image subgraph are already target edges
-        prev = edge_to_target.setdefault(res, inner_e)
-        if prev != inner_e:
-            raise GraphcatError("inconsistent edge images in assembly")
-    vertex_to_target = {
-        res: inner_v for (v, inner_v), res in corr.inner_vertex.items()
-    }
-    return assembled, corr, edge_to_target, vertex_to_target
-
-
 def _image_violation(source, target, f0, f1v):
     """The clauses left once every vertex image is structured and matches
-    its boundary: a consistent assembly, an injective edge comparison and
-    an open convex total image (DECISIONS.md D9)."""
-    try:
-        _, _, e_map, v_map = assembly(source, f0, f1v)
-    except GraphcatError as exc:
-        return Violation("NotConvexOpenImage", str(exc))
-    if len(set(e_map.values())) != len(e_map):
+    its boundary: an injective assembled edge comparison and a total
+    image closed under directed paths, decided from the edge and vertex
+    sets of the images (DECISIONS.md D11)."""
+    images = set(f0.values())
+    subs = [f1v[v] for v in source.vertex_names]
+    bare = [v for v, sub in zip(source.vertices, subs) if not sub.vertex_names_set]
+    # a vertex sent to a bare edge merges its two edges, nothing else does
+    if len(images) != len(source.edges) - len(bare):
+        count = collections.Counter(f0.values())
+        count.subtract(f0[v.ins[0]] for v in bare)
         return Violation(
-            "NotConvexOpenImage", "assembled edge comparison is not injective"
+            "NotConvexOpenImage", "assembled edge comparison is not injective",
+            (min(y for y, n in count.items() if n > 1),),
         )
-    image = digraph.OpenSubgraph(
-        target, frozenset(e_map.values()), frozenset(v_map.values())
-    )
-    if not image.is_open() or not is_convex_open(image):
+    # two images that share an internal edge fail the count or this test
+    vertices = set()
+    for sub in subs:
+        if not images.isdisjoint(sub.internal_edges):
+            return Violation(
+                "NotConvexOpenImage", "assembled edge comparison is not injective",
+                (min(images & sub.internal_edges),),
+            )
+        vertices |= sub.vertex_names_set
+    w = path_reentry(target, vertices)
+    if w is not None:
         return Violation(
-            "NotConvexOpenImage", "total image is not a structured subgraph"
+            "NotConvexOpenImage", "total image is not a structured subgraph", (w,)
         )
     return None
 
@@ -139,10 +118,16 @@ def _image_violation(source, target, f0, f1v):
 def validate_graphical(f):
     """Check boundary compatibility and the convex open image condition."""
     G, K = f.source, f.target
-    if not is_connected(G) or not is_connected(K):
-        return Violation("ConnectivityError", "source and target must be connected")
-    if sorted(f.f0) != sorted(G.edges):
-        return Violation("EdgeMapError", "edge map is not total")
+    for role, g in (("source", G), ("target", K)):
+        if not is_connected(g):
+            return Violation(
+                "ConnectivityError", "source and target must be connected", (role,)
+            )
+    if f.f0.keys() != G.edge_set:
+        return Violation(
+            "EdgeMapError", "edge map is not total",
+            tuple(sorted(f.f0.keys() ^ G.edge_set)),
+        )
     for e, y in f.f0.items():
         if y not in K.edge_set:
             return Violation("EdgeMapError", f"{e} maps to unknown edge {y}", (e,))
@@ -247,16 +232,31 @@ def active_onto_substitution(g, target, corr, inner):
 
 def factorize_G(f):
     """Factor as an active map onto the assembled middle object followed
-    by an inert inclusion into the target."""
-    assembled, corr, e_map, v_map = assembly(f.source, f.f0, f.f1v)
-    active = active_onto_substitution(
-        f.source, assembled, corr,
-        {v: f.f1v[v].as_graph for v in f.source.vertex_names},
-    )
+    by an inert inclusion into the target.
+
+    The middle object substitutes every image subgraph into the source,
+    with boundaries paired by the edge map; it maps into the target by
+    the edge map and by the identity on internal edges and vertices.
+    """
+    G = f.source
+    inner = {v: f.f1v[v].as_graph for v in G.vertex_names}
+    assembled, corr = multi_substitute(G, {
+        v.name: (
+            inner[v.name],
+            {e: f.f0[e] for e in v.ins},
+            {e: f.f0[e] for e in v.outs},
+        )
+        for v in G.vertices
+    })
+    active = active_onto_substitution(G, assembled, corr, inner)
+    # consistent by DECISIONS.md D11: merged edges share their image
+    e_map = {corr.outer_edge[e]: f.f0[e] for e in G.edges}
+    e_map.update((res, e) for (_, e), res in corr.inner_edge.items())
     inert_f1v = {
-        res: vertex_corolla(f.target, kv) for res, kv in v_map.items()
+        res: vertex_corolla(f.target, kv)
+        for (_, kv), res in corr.inner_vertex.items()
     }
-    inert = graphical_morphism(assembled, f.target, dict(e_map), inert_f1v)
+    inert = graphical_morphism(assembled, f.target, e_map, inert_f1v)
     return active, inert
 
 
@@ -283,7 +283,7 @@ def hom_set(G, K, max_vertices=10):
     Each vertex is offered the structured subgraphs of K of its arity,
     with each pairing of its edges to their boundary that agrees with
     the edges already assigned, so a completed map runs only the clauses
-    of ``_image_violation`` (DECISIONS.md D9).  A disconnected K raises
+    of ``_image_violation`` (DECISIONS.md D9, D11).  A disconnected K raises
     ConnectivityError when G has vertices; otherwise a disconnected G
     or K has no maps.
     """

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphcat.cli import main
-from graphcat.digraph import graph_to_json, linear_graph
+from graphcat.digraph import graph, graph_to_json, linear_graph
 from graphcat.zoo import (
     closed_double_edge_graph,
     closed_square_graph,
+    dangling_pair_graph,
     three_vertex_graph,
+    two_component_graph,
 )
 
 
@@ -179,6 +181,46 @@ def test_command_file_errors(tmp_path, capsys, command, data, code, report):
     out, err = capsys.readouterr()
     assert got == code and out == ""
     assert err.startswith(report) and err.count("\n") == 1
+
+
+def _graphical_json(source, target, f0, f1):
+    """A graphical morphism file; f1 maps a vertex to (edges, vertices)."""
+    return {
+        "source": graph_to_json(source), "target": graph_to_json(target), "f0": f0,
+        "f1": {v: {"edges": list(es), "vertices": list(vs)} for v, (es, vs) in f1.items()},
+    }
+
+
+# the three-vertex graph without v; the same edge names as the graph
+G3_WITHOUT_V = graph("abcde", [("p", "a", "bd"), ("q", "cd", "e")])
+G3_IDENTITY_EDGES = {e: e for e in "abcde"}
+
+
+@pytest.mark.parametrize("data, line", [
+    (_graphical_json(G3_WITHOUT_V, three_vertex_graph(), G3_IDENTITY_EDGES, {
+        "p": ("abd", "u"), "q": ("cde", "w"),
+    }), "NotConvexOpenImage at ('w',): total image is not a structured subgraph"),
+    (_graphical_json(G3_WITHOUT_V, three_vertex_graph(), {**G3_IDENTITY_EDGES, "b": "c", "c": "b"}, {
+        "p": ("abcd", "uv"), "q": ("bcde", "vw"),
+    }), "NotConvexOpenImage at ('b',): assembled edge comparison is not injective"),
+    (_graphical_json(dangling_pair_graph(), closed_double_edge_graph(),
+                     {"s": "p1", "din": "p2", "dout": "p2"}, {
+        "u": (["p1", "p2"], "u"), "v": (["p1", "p2"], "v"),
+    }), "NotConvexOpenImage at ('p2',): assembled edge comparison is not injective"),
+    (_graphical_json(linear_graph(0), two_component_graph(), {"e0": "a"}, {}),
+     "ConnectivityError at ('target',): source and target must be connected"),
+    (_graphical_json(two_component_graph(), linear_graph(0), {}, {}),
+     "ConnectivityError at ('source',): source and target must be connected"),
+    ({**_graphical_identity_json(["v"]), "f0": {"i1": "i1", "zz": "o1"}},
+     "EdgeMapError at ('o1', 'zz'): edge map is not total"),
+], ids=["path-re-enters", "internal-edge-collides", "edge-images-collide",
+        "target-disconnected", "source-disconnected", "edge-map-not-total"])
+def test_theta_reports_where_a_map_fails(tmp_path, capsys, data, line):
+    path = tmp_path / "morphism.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "theta", str(path))
+    assert code == 1 and out == ""
+    assert err == f"violation: {line}\n"
 
 
 @pytest.mark.parametrize("data, code, report", [

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from graphcat import digraph, graphical
 from graphcat.digraph import (
     corolla,
     edge_graph,
@@ -275,6 +276,31 @@ def test_factorization_recomposes_and_classes():
             assert is_active_G(act)
             assert is_inert_G(ine)
             assert compose_graphical(act, ine) == m
+
+
+def test_only_factorization_builds_the_assembled_graph(monkeypatch):
+    # hom_set and validate_graphical decide a map from the edge and
+    # vertex sets of its images (DECISIONS.md D11); factorize_G still
+    # substitutes them into the source for its middle object
+    calls = []
+    original = digraph.multi_substitute
+
+    def counted(outer, assignment):
+        calls.append(outer)
+        return original(outer, assignment)
+
+    monkeypatch.setattr(digraph, "multi_substitute", counted)
+    monkeypatch.setattr(graphical, "multi_substitute", counted)
+    zoo = [
+        edge_graph(), corolla(1, 1), linear_graph(2), G3, K_TWIST,
+        double_edge_graph(), closed_double_edge_graph(), closed_square_graph(),
+    ]
+    maps = [m for g in zoo for k in zoo for m in hom_set(g, k)]
+    assert all(validate_graphical(m) is None for m in maps)
+    assert maps and calls == []
+    for m in maps:
+        factorize_G(m)
+    assert len(calls) == len(maps)
 
 
 def test_factorization_unique_up_to_unique_iso():

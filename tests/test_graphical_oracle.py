@@ -17,6 +17,10 @@ subgraphs and the assembly itself, and shares no code with
 ``is_convex_open``.  The edge map is read off the boundary bijections
 of the chosen vertex images, so no edge map is guessed blindly.
 
+A second section keeps the leaf test that built the assembled graph
+with ``multi_substitute`` as a reference, and compares it with the
+leaf that decides from edge and vertex sets (DECISIONS.md D11).
+
 The last section checks ``unordered_canonical_form`` against
 ``iso_set``, the isomorphisms among the maps ``hom_set`` finds.
 """
@@ -24,22 +28,30 @@ The last section checks ``unordered_canonical_form`` against
 import functools
 import itertools
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from graphcat import graphical
 from graphcat.digraph import (
+    OpenSubgraph,
     canonical_form,
     corolla,
     edge_graph,
     graph,
+    is_convex_open,
     linear_graph,
+    multi_substitute,
+    structured_subgraphs,
     unordered_canonical_form,
     vertex_corolla,
 )
+from graphcat.errors import GraphcatError, Violation
 from graphcat.graphical import (
     graphical_morphism,
     hom_set,
     iso_set,
+    morphism_from_json,
     validate_graphical,
 )
 from graphcat.zoo import (
@@ -400,6 +412,206 @@ def test_oracle_matches_hom_set_from_corollas(k):
     # whatever arities k offers
     for m, n in itertools.product(range(4), repeat=2):
         assert oracle_hom(corolla(m, n), k) == engine_hom(corolla(m, n), k)
+
+
+# ---------------------------------------------------------------------------
+# the set-based leaf against the assembled leaf
+
+
+def assembled_leaf(source, target, f0, f1v):
+    """The leaf test as it was before DECISIONS.md D11: substitute every
+    image into the source, then ask that the assembled edge comparison
+    be consistent and injective and that its image be open and convex."""
+    assignment = {
+        v.name: (
+            f1v[v.name].as_graph,
+            {e: f0[e] for e in v.ins},
+            {e: f0[e] for e in v.outs},
+        )
+        for v in source.vertices
+    }
+    failed = Violation("NotConvexOpenImage", "reference leaf")
+    try:
+        _, corr = multi_substitute(source, assignment)
+    except GraphcatError:
+        return failed
+    e_map = {}
+    for e in source.edges:
+        if e_map.setdefault(corr.outer_edge[e], f0[e]) != f0[e]:
+            return failed
+    for (_, inner_e), res in corr.inner_edge.items():
+        if e_map.setdefault(res, inner_e) != inner_e:
+            return failed
+    if len(set(e_map.values())) != len(e_map):
+        return failed
+    image = OpenSubgraph(
+        target,
+        frozenset(e_map.values()),
+        frozenset(w for _, w in corr.inner_vertex),
+    )
+    if not image.is_open() or not is_convex_open(image):
+        return failed
+    return None
+
+
+def kind(report):
+    return None if report is None else report.kind
+
+
+def leaf_clause(source, f0, f1v):
+    """Which clause rejects a leaf: 'count' when two classes of source
+    edges share an image, 'internal' when an internal edge of an image
+    is also the image of a source edge, else 'closure'."""
+    subs = [f1v[v] for v in source.vertex_names]
+    bare = sum(1 for sub in subs if not sub.vertex_names_set)
+    if len(set(f0.values())) != len(source.edges) - bare:
+        return "count"
+    if any(set(f0.values()) & sub.internal_edges for sub in subs):
+        return "internal"
+    return "closure"
+
+
+ALL_PAIRS = PAIRS + [(g, k) for g in ZOO for k in ZOO]
+
+
+def test_set_leaf_matches_the_assembled_leaf_at_every_search_leaf():
+    # every candidate the search completes, on the listed pairs and all
+    # ordered pairs of the zoo: rejections by each clause occur, as do
+    # two vertices sent to one corolla
+    seen = {"accepted": 0, "count": 0, "internal": 0, "closure": 0, "one corolla": 0}
+    leaf = graphical._image_violation
+
+    def both(source, target, f0, f1v):
+        report = leaf(source, target, f0, f1v)
+        assert kind(report) == kind(assembled_leaf(source, target, f0, f1v)), (
+            source, target, f0, {v: sub.key() for v, sub in f1v.items()}
+        )
+        seen["accepted" if report is None else leaf_clause(source, f0, f1v)] += 1
+        corollas = [sub.key() for sub in f1v.values() if sub.is_corolla()]
+        seen["one corolla"] += len(corollas) != len(set(corollas))
+        return report
+
+    with mock.patch.object(graphical, "_image_violation", both):
+        for g, k in ALL_PAIRS:
+            try:
+                hom_set(g, k)
+            except GraphcatError:
+                pass
+    assert all(seen.values()), seen
+
+
+def test_hom_set_equals_the_assembled_leaf_search():
+    found = {}
+    for g, k in ALL_PAIRS:
+        try:
+            found[g, k] = hom_set(g, k)
+        except GraphcatError as exc:
+            found[g, k] = type(exc)
+    with mock.patch.object(graphical, "_image_violation", assembled_leaf):
+        for g, k in ALL_PAIRS:
+            try:
+                assert hom_set(g, k) == found[g, k], (g, k)
+            except GraphcatError as exc:
+                assert type(exc) is found[g, k], (g, k)
+
+
+# the zoo pairs whose search completes a candidate that is rejected
+REJECTING_PAIRS = [
+    (linear_graph(2), closed_square_graph()),
+    (linear_graph(3), closed_square_graph()),
+    (G3_WITHOUT_V, three_vertex_graph()),
+    (G3_WITHOUT_V, double_edge_graph()),
+    (G3_WITHOUT_V, K_TWIST),
+    (dangling_pair_graph(), closed_double_edge_graph()),
+    (dangling_pair_graph(), closed_square_graph()),
+    (closed_square_graph(), closed_double_edge_graph()),
+    (closed_square_graph(), closed_square_graph()),
+]
+
+
+def _fits(v, subs, f0):
+    """(image, edge images) pairs for v that agree with f0."""
+    return [
+        (sub, ins + outs)
+        for sub in subs
+        if (len(sub.inputs), len(sub.outputs)) == v.biarity()
+        for ins in itertools.permutations(sub.inputs)
+        for outs in itertools.permutations(sub.outputs)
+        if all(f0.get(e, y) == y for e, y in zip(v.ins + v.outs, ins + outs))
+    ]
+
+
+def _random_leaf(g, subs, rnd, keep, idx=0, f0=None, f1=None):
+    """The first leaf of the hom search of g that ``keep`` accepts,
+    trying images in a random order; None when there is none."""
+    f0, f1 = f0 or {}, f1 or {}
+    if idx == len(g.vertices):
+        return (f0, f1) if keep(f0, f1) else None
+    v = g.vertices[idx]
+    fits = _fits(v, subs, f0)
+    rnd.shuffle(fits)
+    for sub, images in fits:
+        leaf = _random_leaf(
+            g, subs, rnd, keep, idx + 1,
+            {**f0, **dict(zip(v.ins + v.outs, images))}, {**f1, v.name: sub},
+        )
+        if leaf is not None:
+            return leaf
+    return None
+
+
+@st.composite
+def candidate_maps(draw):
+    """A graphical morphism as a file hands it to validate_graphical.
+
+    Usually a leaf of the hom search picked at random, half the time
+    among those the assembled leaf rejects; sometimes one vertex then gets any structured subgraph of the target
+    with a random pairing of its edges.  A stray image for a name that
+    is no vertex may be added.  Source and target are a zoo pair whose
+    search rejects some leaf, or a graph and itself, or two graphs, from
+    the zoo or drawn.
+    """
+    graphs = st.sampled_from(ZOO) | small_connected_graphs()
+    g, k = draw(
+        st.sampled_from(REJECTING_PAIRS)
+        | graphs.map(lambda g: (g, g))
+        | st.tuples(graphs, graphs)
+    )
+    subs = structured_subgraphs(k)
+    rnd = draw(st.randoms(use_true_random=False))
+    rejected = lambda f0, f1: assembled_leaf(g, k, f0, f1) is not None
+    f0, f1 = g.vertices and (
+        draw(st.booleans()) and _random_leaf(g, subs, rnd, rejected)
+        or _random_leaf(g, subs, rnd, lambda f0, f1: True)
+    ) or ({}, {})
+    if g.vertices and (not f1 or not draw(st.integers(0, 3))):
+        v = draw(st.sampled_from(g.vertices))
+        sub = draw(st.sampled_from(subs))
+        images = draw(st.permutations(sub.inputs)) + draw(st.permutations(sub.outputs))
+        f0.update(zip(v.ins + v.outs, images))
+        f1[v.name] = sub
+    for v in g.vertices:
+        f1.setdefault(v.name, draw(st.sampled_from(subs)))
+    if draw(st.booleans()):
+        f1["stray"] = draw(st.sampled_from(subs))
+    for e in g.edges:
+        f0.setdefault(e, draw(st.sampled_from(k.edges or ("nowhere",))))
+    data = {
+        "f0": f0,
+        "f1": {
+            v: {"edges": sorted(sub.edge_names), "vertices": sorted(sub.vertex_names_set)}
+            for v, sub in f1.items()
+        },
+    }
+    return morphism_from_json(g, k, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidate_maps())
+def test_validate_graphical_matches_the_assembled_leaf_on_random_candidates(f):
+    verdict = kind(validate_graphical(f))
+    with mock.patch.object(graphical, "_image_violation", assembled_leaf):
+        assert verdict == kind(validate_graphical(f))
 
 
 # ---------------------------------------------------------------------------
