@@ -565,11 +565,11 @@ def candidate_maps(draw):
     """A graphical morphism as a file hands it to validate_graphical.
 
     Usually a leaf of the hom search picked at random, half the time
-    among those the assembled leaf rejects; sometimes one vertex then gets any structured subgraph of the target
-    with a random pairing of its edges.  A stray image for a name that
-    is no vertex may be added.  Source and target are a zoo pair whose
-    search rejects some leaf, or a graph and itself, or two graphs, from
-    the zoo or drawn.
+    among those the assembled leaf rejects; sometimes one vertex then
+    gets any structured subgraph of the target with a random pairing of
+    its edges.  A stray image for a name that is no vertex may be added.
+    Source and target are a zoo pair whose search rejects some leaf, or
+    a graph and itself, or two graphs, from the zoo or drawn.
     """
     graphs = st.sampled_from(ZOO) | small_connected_graphs()
     g, k = draw(
@@ -579,11 +579,14 @@ def candidate_maps(draw):
     )
     subs = structured_subgraphs(k)
     rnd = draw(st.randoms(use_true_random=False))
-    rejected = lambda f0, f1: assembled_leaf(g, k, f0, f1) is not None
-    f0, f1 = g.vertices and (
-        draw(st.booleans()) and _random_leaf(g, subs, rnd, rejected)
-        or _random_leaf(g, subs, rnd, lambda f0, f1: True)
-    ) or ({}, {})
+
+    def rejected(f0, f1):
+        return assembled_leaf(g, k, f0, f1) is not None
+
+    f0, f1 = {}, {}
+    if g.vertices:
+        leaf = draw(st.booleans()) and _random_leaf(g, subs, rnd, rejected)
+        f0, f1 = leaf or _random_leaf(g, subs, rnd, lambda *_: True) or ({}, {})
     if g.vertices and (not f1 or not draw(st.integers(0, 3))):
         v = draw(st.sampled_from(g.vertices))
         sub = draw(st.sampled_from(subs))
