@@ -158,6 +158,12 @@ def linear_graph(k):
 # validation
 
 
+def repeated(names):
+    """The names listed more than once, sorted: the ``where`` of a
+    duplicate-name violation."""
+    return tuple(sorted({x for x in names if names.count(x) > 1}, key=str))
+
+
 def validate(g):
     """Check the graph invariants; return a Violation or None.
 
@@ -166,10 +172,14 @@ def validate(g):
     (MonoViolation), or a directed cycle among vertices (CycleViolation).
     """
     if len(set(g.edges)) != len(g.edges):
-        return Violation("DuplicateEdge", "edge list contains duplicates")
+        return Violation(
+            "DuplicateEdge", "edge list contains duplicates", repeated(g.edges)
+        )
     names = [v.name for v in g.vertices]
     if len(set(names)) != len(names):
-        return Violation("DuplicateVertex", "vertex names are not distinct")
+        return Violation(
+            "DuplicateVertex", "vertex names are not distinct", repeated(names)
+        )
     seen_in, seen_out = {}, {}
     for v in g.vertices:
         for side, listed in (("in", v.ins), ("out", v.outs)):

@@ -131,6 +131,11 @@ def validate_graphical(f):
     for e, y in f.f0.items():
         if y not in K.edge_set:
             return Violation("EdgeMapError", f"{e} maps to unknown edge {y}", (e,))
+    stray = sorted(f.f1v.keys() - G.vertex_by_name.keys())
+    if stray:
+        return Violation(
+            "VertexMapError", f"image subgraph for unknown vertex {stray[0]}", (stray[0],)
+        )
     for v in G.vertex_names:
         if v not in f.f1v:
             return Violation("VertexMapError", f"no image subgraph for {v}", (v,))

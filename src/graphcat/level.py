@@ -27,6 +27,7 @@ from .digraph import (
     cached_property,
     connected_components,
     promote,
+    repeated,
     validate as validate_graph,
 )
 from .errors import (
@@ -140,17 +141,20 @@ def validate_level(lg):
     """Check the level graph axioms; return a Violation or None."""
     n = lg.height
     if n < 0:
-        return Violation("HeightError", "no edge layers")
+        return Violation("HeightError", "no edge layers", ("edge_layers",))
     if len(lg.vertex_layers) != n:
         return Violation(
             "HeightError",
             f"{len(lg.vertex_layers)} vertex layers for height {n}",
+            ("vertex_layers",),
         )
     all_names = [e for layer in lg.edge_layers for e in layer] + [
         v.name for layer in lg.vertex_layers for v in layer
     ]
     if len(set(all_names)) != len(all_names):
-        return Violation("DuplicateName", "edge/vertex names are not distinct")
+        return Violation(
+            "DuplicateName", "edge/vertex names are not distinct", repeated(all_names)
+        )
     for i, layer in enumerate(lg.vertex_layers):
         covered_in, covered_out = [], []
         for v in layer:
@@ -412,16 +416,20 @@ def validate_level_morphism(f):
     if len(alpha) != n + 1 or any(
         alpha[i] > alpha[i + 1] for i in range(n)
     ) or alpha[0] < 0 or alpha[-1] > m:
-        return Violation("AlphaError", f"alpha {alpha} is not monotone into [0,{m}]")
+        return Violation(
+            "AlphaError", f"alpha {alpha} is not monotone into [0,{m}]", ("alpha",)
+        )
     sf_t = special_extension(H)
     emaps, vmaps = f.edge_maps, f.vertex_maps
     if len(emaps) != n + 1:
         return Violation(
-            "EdgeMapError", f"{len(emaps)} edge map layers for {n + 1} levels"
+            "EdgeMapError", f"{len(emaps)} edge map layers for {n + 1} levels",
+            ("edge_maps",),
         )
     if len(vmaps) != n:
         return Violation(
-            "VertexMapError", f"{len(vmaps)} vertex map layers for {n} layers"
+            "VertexMapError", f"{len(vmaps)} vertex map layers for {n} layers",
+            ("vertex_maps",),
         )
     for i, layer in enumerate(G.edge_layers):
         if sorted(emaps[i]) != sorted(layer):

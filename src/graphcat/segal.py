@@ -15,7 +15,7 @@ along with the segmentation reformulation on level-graph corpora.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from .digraph import (
@@ -59,7 +59,7 @@ from .properad import FiniteProperad, decorated_graph
 class Category:
     """What the Segal engine reads from a category of graphs.
 
-    ``graph_of(x)`` is the underlying graph of an object x.
+    ``hom(x, y)`` lists the maps x -> y; ``graph_of(x)`` is x's underlying graph.
     ``corolla_inclusion(c, x, v)`` sends the corolla object c onto the
     vertex v of ``graph_of(x)``; ``edge_inclusion(edge, x, e)`` sends the
     single-edge object onto the edge e.  ``images(f)`` is the edge map of
@@ -67,6 +67,7 @@ class Category:
     is sent to (anything with an ``as_graph``).
     """
 
+    hom: Callable
     compose: Callable
     identity: Callable
     graph_of: Callable
@@ -100,22 +101,19 @@ def _level_edge_inclusion(edge, lg, e):
 
 
 def _level_of(lg, edge):
-    for i, layer in enumerate(lg.edge_layers):
-        if edge in layer:
-            return i
-    raise KeyError(edge)
+    return next(i for i, layer in enumerate(lg.edge_layers) if edge in layer)
 
 
 def _layer_of(lg, vname):
-    for i, layer in enumerate(lg.vertex_layers):
-        if any(v.name == vname for v in layer):
-            return i
-    raise KeyError(vname)
+    return next(
+        i for i, layer in enumerate(lg.vertex_layers) if any(v.name == vname for v in layer)
+    )
 
 
-# compose is looked up when called, so that rebinding the module-level
-# name (as instrumentation does) also reaches composites taken here
+# hom and compose are looked up when called, so that rebinding the
+# module-level names (as instrumentation does) also reaches the maps here
 GRAPHICAL = Category(
+    hom=lambda x, y: hom_set(x, y),
     compose=lambda f, g: compose_graphical(f, g),
     identity=identity_graphical,
     graph_of=lambda g: g,
@@ -125,6 +123,7 @@ GRAPHICAL = Category(
 )
 
 LEVEL = Category(
+    hom=lambda x, y: hom_level(x, y),
     compose=lambda f, g: compose_level(f, g),
     identity=identity_level,
     graph_of=underlying_graph,
@@ -138,26 +137,53 @@ LEVEL = Category(
 # corpora
 
 
+class OnDemand(Mapping):
+    """A read-only table that computes its entry at a key as ``rule(key)``
+    on the first read and keeps it (DECISIONS.md D12).  ``keys()`` lists
+    the keys in order; ``rule`` raises KeyError off the table.  Iterating,
+    and so ``items()`` and ``==``, computes every entry."""
+
+    def __init__(self, keys, rule):
+        self._keys, self._rule, self._kept = keys, rule, {}
+
+    def __getitem__(self, key):
+        if key not in self._kept:
+            self._kept[key] = self._rule(key)
+        return self._kept[key]
+
+    def __iter__(self):
+        return iter({key: self[key] for key in self._keys()})
+
+    def __len__(self):
+        return len(self._keys())
+
+
 class Corpus:
-    """Objects of one category of graphs with precomputed hom tables.
+    """Objects of one category of graphs with their hom tables.
 
     ``graphs[i]`` is the underlying graph of ``objects[i]``; the edge
-    and corolla objects are located on the underlying graphs.
+    and corolla objects are located on the underlying graphs.  ``homs[(i, j)]``
+    is the tuple of maps A_i -> A_j, by default found on its first read.
     """
 
-    def __init__(self, category, objects, homs):
+    def __init__(self, category, objects, homs=None):
         self.category = category
         self.objects = tuple(objects)
         self.graphs = tuple(category.graph_of(x) for x in self.objects)
-        self.homs = homs
+        at = dict(enumerate(self.objects))
+        self.homs = homs if homs is not None else OnDemand(
+            lambda: list(itertools.product(at, repeat=2)),
+            lambda key: category.hom(*(at[i] for i in key)),
+        )
         self._covers = {}
-        self._hom_index = {}
-        for key, entry in homs.items():
-            index = self._hom_index[key] = {
-                m.sort_key(): k for k, m in enumerate(entry)
-            }
-            if len(index) != len(entry):
-                raise GraphcatError(f"two maps in hom table {key} share a sort key")
+        self._hom_index = OnDemand(self.homs.keys, self._sort_key_index)
+
+    def _sort_key_index(self, key):
+        entry = self.homs[key]
+        index = {m.sort_key(): k for k, m in enumerate(entry)}
+        if len(index) != len(entry):
+            raise GraphcatError(f"two maps in hom table {key} share a sort key")
+        return index
 
     def __len__(self):
         return len(self.objects)
@@ -168,7 +194,7 @@ class Corpus:
     def hom_index(self, i, j, m):
         """The position of m: A_i -> A_j in ``hom(i, j)``, found by its
         ``sort_key()`` within that pair (DECISIONS.md D6); KeyError if no
-        map there has that key."""
+        map there has that key; GraphcatError if two maps there share one."""
         return self._hom_index[(i, j)][m.sort_key()]
 
     def object_index(self, x):
@@ -201,8 +227,8 @@ def build_corpus(generators, max_vertices=3):
     """Close generators under structured subgraphs and boundary corollas.
 
     Objects are canonical forms, deduplicated up to isomorphism of the
-    graphical category (orderings quotiented); all pairwise hom-sets
-    are enumerated.
+    graphical category (orderings quotiented); each hom-set is
+    enumerated on its first read.
     """
     pool = [edge_graph()]
     for g in generators:
@@ -220,12 +246,7 @@ def build_corpus(generators, max_vertices=3):
             forms.add(form)
             objects.append(canonical_form(g)[0])
     objects.sort(key=lambda g: (len(g.vertices), len(g.edges), repr(g)))
-    homs = {
-        (i, j): hom_set(a, b)
-        for i, a in enumerate(objects)
-        for j, b in enumerate(objects)
-    }
-    return Corpus(GRAPHICAL, objects, homs)
+    return Corpus(GRAPHICAL, objects)
 
 
 def build_level_corpus(generators):
@@ -246,12 +267,7 @@ def build_level_corpus(generators):
     for lg in pool:
         if lg not in objects:
             objects.append(lg)
-    homs = {
-        (i, j): hom_level(a, b)
-        for i, a in enumerate(objects)
-        for j, b in enumerate(objects)
-    }
-    return Corpus(LEVEL, objects, homs)
+    return Corpus(LEVEL, objects)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +281,7 @@ class FinitePresheaf:
     morphism f: A_i -> A_j, ``restrictions[(i, j, k)]`` is the tuple whose
     p-th entry is the position in ``values[i]`` of the restriction of
     ``values[j][p]`` along f, as in a presheaf file (DECISIONS.md D10).
+    ``nerve`` and ``representable_presheaf`` give ``OnDemand`` tables.
     """
 
     def __init__(self, corpus, values, restrictions):
@@ -319,16 +336,30 @@ class FinitePresheaf:
         return True
 
 
+def _per_morphism(corpus, table):
+    """Restriction tables on demand: entry (i, j, k) is ``table(i, j, f)``
+    for the k-th map f: A_i -> A_j."""
+
+    def rule(key):
+        i, j, k = key
+        fs = corpus.homs[(i, j)]
+        if k not in range(len(fs)):
+            raise KeyError(key)
+        return table(i, j, fs[k])
+
+    return OnDemand(lambda: [
+        (i, j, k) for (i, j), fs in corpus.homs.items() for k in range(len(fs))
+    ], rule)
+
+
 def representable_presheaf(corpus, x_index):
     """hom(-, X): restriction is precomposition."""
     values = tuple(corpus.homs[(i, x_index)] for i in range(len(corpus)))
-    restrictions = {}
-    for (i, j), fs in corpus.homs.items():
-        for k, f in enumerate(fs):
-            restrictions[(i, j, k)] = tuple(
-                corpus.hom_index(i, x_index, corpus.compose(f, h)) for h in values[j]
-            )
-    return FinitePresheaf(corpus, values, restrictions)
+
+    def table(i, j, f):
+        return tuple(corpus.hom_index(i, x_index, corpus.compose(f, h)) for h in values[j])
+
+    return FinitePresheaf(corpus, values, _per_morphism(corpus, table))
 
 
 representable_level_presheaf = representable_presheaf
@@ -373,9 +404,7 @@ def elementary_cover(corpus, gi):
             for e, ce in zip(ends, corolla_ends):
                 conn = cat.edge_inclusion(edge_obj, c, ce)
                 connections.append((e, v.name, ci, conn))
-    edge_entries = tuple(
-        (e, ei, cat.edge_inclusion(edge_obj, x, e)) for e in g.edges
-    )
+    edge_entries = tuple((e, ei, cat.edge_inclusion(edge_obj, x, e)) for e in g.edges)
     cover = Cover(gi, tuple(vertex_entries), edge_entries, tuple(connections))
     corpus._covers[gi] = cover
     return cover
@@ -453,11 +482,12 @@ def nerve(P, corpus):
 
     A decoration is an edge coloring plus a color-compatible operation
     per vertex of the underlying graph; restriction along a morphism
-    evaluates the decoration on each vertex's image subgraph.  Within
-    one call, ``P.evaluate`` runs once per target object and distinct
-    key: the image's edges and vertices, its boundary order, and the
-    decoration's colors and operations on the image, which is all that
-    evaluation reads (DECISIONS.md D6).
+    evaluates the decoration on each vertex's image subgraph, on the
+    first read of its table (DECISIONS.md D12).  Per presheaf,
+    ``P.evaluate`` runs once per target object and distinct key: the
+    image's edges and vertices, its boundary order, and the decoration's
+    colors and operations on the image, which is all that evaluation
+    reads (D6).
     """
     values = []
     for g in corpus.graphs:
@@ -465,43 +495,38 @@ def nerve(P, corpus):
         for coloring in itertools.product(P.colors, repeat=len(g.edges)):
             cof = dict(zip(g.edges, coloring))
             per_vertex = [
-                P.ops(
-                    tuple(cof[e] for e in v.ins),
-                    tuple(cof[e] for e in v.outs),
-                )
+                P.ops(tuple(cof[e] for e in v.ins), tuple(cof[e] for e in v.outs))
                 for v in g.vertices
             ]
-            for ops in itertools.product(*per_vertex):
-                entries.append((coloring, ops))
+            entries.extend((coloring, ops) for ops in itertools.product(*per_vertex))
         values.append(tuple(entries))
     values = tuple(values)
     positions = [{x: p for p, x in enumerate(entries)} for entries in values]
+    edge_pos = [{e: p for p, e in enumerate(g.edges)} for g in corpus.graphs]
+    vertex_pos = [{w: p for p, w in enumerate(g.vertex_names)} for g in corpus.graphs]
     # per target object: image and boundary -> {(colors, operations): value}
     memos = [{} for _ in corpus.graphs]
-    restrictions = {}
-    for (i, j), fs in corpus.homs.items():
-        src, tgt = corpus.graphs[i], corpus.graphs[j]
-        edge_pos = {e: p for p, e in enumerate(tgt.edges)}
-        vertex_pos = {w: p for p, w in enumerate(tgt.vertex_names)}
-        for k, f in enumerate(fs):
-            f0, subs = corpus.category.images(f)
-            plans = []
-            for v in src.vertices:
-                img = subs[v.name].as_graph
-                ins = tuple(f0[e] for e in v.ins)
-                outs = tuple(f0[e] for e in v.outs)
-                memo = memos[j].setdefault((img.edges, img.vertex_names, ins, outs), {})
-                plans.append((
-                    img, ins, outs, memo,
-                    [edge_pos[e] for e in img.edges],
-                    [vertex_pos[w] for w in img.vertex_names],
-                ))
-            colour_pos = [edge_pos[f0[e]] for e in src.edges]
-            restrictions[(i, j, k)] = tuple(
-                _restrict_decoration(P, positions[i], colour_pos, plans, x)
-                for x in values[j]
-            )
-    return FinitePresheaf(corpus, values, restrictions)
+
+    def table(i, j, f):
+        f0, subs = corpus.category.images(f)
+        plans = []
+        for v in corpus.graphs[i].vertices:
+            img = subs[v.name].as_graph
+            ins = tuple(f0[e] for e in v.ins)
+            outs = tuple(f0[e] for e in v.outs)
+            memo = memos[j].setdefault((img.edges, img.vertex_names, ins, outs), {})
+            plans.append((
+                img, ins, outs, memo,
+                [edge_pos[j][e] for e in img.edges],
+                [vertex_pos[j][w] for w in img.vertex_names],
+            ))
+        colour_pos = [edge_pos[j][f0[e]] for e in corpus.graphs[i].edges]
+        return tuple(
+            _restrict_decoration(P, positions[i], colour_pos, plans, x)
+            for x in values[j]
+        )
+
+    return FinitePresheaf(corpus, values, _per_morphism(corpus, table))
 
 
 def nerve_level(P, corpus):
@@ -541,7 +566,11 @@ class ExtractedProperad(FiniteProperad):
         self.colors = tuple(F.value(F.corpus.edge_index))
         self._ops_cache = {}
         self._profiles = {}
-        self._fingerprints = {}
+        # object -> {Segal comparison of a value: its position}
+        self._fingerprints = OnDemand(
+            lambda: range(len(self.corpus)),
+            lambda gi: {fp: p for p, fp in enumerate(segal_map(F, gi))},
+        )
         # unordered form -> (object index, edge renaming, vertex renaming)
         self._by_form = {}
         # decorated graph -> (object index, its isomorphism from the object)
@@ -603,22 +632,10 @@ class ExtractedProperad(FiniteProperad):
         m, n = len(prof[0]), len(prof[1])
         ci, c = self._corolla(m, n)
         cv = c.vertices[0]
-        f0 = {}
-        for i in range(m):
-            f0[cv.ins[i]] = cv.ins[in_perm[i]]
-        for j in range(n):
-            f0[cv.outs[j]] = cv.outs[out_perm[j]]
-        perm_map = graphical_morphism(
-            c, c, f0, {cv.name: vertex_corolla(c, cv.name)}
-        )
+        f0 = {cv.ins[i]: cv.ins[in_perm[i]] for i in range(m)}
+        f0 |= {cv.outs[j]: cv.outs[out_perm[j]] for j in range(n)}
+        perm_map = graphical_morphism(c, c, f0, {cv.name: vertex_corolla(c, cv.name)})
         return self.F.restrict_along(ci, ci, perm_map, op)
-
-    def _fingerprint_index(self, gi):
-        if gi not in self._fingerprints:
-            self._fingerprints[gi] = {
-                fp: p for p, fp in enumerate(segal_map(self.F, gi))
-            }
-        return self._fingerprints[gi]
 
     def _iso_from_object(self, g):
         """The corpus object isomorphic to ``g`` and the isomorphism
@@ -627,9 +644,7 @@ class ExtractedProperad(FiniteProperad):
         if iso is None:
             form, g_edges, g_vertices = unordered_canonical_form(g)
             if form not in self._by_form:
-                raise GraphcatError(
-                    "decorated graph is not isomorphic to a corpus object"
-                )
+                raise GraphcatError("decorated graph is not isomorphic to a corpus object")
             gi, obj_edges, obj_vertices = self._by_form[form]
             # through the shared form
             edge_back = {c: e for e, c in g_edges.items()}
@@ -658,12 +673,11 @@ class ExtractedProperad(FiniteProperad):
             in_perm = tuple(xv.ins.index(z0[e]) for e in w.ins)
             out_perm = tuple(xv.outs.index(z0[e]) for e in w.outs)
             labels[w.name] = self.act(op, in_perm, out_perm)
-        moved = decorated_graph(
+        return gi, decorated_graph(
             obj, colors, labels,
             tuple(inv[e] for e in dec.in_order),
             tuple(inv[e] for e in dec.out_order),
         )
-        return gi, moved
 
     def evaluate(self, dec):
         if not dec.graph.vertices:
@@ -680,7 +694,7 @@ class ExtractedProperad(FiniteProperad):
             tuple(F.position(ci, dec.label_of[v]) for v, ci, _ in cover.vertex_entries),
             tuple(F.position(ei, dec.color_of[e]) for e, ei, _ in cover.edge_entries),
         )
-        target = self._fingerprint_index(gi).get(fingerprint)
+        target = self._fingerprints[gi].get(fingerprint)
         if target is None:
             raise NotSegal("no Segal preimage for the decoration")
         m, n = len(dec.in_order), len(dec.out_order)
@@ -691,9 +705,7 @@ class ExtractedProperad(FiniteProperad):
         try:
             k = self.corpus.hom_index(ci, gi, active)
         except KeyError:
-            raise GraphcatError(
-                "no active comparison with the given boundary"
-            ) from None
+            raise GraphcatError("no active comparison with the given boundary") from None
         return F.values[ci][F.restrictions[(ci, gi, k)][target]]
 
 
@@ -713,8 +725,7 @@ def segmentation_local(F):
     """
     corpus = F.corpus
     for li, lg in enumerate(corpus.objects):
-        n = lg.height
-        if n <= 1:
+        if lg.height <= 1:
             continue
         pieces, interfaces = segmentation_pieces(lg)
         piece_idx = [corpus.object_index(p) for p, _ in pieces]
@@ -738,9 +749,7 @@ def segmentation_local(F):
                 for i, (top, bottom) in enumerate(faces)
             )
         ]
-        tables = [
-            F.table_along(pi, li, incl) for pi, (_, incl) in zip(piece_idx, pieces)
-        ]
+        tables = [F.table_along(pi, li, incl) for pi, (_, incl) in zip(piece_idx, pieces)]
         # the p-th value of F(lg) -> its restrictions to the pieces
         if not _bijective_onto(list(zip(*tables)), families):
             return False, li

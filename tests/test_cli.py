@@ -223,6 +223,63 @@ def test_theta_reports_where_a_map_fails(tmp_path, capsys, data, line):
     assert err == f"violation: {line}\n"
 
 
+_STRAY_F1 = {
+    **_graphical_identity_json(["v"]),
+    "f1": {
+        "v": {"edges": ["i1", "o1"], "vertices": ["v"]},
+        "zz": {"edges": ["nope"], "vertices": ["ghost"]},
+    },
+}
+_LEVEL_IDENTITY = {
+    "alpha": [0, 1], "edge_maps": [{"a": "a"}, {"b": "b"}],
+    "vertex_maps": [{"v": ["e", 0, "a"]}],
+    **{role: {"edge_layers": [["a"], ["b"]],
+              "vertex_layers": [[{"name": "v", "in": ["a"], "out": ["b"]}]]}
+       for role in ("source", "target")},
+}
+
+
+@pytest.mark.parametrize("command, data, line", [
+    (["validate"], {"edges": ["b", "a", "b", "a"], "vertices": []},
+     "DuplicateEdge at ('a', 'b'): edge list contains duplicates"),
+    (["validate"], {"edges": [], "vertices": [
+        {"name": "v", "in": [], "out": []}, {"name": "v", "in": [], "out": []},
+    ]}, "DuplicateVertex at ('v',): vertex names are not distinct"),
+    (["validate", "--level"], {"edge_layers": [], "vertex_layers": []},
+     "HeightError at ('edge_layers',): no edge layers"),
+    (["validate", "--level"], {"edge_layers": [["a"]], "vertex_layers": [[]]},
+     "HeightError at ('vertex_layers',): 1 vertex layers for height 0"),
+    (["validate", "--level"], {"edge_layers": [["a"], ["b"]], "vertex_layers": [
+        [{"name": "a", "in": ["a"], "out": ["b"]}],
+    ]}, "DuplicateName at ('a',): edge/vertex names are not distinct"),
+    (["tau"], {**_LEVEL_IDENTITY, "alpha": [1, 0]},
+     "AlphaError at ('alpha',): alpha (1, 0) is not monotone into [0,1]"),
+    (["tau"], {**_LEVEL_IDENTITY, "edge_maps": [{"a": "a"}]},
+     "EdgeMapError at ('edge_maps',): 1 edge map layers for 2 levels"),
+    (["tau"], {**_LEVEL_IDENTITY, "vertex_maps": []},
+     "VertexMapError at ('vertex_maps',): 0 vertex map layers for 1 layers"),
+    (["theta"], _STRAY_F1,
+     "VertexMapError at ('zz',): image subgraph for unknown vertex zz"),
+    (["factorize", "--cat", "G"], _STRAY_F1,
+     "VertexMapError at ('zz',): image subgraph for unknown vertex zz"),
+], ids=["duplicate-edge", "duplicate-vertex", "no-edge-layers", "vertex-layer-count",
+        "duplicate-name", "alpha", "edge-map-layers", "vertex-map-layers",
+        "theta-stray-f1", "factorize-stray-f1"])
+def test_violations_say_where(tmp_path, capsys, command, data, line):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert err == f"violation: {line}\n"
+
+
+def test_identity_without_stray_f1_passes_theta(tmp_path, capsys):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(_graphical_identity_json(["v"])))
+    code, _, err = run_cli(capsys, "theta", str(path))
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("data, code, report", [
     ([], 2, "error: malformed properad"),
     ({"kind": "end"}, 2, "error: malformed properad"),
@@ -311,6 +368,27 @@ def test_nerve_and_segal_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "segal", str(presheaf_file))
     assert code == 0
     assert json.loads(out)["segal"] is True
+
+
+def test_nerve_error_in_a_table_writes_no_file(tmp_path, capsys, monkeypatch):
+    from graphcat import segal
+    from graphcat.errors import GraphcatError
+
+    def fail(*_):
+        raise GraphcatError("restriction failed")
+
+    monkeypatch.setattr(segal, "_restrict_decoration", fail)
+    properad_file = tmp_path / "p.json"
+    properad_file.write_text(json.dumps({"kind": "end", "sets": {"c": 2}}))
+    corpus_file = tmp_path / "corpus.json"
+    corpus_file.write_text(json.dumps({"generators": [graph_to_json(linear_graph(2))]}))
+    presheaf_file = tmp_path / "nerve.json"
+    code, out, err = run_cli(
+        capsys, "nerve", str(properad_file), str(corpus_file), "-o", str(presheaf_file),
+    )
+    assert code == 1 and out == ""
+    assert err == "violation: GraphcatError: restriction failed\n"
+    assert not presheaf_file.exists()
 
 
 def _pair_corpus_manifest():

@@ -609,7 +609,7 @@ def test_corpus_rejects_maps_sharing_a_sort_key():
     ident = identity_graphical(e)
     Corpus(GRAPHICAL, [e], {(0, 0): (ident,)})
     with pytest.raises(GraphcatError):
-        Corpus(GRAPHICAL, [e], {(0, 0): (ident, identity_graphical(e))})
+        Corpus(GRAPHICAL, [e], {(0, 0): (ident, identity_graphical(e))}).hom_index(0, 0, ident)
 
 
 def brute_force_limit(F, gi, images_of):
@@ -674,3 +674,140 @@ def test_segal_limit_matches_brute_force(corpus, images_of):
             limit = segal_limit(F, gi)
             assert len(set(limit)) == len(limit)
             assert set(limit) == brute_force_limit(F, gi, images_of), gi
+
+
+# ---------------------------------------------------------------------------
+# tables computed on first read against the tables computed up front
+
+
+def eager_homs(corpus):
+    """Every ordered hom-set of the corpus objects, enumerated up front."""
+    hom = hom_set if corpus.category is GRAPHICAL else hom_level
+    objects = list(enumerate(corpus.objects))
+    return {(i, j): hom(a, b) for (i, a), (j, b) in itertools.product(objects, repeat=2)}
+
+
+def eager_nerve(P, corpus, homs):
+    """The nerve as it was computed before its tables were computed on
+    first read: values, then every restriction table in one pass over
+    ``homs``, with one evaluation memo per target object."""
+    values = []
+    for g in corpus.graphs:
+        entries = []
+        for coloring in itertools.product(P.colors, repeat=len(g.edges)):
+            cof = dict(zip(g.edges, coloring))
+            per_vertex = [
+                P.ops(tuple(cof[e] for e in v.ins), tuple(cof[e] for e in v.outs))
+                for v in g.vertices
+            ]
+            entries += [(coloring, ops) for ops in itertools.product(*per_vertex)]
+        values.append(tuple(entries))
+    positions = [{x: p for p, x in enumerate(entries)} for entries in values]
+    memos = [{} for _ in corpus.graphs]
+    restrictions = {}
+    for (i, j), fs in homs.items():
+        src, tgt = corpus.graphs[i], corpus.graphs[j]
+        edge_pos = {e: p for p, e in enumerate(tgt.edges)}
+        vertex_pos = {w: p for p, w in enumerate(tgt.vertex_names)}
+        for k, f in enumerate(fs):
+            f0, subs = corpus.category.images(f)
+            plans = []
+            for v in src.vertices:
+                img = subs[v.name].as_graph
+                ins = tuple(f0[e] for e in v.ins)
+                outs = tuple(f0[e] for e in v.outs)
+                memo = memos[j].setdefault((img.edges, img.vertex_names, ins, outs), {})
+                plans.append((img, ins, outs, memo, [edge_pos[e] for e in img.edges],
+                              [vertex_pos[w] for w in img.vertex_names]))
+            colour_pos = [edge_pos[f0[e]] for e in src.edges]
+            table = []
+            for coloring, ops in values[j]:
+                new_ops = []
+                for img, ins, outs, memo, epos, vpos in plans:
+                    key = (tuple(coloring[p] for p in epos), tuple(ops[p] for p in vpos))
+                    if key not in memo:
+                        colors = dict(zip(img.edges, key[0]))
+                        labels = dict(zip(img.vertex_names, key[1]))
+                        dec = decorated_graph(img, colors, labels, ins, outs)
+                        memo[key] = P.evaluate(dec)
+                    new_ops.append(memo[key])
+                new_colors = tuple(coloring[p] for p in colour_pos)
+                table.append(positions[i][(new_colors, tuple(new_ops))])
+            restrictions[(i, j, k)] = tuple(table)
+    return tuple(values), restrictions
+
+
+def eager_representable(corpus, x, homs):
+    """hom(-, X) with every table computed up front, each composite
+    located by its sort key within its pair."""
+    index = {
+        key: {m.sort_key(): k for k, m in enumerate(fs)} for key, fs in homs.items()
+    }
+    values = tuple(homs[(i, x)] for i in range(len(corpus)))
+    restrictions = {
+        (i, j, k): tuple(index[(i, x)][corpus.compose(f, h).sort_key()] for h in values[j])
+        for (i, j), fs in homs.items()
+        for k, f in enumerate(fs)
+    }
+    return values, restrictions
+
+
+def assert_reads_equal(table, reference, rnd):
+    """Each entry read in a shuffled order equals the reference; then the
+    whole table (which computes the entries not yet read) does too."""
+    keys = list(reference)
+    rnd.shuffle(keys)
+    for key in keys[: len(keys) // 2]:
+        assert table[key] == reference[key], key
+    assert table == reference
+    assert list(table) == list(reference)
+
+
+@pytest.mark.parametrize("corpus, P", [
+    (g3_corpus, end_properad({"c": 2})),
+    (pair_corpus, terminal_properad(("x", "y"))),
+    (criterion_9_level_corpus, end_properad({"c": 2})),
+    (level_corpus, end_properad({"c": 2})),
+], ids=["g3", "pair", "criterion-9-level", "level"])
+def test_on_demand_tables_equal_the_eager_tables(corpus, P):
+    rnd = random.Random(18)
+    C = corpus()
+    homs = eager_homs(C)
+    assert_reads_equal(C.homs, homs, rnd)
+    N = nerve(P, corpus())
+    values, restrictions = eager_nerve(P, N.corpus, homs)
+    assert N.values == values
+    assert_reads_equal(N.restrictions, restrictions, rnd)
+    # the last object: the largest of a graphical corpus
+    R = representable_presheaf(corpus(), len(C) - 1)
+    values, restrictions = eager_representable(R.corpus, len(C) - 1, homs)
+    assert R.values == values
+    assert_reads_equal(R.restrictions, restrictions, rnd)
+
+
+@pytest.mark.parametrize("corpus, category, hom_name, check", [
+    (g3_corpus, "GRAPHICAL", "hom_set", is_segal),
+    (pair_corpus, "GRAPHICAL", "hom_set", is_segal),
+    (criterion_9_level_corpus, "LEVEL", "hom_level", segmentation_check),
+], ids=["g3", "pair", "criterion-9-level"])
+def test_segal_checks_compute_only_the_maps_they_read(monkeypatch, corpus, category,
+                                                       hom_name, check):
+    import dataclasses
+
+    from graphcat import segal
+
+    homs, tables = [], []
+    hom = getattr(segal, hom_name)
+    images = getattr(segal, category).images
+    monkeypatch.setattr(segal, hom_name, lambda a, b: homs.append((a, b)) or hom(a, b))
+    monkeypatch.setattr(segal, category, dataclasses.replace(
+        getattr(segal, category), images=lambda f: tables.append(f) or images(f),
+    ))
+    C = corpus()
+    result = check(nerve(terminal_properad(), C))
+    assert result in ((True, None), (True, True))
+    maps = sum(len(hom(a, b)) for a in C.objects for b in C.objects)
+    assert 0 < len(homs) < len(C) ** 2
+    assert 0 < len(tables) < maps
+    # and no table is computed twice
+    assert len({id(f) for f in tables}) == len(tables)
