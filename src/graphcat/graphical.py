@@ -116,7 +116,8 @@ def _image_violation(source, target, f0, f1v):
 
 
 def validate_graphical(f):
-    """Check boundary compatibility and the convex open image condition."""
+    """Check boundary compatibility, the convex open image condition, and
+    that ``f1`` names only source vertices."""
     G, K = f.source, f.target
     for role, g in (("source", G), ("target", K)):
         if not is_connected(g):
@@ -131,11 +132,6 @@ def validate_graphical(f):
     for e, y in f.f0.items():
         if y not in K.edge_set:
             return Violation("EdgeMapError", f"{e} maps to unknown edge {y}", (e,))
-    stray = sorted(f.f1v.keys() - G.vertex_by_name.keys())
-    if stray:
-        return Violation(
-            "VertexMapError", f"image subgraph for unknown vertex {stray[0]}", (stray[0],)
-        )
     for v in G.vertex_names:
         if v not in f.f1v:
             return Violation("VertexMapError", f"no image subgraph for {v}", (v,))
@@ -154,7 +150,14 @@ def validate_graphical(f):
             return Violation(
                 "BoundaryMismatch", f"outputs of {v} do not match its image", (v,)
             )
-    return _image_violation(G, K, f.f0, f.f1v)
+    report = _image_violation(G, K, f.f0, f.f1v)
+    # last, so that only a map that passes every other check changes verdict
+    stray = sorted(f.f1v.keys() - G.vertex_by_name.keys())
+    if report is None and stray:
+        return Violation(
+            "VertexMapError", f"image subgraph for unknown vertex {stray[0]}", (stray[0],)
+        )
+    return report
 
 
 def f1_on_subgraph(f, j):

@@ -262,9 +262,13 @@ _LEVEL_IDENTITY = {
      "VertexMapError at ('zz',): image subgraph for unknown vertex zz"),
     (["factorize", "--cat", "G"], _STRAY_F1,
      "VertexMapError at ('zz',): image subgraph for unknown vertex zz"),
+    # a stray name is checked last: another fault is reported as before
+    (["theta"], _graphical_json(G3_WITHOUT_V, three_vertex_graph(), G3_IDENTITY_EDGES, {
+        "p": ("abd", "u"), "q": ("cde", "w"), "zz": ("a", ""),
+    }), "NotConvexOpenImage at ('w',): total image is not a structured subgraph"),
 ], ids=["duplicate-edge", "duplicate-vertex", "no-edge-layers", "vertex-layer-count",
         "duplicate-name", "alpha", "edge-map-layers", "vertex-map-layers",
-        "theta-stray-f1", "factorize-stray-f1"])
+        "theta-stray-f1", "factorize-stray-f1", "stray-f1-after-another-fault"])
 def test_violations_say_where(tmp_path, capsys, command, data, line):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(data))
