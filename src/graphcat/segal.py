@@ -281,13 +281,16 @@ class FinitePresheaf:
     morphism f: A_i -> A_j, ``restrictions[(i, j, k)]`` is the tuple whose
     p-th entry is the position in ``values[i]`` of the restriction of
     ``values[j][p]`` along f, as in a presheaf file (DECISIONS.md D10).
-    ``nerve`` and ``representable_presheaf`` give ``OnDemand`` tables.
+    ``nerve`` and ``representable_presheaf`` keep ``OnDemand`` tables by morphism (D13).
     """
 
-    def __init__(self, corpus, values, restrictions):
+    def __init__(self, corpus, values, restrictions, along=None):
         self.corpus = corpus
         self.values = values
         self.restrictions = restrictions
+        self._along = along or (
+            lambda i, j, m: restrictions[(i, j, corpus.hom_index(i, j, m))]
+        )
         self._index = {}
 
     def value(self, i):
@@ -307,10 +310,10 @@ class FinitePresheaf:
 
     def table_along(self, i, j, m):
         """The restriction table along the morphism m: A_i -> A_j."""
-        return self.restrictions[(i, j, self.corpus.hom_index(i, j, m))]
+        return self._along(i, j, m)
 
     def restrict_along(self, i, j, m, x):
-        return self.restrict(i, j, self.corpus.hom_index(i, j, m), x)
+        return self.values[i][self.table_along(i, j, m)[self.position(j, x)]]
 
     def check_functorial(self, max_pairs=None):
         """Identities restrict trivially; composites factor."""
@@ -337,19 +340,26 @@ class FinitePresheaf:
 
 
 def _per_morphism(corpus, table):
-    """Restriction tables on demand: entry (i, j, k) is ``table(i, j, f)``
-    for the k-th map f: A_i -> A_j."""
+    """Tables kept by morphism: ``along(i, j, f)`` is ``table(i, j, f)``, once
+    per sort key, and the view's entry (i, j, k) is ``along`` at the k-th map."""
+    kept = {}
+
+    def along(i, j, f):
+        key = (i, j, f.sort_key())
+        if key not in kept:
+            kept[key] = table(i, j, f)
+        return kept[key]
 
     def rule(key):
         i, j, k = key
         fs = corpus.homs[(i, j)]
         if k not in range(len(fs)):
             raise KeyError(key)
-        return table(i, j, fs[k])
+        return along(i, j, fs[k])
 
     return OnDemand(lambda: [
         (i, j, k) for (i, j), fs in corpus.homs.items() for k in range(len(fs))
-    ], rule)
+    ], rule), along
 
 
 def representable_presheaf(corpus, x_index):
@@ -359,7 +369,7 @@ def representable_presheaf(corpus, x_index):
     def table(i, j, f):
         return tuple(corpus.hom_index(i, x_index, corpus.compose(f, h)) for h in values[j])
 
-    return FinitePresheaf(corpus, values, _per_morphism(corpus, table))
+    return FinitePresheaf(corpus, values, *_per_morphism(corpus, table))
 
 
 representable_level_presheaf = representable_presheaf
@@ -526,7 +536,7 @@ def nerve(P, corpus):
             for x in values[j]
         )
 
-    return FinitePresheaf(corpus, values, _per_morphism(corpus, table))
+    return FinitePresheaf(corpus, values, *_per_morphism(corpus, table))
 
 
 def nerve_level(P, corpus):

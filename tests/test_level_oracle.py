@@ -28,10 +28,12 @@ code with ``SpecialFunctor``, ``derived_class_map``,
 import itertools
 from collections import deque
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphcat import zoo
 from graphcat.digraph import Graph, Vertex, corolla, edge_graph, linear_graph
+from graphcat.errors import ConnectivityError
 from graphcat.level import (
     LevelGraph,
     LevelMorphism,
@@ -41,6 +43,7 @@ from graphcat.level import (
     level_graph,
     level_structure,
     linear_level_graph,
+    tau,
     validate_level,
     validate_level_morphism,
 )
@@ -327,6 +330,48 @@ def test_hom_level_sorted_by_sort_key():
     for (_, G), (_, H) in itertools.product(GRAPHS, repeat=2):
         keys = [f.sort_key() for f in hom_level(G, H)]
         assert keys == sorted(keys)
+
+
+def oracle_tau(f):
+    """The graphical map underlying f, from the definition: edges map by
+    the levelwise edge maps, and a vertex goes to the edges and vertices
+    of its component image, found by the oracle's own search."""
+    G, H, alpha = f.source, f.target, f.alpha
+    edges = {e: y for layer in f.eta_e for e, y in layer}
+    images = {}
+    for k, layer in enumerate(f.eta_v):
+        components = slice_components(H, alpha[k], alpha[k + 1])
+        for v, rep in layer:
+            comp = containing(components, rep)
+            images[v] = (
+                frozenset(a[2] for a in comp if a[0] == "e"),
+                frozenset(a[2] for a in comp if a[0] == "v"),
+            )
+    return edges, images
+
+
+def test_tau_matches_oracle_on_every_connected_pair():
+    def connected(lg):
+        return len(slice_components(lg, 0, lg.height)) == 1
+
+    maps = collapsing = refused = 0
+    for (gname, G), (hname, H) in itertools.product(GRAPHS, repeat=2):
+        for f in hom_level(G, H):
+            if not (connected(G) and connected(H)):
+                with pytest.raises(ConnectivityError):
+                    tau(f)
+                refused += 1
+                continue
+            t = tau(f)
+            edges, images = oracle_tau(f)
+            assert t.f0 == edges, (gname, hname, f.sort_key())
+            assert {
+                v: (sub.edge_names, sub.vertex_names_set) for v, sub in t.f1v.items()
+            } == images, (gname, hname, f.sort_key())
+            maps += 1
+            collapsing += any(len(vs) > 1 for _, vs in images.values())
+    # in some maps a vertex goes to a subgraph with several vertices
+    assert maps > 300 and collapsing > 40 and refused > 0
 
 
 # ---------------------------------------------------------------------------

@@ -807,7 +807,68 @@ def test_segal_checks_compute_only_the_maps_they_read(monkeypatch, corpus, categ
     result = check(nerve(terminal_properad(), C))
     assert result in ((True, None), (True, True))
     maps = sum(len(hom(a, b)) for a in C.objects for b in C.objects)
-    assert 0 < len(homs) < len(C) ** 2
+    # the nerve's tables are read by morphism, so no hom-set is searched
+    assert homs == []
     assert 0 < len(tables) < maps
     # and no table is computed twice
     assert len({id(f) for f in tables}) == len(tables)
+    # a representable hom(-, X) searches only the hom-sets of its values
+    x = len(C) - 1
+    check(representable_presheaf(C, x))
+    assert {(C.object_index(a), C.object_index(b)) for a, b in homs} == {
+        (i, x) for i in range(len(C))
+    }
+    assert len(homs) == len(C)
+
+
+@pytest.mark.parametrize("by_morphism_first", [True, False],
+                         ids=["by-morphism-first", "by-position-first"])
+@pytest.mark.parametrize("corpus", [
+    g3_corpus, pair_corpus, criterion_9_level_corpus, level_corpus,
+], ids=["g3", "pair", "criterion-9-level", "level"])
+def test_tables_by_morphism_equal_tables_by_position(monkeypatch, corpus,
+                                                     by_morphism_first):
+    import dataclasses
+
+    from graphcat import segal
+
+    rnd = random.Random(19)
+    reference = corpus()
+    homs = eager_homs(reference)
+    x = len(reference) - 1
+    properads = (terminal_properad(), end_properad({"c": 2}))
+    expected = [eager_nerve(P, reference, homs) for P in properads]
+    expected.append(eager_representable(reference, x, homs))
+    # count the work of each table: the nerve's images, the representable's composites
+    images, composites = [], []
+    name = "GRAPHICAL" if reference.category is segal.GRAPHICAL else "LEVEL"
+    category = getattr(segal, name)
+    monkeypatch.setattr(segal, name, dataclasses.replace(
+        category,
+        images=lambda f: images.append(f) or category.images(f),
+        compose=lambda f, g: composites.append(f) or category.compose(f, g),
+    ))
+    C = corpus()
+    maps = [(i, j, k, m) for (i, j), fs in C.homs.items() for k, m in enumerate(fs)]
+
+    def by_morphism(F, i, j, m):
+        return F.table_along(i, j, m)
+
+    def by_position(F, i, j, m):
+        return F.restrictions[(i, j, C.hom_index(i, j, m))]
+
+    reads = (by_morphism, by_position) if by_morphism_first else (by_position, by_morphism)
+    # per presheaf: the calls its tables make, and how many one table along A_i -> A_j makes
+    cases = [(nerve(P, C), images, lambda j: 1) for P in properads]
+    cases.append((representable_presheaf(C, x), composites, lambda j: len(C.homs[(j, x)])))
+    for (F, calls, per_table), (values, restrictions) in zip(cases, expected):
+        assert F.values == values
+        images.clear()
+        composites.clear()
+        for read in reads:
+            rnd.shuffle(maps)
+            for i, j, k, m in maps:
+                assert read(F, i, j, m) == restrictions[(i, j, k)], (read, i, j, k)
+        # each table is computed once across both kinds of read
+        assert len(calls) == sum(per_table(j) for _, j, _, _ in maps)
+        assert len(images) + len(composites) == len(calls)
