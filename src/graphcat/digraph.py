@@ -508,11 +508,18 @@ class StructuredSubgraph:
 
     @cached_property
     def inputs(self):
-        return self.as_graph.inputs
+        return self._boundary(self.parent.out_vertex)
 
     @cached_property
     def outputs(self):
-        return self.as_graph.outputs
+        return self._boundary(self.parent.in_vertex)
+
+    def _boundary(self, end):
+        """Member edges, in parent order, whose ``end`` vertex is no member."""
+        return tuple(
+            e for e in self.parent.edges
+            if e in self.edge_names and end.get(e) not in self.vertex_names_set
+        )
 
     @cached_property
     def internal_edges(self):

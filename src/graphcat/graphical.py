@@ -24,9 +24,7 @@ from .digraph import (
     is_connected,
     is_convex_open,
     multi_substitute,
-    open_union,
     path_reentry,
-    promote,
     structured_subgraphs,
     vertex_corolla,
     whole_subgraph,
@@ -63,16 +61,22 @@ class GraphicalMorphism:
 
 
 def graphical_morphism(source, target, f0, f1v):
-    """Build a morphism from an edge map and vertex-to-subgraph map."""
+    """Build a morphism from an edge map and vertex-to-subgraph map; a
+    copy of ``f1v`` is kept when it holds only subgraphs of ``target``
+    (DECISIONS.md D14)."""
     pairs = []
     for v, sub in f1v.items():
         if isinstance(sub, StructuredSubgraph):
             pairs.append((v, sub.key()))
         else:
             pairs.append((v, (tuple(sorted(sub[0])), tuple(sorted(sub[1])))))
-    return GraphicalMorphism(
+    m = GraphicalMorphism(
         source, target, tuple(sorted(f0.items())), tuple(sorted(pairs))
     )
+    if all(isinstance(sub, StructuredSubgraph) and sub.parent is target
+           for sub in f1v.values()):
+        m.__dict__["f1v"] = dict(f1v)
+    return m
 
 
 def identity_graphical(g):
@@ -164,19 +168,17 @@ def f1_on_subgraph(f, j):
     """The derived action on structured subgraphs.
 
     A single edge goes to the edge subgraph on its image; otherwise the
-    image is the union of the per-vertex subgraphs.
+    image is the union of the per-vertex subgraphs (DECISIONS.md D14).
     """
     if j.is_edge():
         (e,) = j.edge_names
         return edge_subgraph(f.target, f.f0[e])
-    current = None
-    for v in sorted(j.vertex_names_set):
-        sub = f.f1v[v].as_open
-        current = sub if current is None else open_union(current, sub)
-    out = promote(current)
-    if out is None:
-        raise GraphcatError("image of a structured subgraph is not structured")
-    return out
+    subs = [f.f1v[v] for v in j.vertex_names_set]
+    return StructuredSubgraph(
+        f.target,
+        frozenset().union(*(sub.edge_names for sub in subs)),
+        frozenset().union(*(sub.vertex_names_set for sub in subs)),
+    )
 
 
 def compose_graphical(g, f):

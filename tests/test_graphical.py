@@ -303,6 +303,39 @@ def test_only_factorization_builds_the_assembled_graph(monkeypatch):
     assert len(calls) == len(maps)
 
 
+def test_hom_set_and_compose_build_no_subgraph_graph(monkeypatch):
+    # boundaries are read from the target's tables and composite images
+    # are not promoted again (DECISIONS.md D14)
+    built, convex = [], []
+    as_graph = digraph.OpenSubgraph.as_graph.func
+    counted = digraph.cached_property(lambda sub: built.append(sub) or as_graph(sub))
+    counted.__set_name__(digraph.OpenSubgraph, "as_graph")
+    monkeypatch.setattr(digraph.OpenSubgraph, "as_graph", counted)
+    original = digraph.is_convex_open
+
+    def counted_convex(sub):
+        convex.append(sub)
+        return original(sub)
+
+    monkeypatch.setattr(digraph, "is_convex_open", counted_convex)
+    monkeypatch.setattr(graphical, "is_convex_open", counted_convex)
+    zoo = [
+        edge_graph(), corolla(1, 1), linear_graph(2), G3, K_TWIST,
+        double_edge_graph(), closed_double_edge_graph(), closed_square_graph(),
+    ]
+    homs = {(g, k): hom_set(g, k) for g in zoo for k in zoo}
+    assert any(homs.values()) and built == []
+    composites = [
+        compose_graphical(f, g)
+        for (a, b), fs in homs.items() for c in zoo
+        for f in fs for g in homs[(b, c)]
+    ]
+    assert composites and convex == []
+    # the counters see the work they are meant to count
+    assert validate_graphical(composites[-1]) is None
+    assert built and convex
+
+
 def test_factorization_unique_up_to_unique_iso():
     m = no_intersections_map()
     act, ine = factorize_G(m)

@@ -21,8 +21,14 @@ A second section keeps the leaf test that built the assembled graph
 with ``multi_substitute`` as a reference, and compares it with the
 leaf that decides from edge and vertex sets (DECISIONS.md D11).
 
-The last section checks ``unordered_canonical_form`` against
+The next section checks ``unordered_canonical_form`` against
 ``iso_set``, the isomorphisms among the maps ``hom_set`` finds.
+
+The last section keeps the derived action on subgraphs that promoted
+the union of the vertex images through ``is_convex_open`` as a
+reference, and checks the subgraphs that morphisms keep and the
+boundaries read from the parent against their rebuilt counterparts
+(DECISIONS.md D14).
 """
 
 import functools
@@ -38,22 +44,31 @@ from graphcat.digraph import (
     canonical_form,
     corolla,
     edge_graph,
+    edge_subgraph,
     graph,
     is_convex_open,
     linear_graph,
     multi_substitute,
+    open_union,
+    promote,
     structured_subgraphs,
     unordered_canonical_form,
     vertex_corolla,
 )
 from graphcat.errors import GraphcatError, Violation
 from graphcat.graphical import (
+    GraphicalMorphism,
+    compose_graphical,
+    f1_on_subgraph,
+    factorize_G,
     graphical_morphism,
     hom_set,
+    identity_graphical,
     iso_set,
     morphism_from_json,
     validate_graphical,
 )
+from graphcat.segal import GRAPHICAL
 from graphcat.zoo import (
     closed_double_edge_graph,
     closed_square_graph,
@@ -708,3 +723,85 @@ def test_unordered_form_decides_iso_on_random_graphs(g, k, rnd):
     assert_form_decides_iso(g, k)
     assert_form_decides_iso(g, _shuffled(g, rnd))
     assert_form_decides_iso(_shuffled(k, rnd), k)
+
+
+# ---------------------------------------------------------------------------
+# kept subgraphs and unpromoted images against the promoting reference
+
+
+def promoted_image(f, j):
+    """The image of j as ``f1_on_subgraph`` computed it before
+    DECISIONS.md D14: the open union of the vertex images, promoted
+    through ``is_convex_open``; None when the union is not structured."""
+    if j.is_edge():
+        (e,) = j.edge_names
+        return edge_subgraph(f.target, f.f0[e])
+    current = None
+    for v in sorted(j.vertex_names_set):
+        sub = f.f1v[v].as_open
+        current = sub if current is None else open_union(current, sub)
+    return promote(current)
+
+
+def assert_keeps_f1v(m):
+    """The subgraphs m keeps are those rebuilt from its name tuples."""
+    rebuilt = GraphicalMorphism(m.source, m.target, m.f0_pairs, m.f1v_pairs).f1v
+    assert m.f1v == rebuilt, m
+
+
+def assert_graphical_layer(graphs, composites=True):
+    """On ``graphs`` (connected): boundaries read from the parent equal
+    those of the subgraph's Graph; every map of ``hom_set``, both parts
+    of its factorization, every identity and Segal inclusion, and (with
+    ``composites``) every composite keeps the f1v rebuilt from its names;
+    and ``f1_on_subgraph`` equals the promoting reference, which never
+    finds an image that is not structured."""
+    for k in graphs:
+        for sub in structured_subgraphs(k):
+            assert (sub.inputs, sub.outputs) == (
+                sub.as_graph.inputs, sub.as_graph.outputs
+            ), sub.key()
+        assert_keeps_f1v(identity_graphical(k))
+        for e in k.edges:
+            assert_keeps_f1v(GRAPHICAL.edge_inclusion(edge_graph(), k, e))
+        for v in k.vertices:
+            c = corolla(len(v.ins), len(v.outs))
+            assert_keeps_f1v(GRAPHICAL.corolla_inclusion(c, k, v))
+    homs = {(g, k): hom_set(g, k) for g in graphs for k in graphs}
+    for (g, k), maps in homs.items():
+        subs = structured_subgraphs(g)
+        for f in maps:
+            assert_keeps_f1v(f)
+            for part in factorize_G(f):
+                assert_keeps_f1v(part)
+            for j in subs:
+                image = promoted_image(f, j)
+                assert image is not None and f1_on_subgraph(f, j) == image, (f, j)
+    if not composites:
+        return
+    for (h, g), firsts in homs.items():
+        for k in graphs:
+            for a in firsts:
+                for b in homs[(g, k)]:
+                    m = compose_graphical(a, b)
+                    assert_keeps_f1v(m)
+                    f0 = {e: b.f0[y] for e, y in a.f0.items()}
+                    f1v = {w: promoted_image(b, a.f1v[w]) for w in h.vertex_names}
+                    assert m == graphical_morphism(h, k, f0, f1v)
+
+
+def test_graphical_layer_matches_the_reference_on_the_zoo():
+    assert_graphical_layer(ZOO)
+
+
+def test_graphical_layer_matches_the_reference_on_corollas_and_linear_graphs():
+    corollas = [corolla(m, n) for m in range(3) for n in range(3) if m + n]
+    linear = [linear_graph(k) for k in range(1, 4)]
+    assert_graphical_layer(corollas + linear + ZOO, composites=False)
+    assert_graphical_layer(corollas[:4] + linear + [three_vertex_graph()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_connected_graphs(3), small_connected_graphs(), small_connected_graphs())
+def test_graphical_layer_matches_the_reference_on_random_graphs(h, g, k):
+    assert_graphical_layer([h, g, k])

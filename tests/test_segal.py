@@ -10,20 +10,30 @@ from graphcat.digraph import (
     corolla,
     edge_graph,
     linear_graph,
+    unordered_canonical_form,
+    vertex_corolla,
     whole_subgraph,
 )
 from graphcat.errors import ColorMismatch, GraphcatError, NotSegal
-from graphcat.graphical import graphical_morphism, hom_set, identity_graphical
+from graphcat.graphical import (
+    compose_graphical,
+    graphical_morphism,
+    hom_set,
+    identity_graphical,
+    validate_graphical,
+)
 from graphcat.level import (
     compose_level,
     derived_class_map,
     elementary_corolla,
     elementary_edge,
     hom_level,
+    is_connected_level,
     level_graph,
     level_morphism,
     linear_level_graph,
     special_extension,
+    tau,
 )
 from graphcat.properad import (
     decorated_graph,
@@ -511,24 +521,30 @@ def reference_nerve(P, corpus, images_of):
         src, tgt = corpus.graphs[i], corpus.graphs[j]
         for k, f in enumerate(fs):
             f0, images = images_of(f)
-            table = {}
-            for coloring, ops in values[j]:
-                color = dict(zip(tgt.edges, coloring))
-                label = dict(zip(tgt.vertex_names, ops))
-                new_ops = tuple(
-                    P.evaluate(decorated_graph(
-                        images[v.name],
-                        {e: color[e] for e in images[v.name].edges},
-                        {w: label[w] for w in images[v.name].vertex_names},
-                        tuple(f0[e] for e in v.ins),
-                        tuple(f0[e] for e in v.outs),
-                    ))
-                    for v in src.vertices
-                )
-                new_colors = tuple(color[f0[e]] for e in src.edges)
-                table[(coloring, ops)] = (new_colors, new_ops)
-            restrictions[(i, j, k)] = table
+            restrictions[(i, j, k)] = {
+                x: pull_back(P, src, tgt, f0, images, x) for x in values[j]
+            }
     return tuple(values), restrictions
+
+
+def pull_back(P, src, tgt, f0, images, x):
+    """The decoration x of tgt restricted along a map src -> tgt with
+    edge map f0 and vertex images ``images`` (Graphs): P evaluated on
+    each vertex's image, with the boundary order the map gives it."""
+    coloring, ops = x
+    color = dict(zip(tgt.edges, coloring))
+    label = dict(zip(tgt.vertex_names, ops))
+    new_ops = tuple(
+        P.evaluate(decorated_graph(
+            images[v.name],
+            {e: color[e] for e in images[v.name].edges},
+            {w: label[w] for w in images[v.name].vertex_names},
+            tuple(f0[e] for e in v.ins),
+            tuple(f0[e] for e in v.outs),
+        ))
+        for v in src.vertices
+    )
+    return tuple(color[f0[e]] for e in src.edges), new_ops
 
 
 def criterion_9_level_corpus():
@@ -557,6 +573,76 @@ def test_nerve_matches_reference_nerve(P, corpus, images_of):
     assert N.restrictions.keys() == restrictions.keys()
     for key, table in restrictions.items():
         assert element_table(N, *key) == table, key
+
+
+# ---------------------------------------------------------------------------
+# forgetting levels: tau* N_G(P) = N_L(P)
+
+
+def graphical_twins(level_corpus):
+    """The graphical corpus of the connected underlying graphs of a level
+    corpus; and for each connected level object i, the graphical object
+    t whose graph is isomorphic to graphs[i], with the isomorphism
+    graphs[i] -> graphs[t] read off the two unordered canonical forms
+    and its inverse."""
+    connected = [i for i, x in enumerate(level_corpus.objects) if is_connected_level(x)]
+    generators = [level_corpus.graphs[i] for i in connected]
+    C = build_corpus(generators, max_vertices=max(len(g.vertices) for g in generators))
+    forms = [unordered_canonical_form(y) for y in C.graphs]
+    twins = {}
+    for i in connected:
+        g = level_corpus.graphs[i]
+        form, edges, vertices = unordered_canonical_form(g)
+        twin = [t for t, (other, _, _) in enumerate(forms) if other == form]
+        assert len(twin) == 1, (i, g)
+        t = twin[0]
+        _, t_edges, t_vertices = forms[t]
+        edge_of = {name: e for e, name in t_edges.items()}
+        vertex_of = {name: w for w, name in t_vertices.items()}
+        y = C.graphs[t]
+        f0 = {e: edge_of[edges[e]] for e in g.edges}
+        f1 = {v: vertex_of[vertices[v]] for v in g.vertex_names}
+        iso = graphical_morphism(g, y, f0, {v: vertex_corolla(y, w) for v, w in f1.items()})
+        back = graphical_morphism(
+            y, g, {y_e: e for e, y_e in f0.items()},
+            {w: vertex_corolla(g, v) for v, w in f1.items()},
+        )
+        assert validate_graphical(iso) is None and validate_graphical(back) is None
+        assert compose_graphical(iso, back) == identity_graphical(g)
+        twins[i] = (t, iso, back)
+    return C, twins
+
+
+@pytest.mark.parametrize("P", [terminal_properad(), end_properad({"c": 2})],
+                         ids=["terminal", "end-2"])
+def test_forgetting_levels_pulls_the_graphical_nerve_back(P):
+    # ROADMAP item 5: on the connected objects of the criterion-9 level
+    # corpus, N_L(P)(x) is N_G(P)(tau x), carried along the isomorphism
+    # of tau x onto its twin in the graphical corpus; and restricting
+    # along f is restricting along tau f, carried the same way
+    C_L = criterion_9_level_corpus()
+    C_G, twins = graphical_twins(C_L)
+    N_L, N_G = nerve(P, C_L), nerve(P, C_G)
+    carry = {}
+    for i, (t, iso, _) in twins.items():
+        carry[i] = {
+            y: pull_back(P, C_L.graphs[i], C_G.graphs[t], *graphical_images(iso), y)
+            for y in N_G.values[t]
+        }
+        assert len(set(carry[i].values())) == len(N_L.values[i]), i
+        assert set(carry[i].values()) == set(N_L.values[i]), i
+    maps = 0
+    for i, (t, _, back) in twins.items():
+        for j, (u, iso, _) in twins.items():
+            for f in C_L.hom(i, j):
+                m = compose_graphical(compose_graphical(back, tau(f)), iso)
+                C_G.hom_index(t, u, m)
+                for y in N_G.values[u]:
+                    assert N_L.restrict_along(i, j, f, carry[j][y]) == (
+                        carry[i][N_G.restrict_along(t, u, m, y)]
+                    ), (i, j, f)
+                maps += 1
+    assert maps > len(twins) ** 2
 
 
 @pytest.mark.parametrize("corpus", [g3_corpus, level_corpus], ids=["g3", "level"])
