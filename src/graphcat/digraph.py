@@ -909,35 +909,23 @@ def _certificate(g, vorder, edge_label, in_order, out_order):
     return (len(g.edges), rows, bnd_in, bnd_out, labels), eid
 
 
-def canonical_form(
-    g,
-    edge_label=None,
-    in_order=None,
-    out_order=None,
-    vertex_order=None,
-):
+def canonical_form(g, edge_label=None, in_order=None, out_order=None):
     """A deterministic representative of the strict isomorphism class.
 
     Two graphs receive equal canonical forms exactly when there is an
     isomorphism preserving per-vertex orderings, the optional edge
-    labels, and the optional boundary orderings.  ``vertex_order`` pins
-    the vertex enumeration (used for indexed graphs), so only its edge
-    numbering is computed; otherwise a backtracking search over
-    refinement-compatible orders picks the lexicographically least
-    certificate.
+    labels, and the optional boundary orderings.  A backtracking search
+    over refinement-compatible vertex orders picks the lexicographically
+    least certificate.
 
     Returns (canonical graph, edge renaming, vertex renaming).
     """
-    if vertex_order is not None:
-        order = tuple(vertex_order)
-        eid = _edge_numbering(g, order, edge_label)
-    else:
-        best = None
-        for order in _vertex_orders(g, order_sensitive=True):
-            cert, eid = _certificate(g, order, edge_label, in_order, out_order)
-            if best is None or cert < best[0]:
-                best = (cert, order, eid)
-        _, order, eid = best
+    best = None
+    for order in _vertex_orders(g, order_sensitive=True):
+        cert, eid = _certificate(g, order, edge_label, in_order, out_order)
+        if best is None or cert < best[0]:
+            best = (cert, order, eid)
+    _, order, eid = best
     edge_map = {e: f"e{eid[e]}" for e in g.edges}
     vertex_map = {name: f"v{i+1}" for i, name in enumerate(order)}
     edges = tuple(f"e{k}" for k in range(1, len(g.edges) + 1))

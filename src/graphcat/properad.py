@@ -24,7 +24,6 @@ from .digraph import (
     Vertex,
     betti_number,
     cached_property,
-    canonical_form,
     check,
     is_connected,
     multi_substitute,
@@ -118,22 +117,31 @@ def _normalize(graph, in_order, out_order, colors=None):
     )
     if color_map is not None and not graph.edge_set <= color_map.keys():
         raise ColorMismatch("colors must cover every edge")
-    canon, emap, vmap = canonical_form(
-        graph,
-        edge_label=(color_map.get if color_map else None),
-        in_order=tuple(in_order),
-        out_order=tuple(out_order),
-        vertex_order=graph.vertex_names,
+    rows = [(v.ins, v.outs) for v in graph.vertices]
+    return _numbered(rows, tuple(in_order), tuple(out_order), color_map)
+
+
+def _numbered(rows, in_keys, out_keys, color_of):
+    """The normal form of an indexed graph given as rows of edge keys.
+
+    ``rows[z]`` holds the input and output keys of the vertex at index
+    z.  Outputs are numbered vertex by vertex, then attached inputs by
+    consumer and position, then the loose edge of a vertexless graph
+    (DECISIONS.md D15).  ``color_of`` maps keys to colors, or is None.
+    """
+    firsts = itertools.chain(
+        (k for _, outs in rows for k in outs), (k for ins, _ in rows for k in ins), in_keys
     )
-    new_colors = None
-    if color_map is not None:
-        inv = {emap[e]: color_map[e] for e in graph.edges}
-        new_colors = tuple(inv[e] for e in canon.edges)
+    number = {k: f"e{n}" for n, k in enumerate(dict.fromkeys(firsts), 1)}
+    vertices = tuple(
+        Vertex(f"v{z}", tuple(map(number.get, ins)), tuple(map(number.get, outs)))
+        for z, (ins, outs) in enumerate(rows, 1)
+    )
     return ZGraph(
-        canon,
-        tuple(emap[e] for e in in_order),
-        tuple(emap[e] for e in out_order),
-        new_colors,
+        Graph(tuple(number.values()), vertices),
+        tuple(map(number.get, in_keys)),
+        tuple(map(number.get, out_keys)),
+        None if color_of is None else tuple(map(color_of.get, number)),
     )
 
 
@@ -171,14 +179,16 @@ def prpd_compose(outer, inner):
     ``inner`` maps each vertex index to an operation whose profile
     matches that vertex; gluing uses the order-preserving boundary
     identifications.  The result is indexed by the concatenation of the
-    inner indexings in outer order.
+    inner indexings in outer order, and numbered directly in normal
+    form: glued edges are keyed by their outer edge, internal ones by
+    (index, inner name).  An edge operation merges its vertex's output
+    edge into its input edge (DECISIONS.md D15).
     """
     if sorted(inner) != list(range(outer.size)):
         raise ProfileMismatch("inner family must cover every vertex index")
-    assignment = {}
-    for z in range(outer.size):
+    merged = {}
+    for z, v in enumerate(outer.graph.vertices):
         op = inner[z]
-        v = outer.graph.vertices[z]
         if op.biarity() != v.biarity():
             raise ProfileMismatch(
                 f"operation at index {z} has biarity {op.biarity()}, "
@@ -187,47 +197,54 @@ def prpd_compose(outer, inner):
         if outer.colors is not None:
             if outer.vertex_profile(z) != op.profile():
                 raise ColorMismatch(f"colors disagree at index {z}")
-        assignment[v.name] = (op.graph, zip(v.ins, op.in_order), zip(v.outs, op.out_order))
-    result, corr = multi_substitute(outer.graph, assignment)
-    colors = None
+        if not op.size:
+            merged[v.outs[0]] = v.ins[0]
+
+    def find(e):
+        while e in merged:
+            e = merged[e]
+        return e
+
+    rows, colors = [], None
     if outer.colors is not None:
         # the profile checks make the colours met at each glued edge agree
-        colors = {
-            corr.outer_edge[e]: c for e, c in zip(outer.graph.edges, outer.colors)
-        }
-        for z, v in enumerate(outer.graph.vertices):
-            colors.update(
-                (corr.inner_edge[(v.name, e)], c)
-                for e, c in zip(inner[z].graph.edges, inner[z].colors)
-            )
-    return _normalize(
-        result,
-        tuple(corr.outer_edge[e] for e in outer.in_order),
-        tuple(corr.outer_edge[e] for e in outer.out_order),
-        colors,
-    )
+        colors = {find(e): c for e, c in zip(outer.graph.edges, outer.colors)}
+    for z, v in enumerate(outer.graph.vertices):
+        op = inner[z]
+        glued = dict(zip(op.in_order, v.ins)) | dict(zip(op.out_order, v.outs))
+        key = {x: find(glued[x]) if x in glued else (z, x) for x in op.graph.edges}
+        rows.extend((tuple(map(key.get, u.ins)), tuple(map(key.get, u.outs)))
+                    for u in op.graph.vertices)
+        if colors is not None:
+            colors.update(zip(map(key.get, op.graph.edges), op.colors))
+    return _numbered(rows, tuple(map(find, outer.in_order)),
+                     tuple(map(find, outer.out_order)), colors)
 
 
 def sigma_action(op, perm=None, in_perm=None, out_perm=None):
     """Reindex vertices and permute the boundary orderings.
 
     ``perm[z]`` is the old index placed at new index z; ``in_perm`` and
-    ``out_perm`` act the same way on the boundary orderings.
+    ``out_perm`` act the same way on the boundary orderings, which must
+    stay enumerations of the boundary.
     """
-    g = op.graph
-    vertices = g.vertices
+    vertices = op.graph.vertices
     if perm is not None:
         if sorted(perm) != list(range(op.size)):
             raise ProfileMismatch("not a permutation of the index set")
-        vertices = tuple(g.vertices[perm[z]] for z in range(op.size))
+        vertices = [vertices[p] for p in perm]
     in_order = op.in_order
     if in_perm is not None:
         in_order = tuple(op.in_order[in_perm[i]] for i in range(len(in_order)))
+        if sorted(in_order) != sorted(op.in_order):
+            raise ProfileMismatch("in_order must enumerate the graph inputs")
     out_order = op.out_order
     if out_perm is not None:
         out_order = tuple(op.out_order[out_perm[j]] for j in range(len(out_order)))
-    colors = dict(zip(g.edges, op.colors)) if op.colors is not None else None
-    return _normalize(Graph(g.edges, vertices), in_order, out_order, colors)
+        if sorted(out_order) != sorted(op.out_order):
+            raise ProfileMismatch("out_order must enumerate the graph outputs")
+    rows = [(v.ins, v.outs) for v in vertices]
+    return _numbered(rows, in_order, out_order, op.color_of)
 
 
 # the most vertices a stabilizer search may permute
@@ -239,11 +256,10 @@ def stabilizer(op):
     n = op.size
     if n > MAX_STABILIZER_SIZE:
         raise SizeLimit(f"stabilizer search bound exceeded ({n} > {MAX_STABILIZER_SIZE})")
+    profiles = tuple(map(op.vertex_profile, range(n)))
     found = []
     for perm in itertools.permutations(range(n)):
-        if any(
-            op.vertex_profile(perm[z]) != op.vertex_profile(z) for z in range(n)
-        ):
+        if tuple(map(profiles.__getitem__, perm)) != profiles:
             continue
         if sigma_action(op, perm) == op:
             found.append(perm)
