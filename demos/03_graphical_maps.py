@@ -6,8 +6,8 @@ Run with:  python3 demos/03_graphical_maps.py
 from graphcat.digraph import (
     edge_subgraph,
     graph,
+    is_convex_open,
     open_intersection,
-    promote,
     vertex_corolla,
 )
 from graphcat.graphical import (
@@ -48,7 +48,7 @@ f = graphical_morphism(
 print("map accepted:", validate_graphical(f) is None)
 meet = open_intersection(f.f1v["u"].as_open, f.f1v["w"].as_open)
 print("image intersection has", len(meet.edge_names),
-      "edges; structured:", promote(meet) is not None)
+      "edges; structured:", is_convex_open(meet))
 print("map is active:", is_active_G(f))
 print("vertex map:", dict(vertex_map_G(f).pairs))
 

@@ -542,13 +542,6 @@ class StructuredSubgraph:
         )
 
 
-def promote(sub):
-    """Promote an open subgraph to a StructuredSubgraph, or return None."""
-    if not is_convex_open(sub):
-        return None
-    return StructuredSubgraph(sub.parent, sub.edge_names, sub.vertex_names_set)
-
-
 def edge_subgraph(parent, e):
     return StructuredSubgraph(parent, frozenset((e,)), frozenset())
 
@@ -598,7 +591,9 @@ def tilde_union(h1, h2):
     exist"); when it exists it is the least upper bound under inclusion.
     """
     union = open_union(h1.as_open, h2.as_open)
-    return promote(union)
+    if not is_convex_open(union):
+        return None
+    return StructuredSubgraph(union.parent, union.edge_names, union.vertex_names_set)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 from .digraph import (
     Graph,
-    OpenSubgraph,
+    StructuredSubgraph,
     Vertex,
     betti_number,
     cached_property,
     connected_components,
-    promote,
     repeated,
     validate as validate_graph,
 )
@@ -297,12 +296,15 @@ class SpecialFunctor:
         return table
 
     def subgraph(self, pair, rep):
-        """The open subgraph of the underlying graph carried by the class
-        of ``rep`` at ``pair``, built once per class."""
+        """The structured subgraph of the underlying graph carried by the
+        class of ``rep`` at ``pair``, built once per class.  A class is a
+        component of a slice, so it is structured (DECISIONS.md D16)."""
         sub = self._subgraphs.get((pair, rep))
         if sub is None:
             members = self.members(pair, rep)
-            sub = self._subgraphs[(pair, rep)] = OpenSubgraph(
+            if not members:
+                raise GraphcatError(f"{rep} is not a component at {pair}")
+            sub = self._subgraphs[(pair, rep)] = StructuredSubgraph(
                 self.lg._graph,
                 frozenset(a[2] for a in members if a[0] == "e"),
                 frozenset(a[2] for a in members if a[0] == "v"),
@@ -754,9 +756,9 @@ def segmentation_pieces(lg):
 def component_images(f):
     """The edge map of a level morphism and the image of each vertex.
 
-    Edges map by the levelwise edge maps; a vertex goes to the open
-    subgraph of the target's underlying graph carried by its component
-    image.
+    Edges map by the levelwise edge maps; a vertex goes to the
+    structured subgraph of the target's underlying graph carried by its
+    component image.
     """
     sf_t = special_extension(f.target)
     f0 = {}
@@ -781,16 +783,8 @@ def tau(f):
     if not is_connected_level(G) or not is_connected_level(H):
         raise ConnectivityError("tau is defined on connected level graphs")
     f0, images = component_images(f)
-    f1v = {}
-    for vname, sub in images.items():
-        promoted = promote(sub)
-        if promoted is None:
-            raise GraphcatError(
-                f"component image of {vname} is not a structured subgraph"
-            )
-        f1v[vname] = promoted
     return graphical.graphical_morphism(
-        underlying_graph(G), underlying_graph(H), f0, f1v
+        underlying_graph(G), underlying_graph(H), f0, images
     )
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .digraph import (
     Graph,
     Vertex,
-    betti_number,
     cached_property,
     check,
     is_connected,
@@ -132,17 +131,25 @@ def _numbered(rows, in_keys, out_keys, color_of):
     firsts = itertools.chain(
         (k for _, outs in rows for k in outs), (k for ins, _ in rows for k in ins), in_keys
     )
-    number = {k: f"e{n}" for n, k in enumerate(dict.fromkeys(firsts), 1)}
+    keys = dict.fromkeys(firsts)
+    edges = _names("e", len(keys))
+    number = dict(zip(keys, edges))
     vertices = tuple(
-        Vertex(f"v{z}", tuple(map(number.get, ins)), tuple(map(number.get, outs)))
-        for z, (ins, outs) in enumerate(rows, 1)
+        Vertex(name, tuple(map(number.get, ins)), tuple(map(number.get, outs)))
+        for name, (ins, outs) in zip(_names("v", len(rows)), rows)
     )
     return ZGraph(
-        Graph(tuple(number.values()), vertices),
+        Graph(edges, vertices),
         tuple(map(number.get, in_keys)),
         tuple(map(number.get, out_keys)),
         None if color_of is None else tuple(map(color_of.get, number)),
     )
+
+
+@functools.cache
+def _names(prefix, n):
+    """The names ``prefix1`` .. ``prefix<n>``, made once per length."""
+    return tuple(f"{prefix}{k}" for k in range(1, n + 1))
 
 
 def identity_operation(m, n, in_colors=None, out_colors=None):
@@ -267,7 +274,9 @@ def stabilizer(op):
 
 
 def suboperad_member(op):
-    """Membership flags for the governing operad's suboperads."""
+    """Membership flags for the governing operad's suboperads.  A
+    connected graph is simply connected exactly when it has one internal
+    edge fewer than vertices (DECISIONS.md D16)."""
     g = op.graph
     out = len(op.out_order) >= 1 and all(len(v.outs) >= 1 for v in g.vertices)
     operad = len(op.out_order) == 1 and all(len(v.outs) == 1 for v in g.vertices)
@@ -275,97 +284,106 @@ def suboperad_member(op):
         op.biarity() == (1, 1)
         and all(v.biarity() == (1, 1) for v in g.vertices)
     )
-    return {"dioperad": betti_number(g) == 0, "out": out, "operad": operad, "cat": cat}
+    internal = sum(len(v.outs) for v in g.vertices) - len(op.out_order)
+    return {"dioperad": internal == op.size - 1, "out": out, "operad": operad, "cat": cat}
 
 
-def _stub_matchings(boundaries):
-    """Connected acyclic graphs glued from vertices with colored stubs.
+def _matchings(boundaries):
+    """Connected acyclic matchings of vertices with colored stubs.
 
-    ``boundaries[z]`` is (input colors, output colors) of vertex
-    ``z{z}``.  An output stub may be glued to an input stub of another
-    vertex with the same color; stubs left unglued become loose ends.
-    Yields (graph, edge colors) for every connected acyclic matching,
-    in a fixed order.  Edges are listed glued first, then loose
-    inputs, then loose outputs, so the graph's boundary orders follow
-    the stubs.
+    ``boundaries[z]`` is (input colors, output colors) of vertex z.  An
+    output stub (z, k) may be glued to an input stub of another vertex
+    with the same color; stubs left unglued become loose ends.  Returns
+    the input and output stubs as ((z, k), color) in stub order, and a
+    generator of the matchings in a fixed order, each a tuple giving
+    every input stub the output stub glued to it, or None.
     A glue that would close a directed cycle is refused as it is made,
-    and only leaves whose glues connect every vertex are built, so each
-    graph is valid and connected by construction (DECISIONS.md D7).
+    and only matchings whose glues connect every vertex are yielded
+    (DECISIONS.md D7).
     """
     stubs_in, stubs_out = [], []
     for z, (ins, outs) in enumerate(boundaries):
         stubs_in.extend(((z, k), c) for k, c in enumerate(ins))
         stubs_out.extend(((z, k), c) for k, c in enumerate(outs))
 
-    def build(matching):
-        edge_of_in, edge_of_out, edges, colors = {}, {}, [], {}
-        for n, (so, si, color) in enumerate(matching):
-            name = f"m{n}"
-            edges.append(name)
-            edge_of_out[so] = name
-            edge_of_in[si] = name
-            colors[name] = color
-        for stubs, edge_of, prefix in (
-            (stubs_in, edge_of_in, "in"), (stubs_out, edge_of_out, "out")
-        ):
-            for key, color in stubs:
-                if key not in edge_of:
-                    name = f"{prefix}{key[0]}_{key[1]}"
-                    edges.append(name)
-                    edge_of[key] = name
-                    colors[name] = color
-        vs = tuple(
-            Vertex(
-                f"z{z}",
-                tuple(edge_of_in[(z, k)] for k in range(len(ins))),
-                tuple(edge_of_out[(z, k)] for k in range(len(outs))),
-            )
-            for z, (ins, outs) in enumerate(boundaries)
-        )
-        return Graph(tuple(edges), vs), colors
-
     def connected(matching):
         # union-find over the glued pairs, by relabelling; no class if empty
         cls = list(range(len(boundaries)))
-        for (s, _), (t, _), _ in matching:
-            cls = [cls[t] if c == cls[s] else c for c in cls]
+        for ((t, _), _), so in zip(stubs_in, matching):
+            if so is not None:
+                cls = [cls[t] if c == cls[so[0]] else c for c in cls]
         return len(set(cls)) == 1
 
     def match(i, used, reach, acc):
         # reach[z]: the vertices reachable from z along the glues in acc
         if i == len(stubs_in):
             if connected(acc):
-                yield build(acc)
+                yield acc
             return
-        si, color = stubs_in[i]
-        yield from match(i + 1, used, reach, acc)
-        t = si[0]
+        (t, _), color = stubs_in[i]
+        yield from match(i + 1, used, reach, acc + (None,))
         for so, so_color in stubs_out:
             if so in used or so_color != color or so[0] in reach[t]:
                 continue
             glued = tuple(r | reach[t] if so[0] in r else r for r in reach)
-            yield from match(i + 1, used | {so}, glued, acc + [(so, si, color)])
+            yield from match(i + 1, used | {so}, glued, acc + (so,))
 
     reach = tuple(frozenset((z,)) for z in range(len(boundaries)))
-    yield from match(0, frozenset(), reach, [])
+    return stubs_in, stubs_out, match(0, frozenset(), reach, ())
+
+
+def _stub_matchings(boundaries):
+    """Each matching of ``_matchings`` as (graph, edge colors), with
+    vertices ``z<z>`` and edges ``m<n>`` for the n-th glue, then
+    ``in<z>_<k>`` and ``out<z>_<k>`` for loose stubs, listed in that
+    order so that the graph's boundary orders follow the stubs.  Each
+    graph is valid and connected by construction (DECISIONS.md D7)."""
+    stubs_in, stubs_out, matchings = _matchings(boundaries)
+    for matching in matchings:
+        edge_of_in, edge_of_out, colors = {}, {}, {}
+        glues = ((so, si, c) for (si, c), so in zip(stubs_in, matching) if so is not None)
+        for n, (so, si, color) in enumerate(glues):
+            edge_of_out[so] = edge_of_in[si] = f"m{n}"
+            colors[f"m{n}"] = color
+        for stubs, edge_of, side in ((stubs_in, edge_of_in, "in"), (stubs_out, edge_of_out, "out")):
+            for key, color in stubs:
+                if key not in edge_of:
+                    edge_of[key] = f"{side}{key[0]}_{key[1]}"
+                    colors[edge_of[key]] = color
+        yield Graph(tuple(colors), tuple(
+            Vertex(f"z{z}", tuple(edge_of_in[z, k] for k in range(len(ins))),
+                   tuple(edge_of_out[z, k] for k in range(len(outs))))
+            for z, (ins, outs) in enumerate(boundaries)
+        )), colors
 
 
 def all_operations(biarities, orderings="canonical"):
     """All operations with the given indexed vertex biarities.
 
-    Enumerates stub matchings (acyclic, connected); boundary orderings
-    are the canonical ones, or all of them with ``orderings="all"``.
+    Enumerates stub matchings (acyclic, connected) and numbers each one
+    from its stub keys: a glued edge or a loose output is keyed by its
+    output stub (z, k), a loose input by its place among the input
+    stubs.  Boundary orderings
+    are the stub orders, or all of them with ``orderings="all"``; no two
+    results are equal (DECISIONS.md D16).
     """
     uncolored = [((None,) * m, (None,) * n) for m, n in biarities]
+    _, stubs_out, matchings = _matchings(uncolored)
+    outs = [tuple((z, k) for k in range(n)) for z, (_, n) in enumerate(biarities)]
     results = []
-    for g, _ in _stub_matchings(uncolored):
+    for matching in matchings:
+        keys = (i if so is None else so for i, so in enumerate(matching))
+        rows = [(tuple(itertools.islice(keys, m)), o) for (m, _), o in zip(biarities, outs)]
+        in_keys = tuple(i for i, so in enumerate(matching) if so is None)
+        glued = set(matching)
+        out_keys = tuple(so for so, _ in stubs_out if so not in glued)
         if orderings == "all":
-            for ip in itertools.permutations(g.inputs):
-                for op_ in itertools.permutations(g.outputs):
-                    results.append(_normalize(g, ip, op_))
+            for ip in itertools.permutations(in_keys):
+                for op_ in itertools.permutations(out_keys):
+                    results.append(_numbered(rows, ip, op_, None))
         else:
-            results.append(_normalize(g, g.inputs, g.outputs))
-    return tuple(dict.fromkeys(results))
+            results.append(_numbered(rows, in_keys, out_keys, None))
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------

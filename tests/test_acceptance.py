@@ -21,10 +21,10 @@ from graphcat.digraph import (
     edge_subgraph,
     graph,
     is_connected,
+    is_convex_open,
     linear_graph,
     open_intersection,
     open_subgraph,
-    promote,
     strict_iso,
     structured_subgraphs,
     vertex_corolla,
@@ -134,8 +134,6 @@ def test_criterion_1_three_vertex_example():
     g3 = three_vertex_graph()
     uw = open_subgraph(g3, ("u", "w"))
     uv = open_subgraph(g3, ("u", "v"))
-    from graphcat.digraph import is_convex_open
-
     rejected = not is_convex_open(uw)
     accepted = is_convex_open(uv)
     count = len(structured_subgraphs(g3))
@@ -200,7 +198,7 @@ def test_criterion_3_intersections_not_preserved():
     ok_valid = validate_graphical(f) is None
     meet = open_intersection(f.f1v["u"].as_open, f.f1v["w"].as_open)
     two_edges = len(meet.edge_names) == 2
-    not_structured = promote(meet) is None
+    not_structured = not is_convex_open(meet)
     report(
         3,
         ok_valid and two_edges and not_structured,

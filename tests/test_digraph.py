@@ -20,7 +20,6 @@ from graphcat.digraph import (
     multi_substitute,
     open_intersection,
     open_subgraph,
-    promote,
     strict_iso,
     structured_subgraphs,
     subgraph_witness,
@@ -199,7 +198,7 @@ def test_intersection_not_always_structured():
     cw = vertex_corolla(G3, "w")
     meet = open_intersection(cu.as_open, cw.as_open)
     assert meet.edge_names == {"d"}
-    assert promote(meet) is not None  # a single edge is structured
+    assert is_convex_open(meet)  # a single edge is structured
 
 
 def test_substitute_corolla_is_identity():

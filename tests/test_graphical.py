@@ -8,9 +8,9 @@ from graphcat.digraph import (
     edge_graph,
     edge_subgraph,
     graph,
+    is_convex_open,
     linear_graph,
     open_intersection,
-    promote,
     strict_iso,
     structured_subgraphs,
     vertex_corolla,
@@ -82,7 +82,7 @@ def test_no_intersections_map_accepted():
     # plain intersection is not structured, yet the map is legal
     meet = open_intersection(f.f1v["u"].as_open, f.f1v["w"].as_open)
     assert len(meet.edge_names) == 2
-    assert promote(meet) is None
+    assert not is_convex_open(meet)
     src_meet = open_intersection(
         vertex_corolla(G3, "u").as_open, vertex_corolla(G3, "w").as_open
     )
@@ -213,7 +213,7 @@ def test_f1_on_subgraph():
     assert f1_on_subgraph(f, vertex_corolla(G3, "v")) == f.f1v["v"]
     whole = f1_on_subgraph(f, whole_subgraph(G3))
     assert whole.key() == whole_subgraph(K_TWIST).key()
-    uv = promote(
+    assert is_convex_open(
         open_intersection(whole_subgraph(G3).as_open, whole_subgraph(G3).as_open)
     )
     ed = f1_on_subgraph(f, edge_subgraph(G3, "b"))

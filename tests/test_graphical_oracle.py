@@ -41,6 +41,7 @@ from hypothesis import given, settings, strategies as st
 from graphcat import graphical
 from graphcat.digraph import (
     OpenSubgraph,
+    StructuredSubgraph,
     canonical_form,
     corolla,
     edge_graph,
@@ -50,7 +51,6 @@ from graphcat.digraph import (
     linear_graph,
     multi_substitute,
     open_union,
-    promote,
     structured_subgraphs,
     unordered_canonical_form,
     vertex_corolla,
@@ -740,7 +740,9 @@ def promoted_image(f, j):
     for v in sorted(j.vertex_names_set):
         sub = f.f1v[v].as_open
         current = sub if current is None else open_union(current, sub)
-    return promote(current)
+    if not is_convex_open(current):
+        return None
+    return StructuredSubgraph(current.parent, current.edge_names, current.vertex_names_set)
 
 
 def assert_keeps_f1v(m):

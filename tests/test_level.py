@@ -11,9 +11,10 @@ from graphcat.digraph import (
     is_connected,
     strict_iso,
 )
-from graphcat.errors import ConnectivityError, HeightError
+from graphcat.errors import ConnectivityError, GraphcatError, HeightError
 from graphcat.level import (
     LevelGraph,
+    LevelMorphism,
     cartesian_reindex,
     compose_level,
     derived_class_map,
@@ -404,6 +405,15 @@ def test_tau_identity_and_validation():
     t = tau(identity_level(lg))
     assert graphical.validate_graphical(t) is None
     assert t.f0 == {e: e for e in underlying_graph(lg).edges}
+
+
+def test_tau_rejects_an_image_that_is_no_component():
+    # a morphism built without the validator: the vertex names no class
+    f = identity_level(linear_level_graph(1))
+    bad = LevelMorphism(f.source, f.target, f.alpha, f.eta_e, ((("v1", ("v", 0, "nope")),),))
+    assert validate_level_morphism(bad).kind == "VertexMapError"
+    with pytest.raises(GraphcatError, match="is not a component at"):
+        tau(bad)
 
 
 def test_tau_rejects_disconnected():

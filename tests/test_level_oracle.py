@@ -31,19 +31,30 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from graphcat import zoo
-from graphcat.digraph import Graph, Vertex, corolla, edge_graph, linear_graph
+from graphcat import digraph, graphical, zoo
+from graphcat.digraph import (
+    Graph,
+    StructuredSubgraph,
+    Vertex,
+    corolla,
+    edge_graph,
+    is_convex_open,
+    linear_graph,
+)
 from graphcat.errors import ConnectivityError
 from graphcat.level import (
     LevelGraph,
     LevelMorphism,
+    component_images,
     elementary_corolla,
     elementary_edge,
     hom_level,
     level_graph,
     level_structure,
     linear_level_graph,
+    special_extension,
     tau,
+    underlying_graph,
     validate_level,
     validate_level_morphism,
 )
@@ -372,6 +383,59 @@ def test_tau_matches_oracle_on_every_connected_pair():
             collapsing += any(len(vs) > 1 for _, vs in images.values())
     # in some maps a vertex goes to a subgraph with several vertices
     assert maps > 300 and collapsing > 40 and refused > 0
+
+
+def assert_structured(sub, lg):
+    """``sub`` is a structured subgraph of ``lg``'s underlying graph by
+    the definition: open, connected and closed under directed paths, and
+    one edge when it has no vertex."""
+    assert isinstance(sub, StructuredSubgraph) and sub.parent is underlying_graph(lg)
+    assert sub.as_open.is_open() and is_convex_open(sub.as_open), sub
+    assert sub.vertex_names_set or len(sub.edge_names) == 1, sub
+
+
+def test_component_images_are_structured_on_every_pair():
+    # why tau passes component images on unchecked (DECISIONS.md D16)
+    images = 0
+    for (_, G), (_, H) in itertools.product(GRAPHS, repeat=2):
+        for f in hom_level(G, H):
+            for sub in component_images(f)[1].values():
+                assert_structured(sub, H)
+                images += 1
+    assert images > 500
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_level_graphs())
+@example(merge_level())
+def test_every_slice_component_is_structured(lg):
+    # a component image is the class of some slice of the target, so this
+    # covers every image a level morphism into ``lg`` can have
+    sf = special_extension(lg)
+    for i, j in itertools.combinations_with_replacement(range(lg.height + 1), 2):
+        for rep in sf.elements((i, j)):
+            assert_structured(sf.subgraph((i, j), rep), lg)
+
+
+def test_tau_checks_no_image(monkeypatch):
+    convex = []
+    original = digraph.is_convex_open
+
+    def counted(sub):
+        convex.append(sub)
+        return original(sub)
+
+    monkeypatch.setattr(digraph, "is_convex_open", counted)
+    monkeypatch.setattr(graphical, "is_convex_open", counted)
+    maps = [
+        tau(f)
+        for (_, G), (_, H) in itertools.product(GRAPHS, repeat=2)
+        if len(slice_components(G, 0, G.height)) == len(slice_components(H, 0, H.height)) == 1
+        for f in hom_level(G, H)
+    ]
+    assert maps and convex == []
+    # the counter sees the work it is meant to count
+    assert graphical.validate_graphical(maps[-1]) is None and convex
 
 
 # ---------------------------------------------------------------------------

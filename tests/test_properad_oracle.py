@@ -13,7 +13,12 @@ extends to an edge bijection that keeps every vertex's input and output
 orders, both boundary orders and the colours.  The oracle tries every
 edge bijection, and shares no code with the normal form.
 
-The last section pins the direct path with counters.
+The third section keeps the path that ``all_operations`` replaced as a
+reference: build each stub matching as a graph with ``_stub_matchings``,
+then normalize it and drop repeats.  Numbering the matching's stub keys
+must give the same operations in the same order (DECISIONS.md D16).
+
+The last section pins the direct paths with counters.
 """
 
 import itertools
@@ -24,6 +29,7 @@ from graphcat.digraph import (
     Graph,
     Vertex,
     _edge_numbering,
+    betti_number,
     corolla,
     edge_graph,
     linear_graph,
@@ -36,6 +42,7 @@ from graphcat.properad import (
     OperadArrow,
     ZGraph,
     _normalize,
+    _stub_matchings,
     all_operations,
     cartesian_lift_active,
     decorated_graph,
@@ -44,12 +51,13 @@ from graphcat.properad import (
     prpd_compose,
     sigma_action,
     stabilizer,
+    suboperad_member,
     theta_object,
     zgraph,
     zgraph_of_graph,
 )
 from graphcat.zoo import closed_square_graph, double_edge_graph, three_vertex_graph
-from test_properad import _criterion_6_shapes, _operad_laws_shapes, op_pool
+from test_properad import SMALL_BIARITIES, _criterion_6_shapes, _operad_laws_shapes, op_pool
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +518,70 @@ def test_compose_and_sigma_agree_with_the_definition():
 
 
 # ---------------------------------------------------------------------------
-# the direct path, pinned by counters
+# stub matchings numbered from their keys, against the built graphs
+
+
+def all_operations_reference(biarities, orderings="canonical"):
+    """``all_operations`` as it was: each matching built as a graph, then
+    normalized with its boundary orders, and repeats dropped."""
+    results = []
+    for g, _ in _stub_matchings([((None,) * m, (None,) * n) for m, n in biarities]):
+        if orderings == "all":
+            for ip in itertools.permutations(g.inputs):
+                for op_ in itertools.permutations(g.outputs):
+                    results.append(normalize_reference(g, ip, op_))
+        else:
+            results.append(normalize_reference(g, g.inputs, g.outputs))
+    return tuple(dict.fromkeys(results))
+
+
+BIARITIES_3 = [(m, n) for m in range(4) for n in range(4)]
+
+
+def enumeration_cases():
+    """(shape, orderings): every multiset of one or two vertices with
+    biarities in {0..3}^2, and of three with at most 10 stubs in all;
+    every ordering up to two vertices of arities at most two; and the
+    ``operad_laws`` shapes."""
+    for k in (1, 2, 3):
+        for shape in itertools.combinations_with_replacement(BIARITIES_3, k):
+            if k < 3 or sum(m + n for m, n in shape) <= 10:
+                yield shape, "canonical"
+    for k in (1, 2):
+        for shape in itertools.combinations_with_replacement(SMALL_BIARITIES + [(0, 0)], k):
+            yield shape, "all"
+    for shape in dict.fromkeys(map(tuple, _operad_laws_shapes())):
+        yield shape, "canonical"
+
+
+def test_all_operations_match_the_built_graphs():
+    counted = 0
+    for shape, orderings in enumeration_cases():
+        ops = all_operations(shape, orderings)
+        assert ops == all_operations_reference(shape, orderings), (shape, orderings)
+        # the dedupe the old path ended with never removed anything
+        assert len(set(ops)) == len(ops), shape
+        for op in ops:
+            assert suboperad_member(op)["dioperad"] == (betti_number(op.graph) == 0), op
+        counted += len(ops)
+    assert counted > 30_000
+    # no matching gives the vertexless edge operation: -1 internal edges
+    assert suboperad_member(EDGE)["dioperad"] and betti_number(EDGE.graph) == 0
+
+
+def test_long_chains_are_numbered_like_the_reference():
+    # past the lengths any shape above reaches: 40 (1, 1) vertices, each
+    # filled by a two-vertex chain or an edge
+    chain = all_operations([(1, 1), (1, 1)])[0]
+    outer = zgraph_of_graph(linear_graph(40))
+    for inner in ({z: chain for z in range(40)}, {z: (EDGE, chain)[z % 2] for z in range(40)}):
+        got = prpd_compose(outer, inner)
+        assert got == compose_reference(outer, inner)
+        assert got.graph.vertices[-1].name == f"v{got.size}" and got.size >= 40
+
+
+# ---------------------------------------------------------------------------
+# the direct paths, pinned by counters
 
 
 def test_compose_and_normalize_neither_substitute_nor_search(monkeypatch):
@@ -545,3 +616,23 @@ def test_compose_and_normalize_neither_substitute_nor_search(monkeypatch):
     arrow = OperadArrow(op.vertex_biarities(), theta_object(op.graph), tuple(range(op.size)), family)
     cartesian_lift_active(op.graph, arrow)
     assert len(substitutions) == 1
+
+
+def test_enumeration_neither_normalizes_nor_counts_cycles(monkeypatch):
+    # matchings are numbered from their stub keys, and the dioperad flag
+    # is read from counts (DECISIONS.md D16)
+    normalized, searched = [], []
+    normalize, betti = properad._normalize, digraph.betti_number
+    monkeypatch.setattr(
+        properad, "_normalize", lambda *args: normalized.append(args) or normalize(*args)
+    )
+    monkeypatch.setattr(digraph, "betti_number", lambda g: searched.append(g) or betti(g))
+    assert not hasattr(properad, "betti_number")
+    ops = [op for shape in _operad_laws_shapes() if len(shape) <= 2 for op in all_operations(shape)]
+    ops += all_operations([(1, 2), (2, 1)], orderings="all")
+    flags = [suboperad_member(op) for op in ops]
+    assert ops and flags and normalized == [] and searched == []
+    # the counters see the work they are meant to count
+    zgraph(ops[-1].graph, ops[-1].in_order, ops[-1].out_order)
+    digraph.is_simply_connected(ops[-1].graph)
+    assert len(normalized) == 1 and len(searched) == 1
