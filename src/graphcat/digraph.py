@@ -862,66 +862,41 @@ def _vertex_orders(g, order_sensitive):
         yield tuple(itertools.chain.from_iterable(combo))
 
 
-def _edge_numbering(g, vorder, edge_label):
-    """Number outputs by vertex, then attached inputs, then loose edges."""
-    vpos = {name: i for i, name in enumerate(vorder)}
-    eid = {}
-    counter = itertools.count(1)
-    for name in vorder:
-        for e in g.vertex(name).outs:
-            eid[e] = next(counter)
-    attached_inputs = sorted(
-        (vpos[g.in_vertex[e]], g.vertex(g.in_vertex[e]).ins.index(e), e)
-        for e in g.inputs
-        if e in g.in_vertex
+def reading_order(rows, tail=()):
+    """Number the edge keys of an ordered graph given as rows.
+
+    ``rows`` holds one ``(ins, outs)`` pair of edge keys per vertex, in
+    vertex order.  Keys are read outputs row by row, then inputs row by
+    row, then ``tail``, and each is numbered 1, 2, ... where it first
+    appears (DECISIONS.md D17).  Returns the keys in that order, as the
+    keys of a dict: key k has number n when it is the n-th.
+    """
+    firsts = itertools.chain(
+        (k for _, outs in rows for k in outs), (k for ins, _ in rows for k in ins), tail
     )
-    for _, _, e in attached_inputs:
-        eid[e] = next(counter)
-    loose = [e for e in g.edges if e not in eid]
-    if edge_label:
-        loose.sort(key=lambda e: repr(edge_label(e)))
-    for e in loose:
-        eid[e] = next(counter)
-    return eid
+    return dict.fromkeys(firsts)
 
 
-def _certificate(g, vorder, edge_label, in_order, out_order):
-    eid = _edge_numbering(g, vorder, edge_label)
-    rows = tuple(
-        (
-            tuple(eid[e] for e in g.vertex(name).ins),
-            tuple(eid[e] for e in g.vertex(name).outs),
-        )
-        for name in vorder
-    )
-    labels = ()
-    if edge_label:
-        labels = tuple(
-            repr(edge_label(e)) for e, _ in sorted(eid.items(), key=lambda kv: kv[1])
-        )
-    bnd_in = tuple(eid[e] for e in in_order) if in_order is not None else ()
-    bnd_out = tuple(eid[e] for e in out_order) if out_order is not None else ()
-    return (len(g.edges), rows, bnd_in, bnd_out, labels), eid
-
-
-def canonical_form(g, edge_label=None, in_order=None, out_order=None):
+def canonical_form(g):
     """A deterministic representative of the strict isomorphism class.
 
     Two graphs receive equal canonical forms exactly when there is an
-    isomorphism preserving per-vertex orderings, the optional edge
-    labels, and the optional boundary orderings.  A backtracking search
-    over refinement-compatible vertex orders picks the lexicographically
-    least certificate.
+    isomorphism preserving per-vertex orderings.  Each
+    refinement-compatible vertex order numbers the edges in reading
+    order, loose edges without a vertex last in edge-list order; the
+    first order whose rows of edge numbers are least wins.
 
     Returns (canonical graph, edge renaming, vertex renaming).
     """
     best = None
     for order in _vertex_orders(g, order_sensitive=True):
-        cert, eid = _certificate(g, order, edge_label, in_order, out_order)
+        rows = [(v.ins, v.outs) for v in map(g.vertex, order)]
+        number = dict(zip(reading_order(rows, g.edges), itertools.count(1)))
+        cert = [(tuple(map(number.get, ins)), tuple(map(number.get, outs))) for ins, outs in rows]
         if best is None or cert < best[0]:
-            best = (cert, order, eid)
-    _, order, eid = best
-    edge_map = {e: f"e{eid[e]}" for e in g.edges}
+            best = (cert, order, number)
+    _, order, number = best
+    edge_map = {e: f"e{number[e]}" for e in g.edges}
     vertex_map = {name: f"v{i+1}" for i, name in enumerate(order)}
     edges = tuple(f"e{k}" for k in range(1, len(g.edges) + 1))
     vs = tuple(

@@ -24,8 +24,11 @@ from .digraph import (
     Vertex,
     cached_property,
     check,
+    graph_from_json,
+    graph_to_json,
     is_connected,
     multi_substitute,
+    reading_order,
     topological_vertices,
 )
 from .errors import (
@@ -116,22 +119,23 @@ def _normalize(graph, in_order, out_order, colors=None):
     )
     if color_map is not None and not graph.edge_set <= color_map.keys():
         raise ColorMismatch("colors must cover every edge")
-    rows = [(v.ins, v.outs) for v in graph.vertices]
-    return _numbered(rows, tuple(in_order), tuple(out_order), color_map)
+    return _numbered(_rows(graph), tuple(in_order), tuple(out_order), color_map)
+
+
+def _rows(graph):
+    """The ``(ins, outs)`` of every vertex, in vertex order."""
+    return [(v.ins, v.outs) for v in graph.vertices]
 
 
 def _numbered(rows, in_keys, out_keys, color_of):
     """The normal form of an indexed graph given as rows of edge keys.
 
     ``rows[z]`` holds the input and output keys of the vertex at index
-    z.  Outputs are numbered vertex by vertex, then attached inputs by
-    consumer and position, then the loose edge of a vertexless graph
-    (DECISIONS.md D15).  ``color_of`` maps keys to colors, or is None.
+    z.  Edges are named in ``reading_order``, with ``in_keys`` as its
+    tail for the loose edge of a vertexless graph (DECISIONS.md D15,
+    D17).  ``color_of`` maps keys to colors, or is None.
     """
-    firsts = itertools.chain(
-        (k for _, outs in rows for k in outs), (k for ins, _ in rows for k in ins), in_keys
-    )
-    keys = dict.fromkeys(firsts)
+    keys = reading_order(rows, in_keys)
     edges = _names("e", len(keys))
     number = dict(zip(keys, edges))
     vertices = tuple(
@@ -161,13 +165,11 @@ def identity_operation(m, n, in_colors=None, out_colors=None):
 
 @functools.cache
 def _identity_operation(m, n, in_colors, out_colors):
-    ins = tuple(f"i{k}" for k in range(m))
-    outs = tuple(f"o{k}" for k in range(n))
-    g = Graph(ins + outs, (Vertex("v", ins, outs),))
+    ins, outs = tuple(range(m)), tuple(range(m, m + n))
     colors = None
     if in_colors is not None or out_colors is not None:
         colors = dict(zip(ins, in_colors)) | dict(zip(outs, out_colors))
-    return _normalize(g, ins, outs, colors)
+    return _numbered([(ins, outs)], ins, outs, colors)
 
 
 def zgraph_of_graph(g, in_order=None, out_order=None, colors=None):
@@ -332,51 +334,42 @@ def _matchings(boundaries):
     return stubs_in, stubs_out, match(0, frozenset(), reach, ())
 
 
-def _stub_matchings(boundaries):
-    """Each matching of ``_matchings`` as (graph, edge colors), with
-    vertices ``z<z>`` and edges ``m<n>`` for the n-th glue, then
-    ``in<z>_<k>`` and ``out<z>_<k>`` for loose stubs, listed in that
-    order so that the graph's boundary orders follow the stubs.  Each
-    graph is valid and connected by construction (DECISIONS.md D7)."""
+def _keyed_matchings(boundaries):
+    """Each matching of ``_matchings`` as rows of stub keys: a glued edge
+    or a loose output is keyed by its output stub (z, k), a loose input
+    by its place among the input stubs (DECISIONS.md D16).  Returns the
+    color of every key, and a generator of (rows, in_keys, out_keys)
+    with the boundary keys in stub order."""
     stubs_in, stubs_out, matchings = _matchings(boundaries)
-    for matching in matchings:
-        edge_of_in, edge_of_out, colors = {}, {}, {}
-        glues = ((so, si, c) for (si, c), so in zip(stubs_in, matching) if so is not None)
-        for n, (so, si, color) in enumerate(glues):
-            edge_of_out[so] = edge_of_in[si] = f"m{n}"
-            colors[f"m{n}"] = color
-        for stubs, edge_of, side in ((stubs_in, edge_of_in, "in"), (stubs_out, edge_of_out, "out")):
-            for key, color in stubs:
-                if key not in edge_of:
-                    edge_of[key] = f"{side}{key[0]}_{key[1]}"
-                    colors[edge_of[key]] = color
-        yield Graph(tuple(colors), tuple(
-            Vertex(f"z{z}", tuple(edge_of_in[z, k] for k in range(len(ins))),
-                   tuple(edge_of_out[z, k] for k in range(len(outs))))
-            for z, (ins, outs) in enumerate(boundaries)
-        )), colors
+    colors = {i: c for i, (_, c) in enumerate(stubs_in)} | dict(stubs_out)
+    arities = [len(ins) for ins, _ in boundaries]
+    outs = [tuple((z, k) for k in range(len(o))) for z, (_, o) in enumerate(boundaries)]
+
+    def keyed():
+        for matching in matchings:
+            keys = (i if so is None else so for i, so in enumerate(matching))
+            rows = [(tuple(itertools.islice(keys, m)), o) for m, o in zip(arities, outs)]
+            glued = set(matching)
+            yield (
+                rows,
+                tuple(i for i, so in enumerate(matching) if so is None),
+                tuple(so for so, _ in stubs_out if so not in glued),
+            )
+
+    return colors, keyed()
 
 
 def all_operations(biarities, orderings="canonical"):
     """All operations with the given indexed vertex biarities.
 
     Enumerates stub matchings (acyclic, connected) and numbers each one
-    from its stub keys: a glued edge or a loose output is keyed by its
-    output stub (z, k), a loose input by its place among the input
-    stubs.  Boundary orderings
-    are the stub orders, or all of them with ``orderings="all"``; no two
+    from its stub keys (``_keyed_matchings``).  Boundary orderings are
+    the stub orders, or all of them with ``orderings="all"``; no two
     results are equal (DECISIONS.md D16).
     """
-    uncolored = [((None,) * m, (None,) * n) for m, n in biarities]
-    _, stubs_out, matchings = _matchings(uncolored)
-    outs = [tuple((z, k) for k in range(n)) for z, (_, n) in enumerate(biarities)]
+    _, keyed = _keyed_matchings([((None,) * m, (None,) * n) for m, n in biarities])
     results = []
-    for matching in matchings:
-        keys = (i if so is None else so for i, so in enumerate(matching))
-        rows = [(tuple(itertools.islice(keys, m)), o) for (m, _), o in zip(biarities, outs)]
-        in_keys = tuple(i for i, so in enumerate(matching) if so is None)
-        glued = set(matching)
-        out_keys = tuple(so for so, _ in stubs_out if so not in glued)
+    for rows, in_keys, out_keys in keyed:
         if orderings == "all":
             for ip in itertools.permutations(in_keys):
                 for op_ in itertools.permutations(out_keys):
@@ -554,20 +547,22 @@ class FreeProperad(FiniteProperad):
         self.vertex_bound = vertex_bound
         self.colors = tuple(generator.edges)
 
-    def _element(self, graph, colors, labels, in_order, out_order):
-        """Normal form: minimize the indexed normal form over reindexings."""
-        names = graph.vertex_names
+    def _element(self, rows, colors, labels, in_order, out_order):
+        """Normal form: minimize the indexed normal form over reindexings.
+
+        ``rows`` and ``labels`` give each vertex's edge keys and generator,
+        ``colors`` maps keys to colors.  Each reindexing is numbered from
+        its rows; the numbering ignores how keys are named, so any
+        injective renaming of the keys gives the same element
+        (DECISIONS.md D17)."""
         best = None
-        for perm in itertools.permutations(range(len(names))):
-            reordered = Graph(
-                graph.edges, tuple(graph.vertices[k] for k in perm)
-            )
-            cand = _normalize(reordered, in_order, out_order, dict(colors))
-            labs = tuple(labels[graph.vertices[k].name] for k in perm)
-            key = (_zkey(cand), labs)
+        for perm in itertools.permutations(range(len(rows))):
+            cand = _numbered([rows[k] for k in perm], in_order, out_order, colors)
+            key = (_zkey(cand), tuple(labels[k] for k in perm))
             if best is None or key < best[0]:
-                best = (key, cand, labs)
-        return ("el", best[1], best[2])
+                best = (key, cand)
+        (_, labs), cand = best
+        return ("el", cand, labs)
 
     def op_profile(self, op):
         _, zg, labels = op
@@ -575,13 +570,11 @@ class FreeProperad(FiniteProperad):
 
     def generator_element(self, vname):
         v = self.generator.vertex(vname)
-        g = Graph(tuple(v.ins) + tuple(v.outs), (v,))
-        colors = {e: e for e in g.edges}
-        return self._element(g, colors, {vname: vname}, v.ins, v.outs)
+        colors = {e: e for e in itertools.chain(v.ins, v.outs)}
+        return self._element([(v.ins, v.outs)], colors, (vname,), v.ins, v.outs)
 
-    def edge_element(self, color, name="e"):
-        g = Graph((name,), ())
-        return self._element(g, {name: color}, {}, (name,), (name,))
+    def edge_element(self, color):
+        return self._element([], {0: color}, (), (0,), (0,))
 
     def identity(self, color):
         return self.edge_element(color)
@@ -590,8 +583,7 @@ class FreeProperad(FiniteProperad):
         """The element carried by a connected open subgraph."""
         g = sub.as_graph
         return self._element(
-            g, {e: e for e in g.edges}, {v: v for v in g.vertex_names},
-            g.inputs, g.outputs,
+            _rows(g), {e: e for e in g.edges}, g.vertex_names, g.inputs, g.outputs
         )
 
     @cached_property
@@ -604,12 +596,11 @@ class FreeProperad(FiniteProperad):
         gens = self.generator.vertex_names
         for k in range(1, self.vertex_bound + 1):
             for combo in itertools.combinations_with_replacement(gens, k):
-                stubs = [
-                    (v.ins, v.outs) for v in map(self.generator.vertex, combo)
-                ]
-                for g, colors in _stub_matchings(stubs):
-                    labels = dict(zip(g.vertex_names, combo))
-                    el = self._element(g, colors, labels, g.inputs, g.outputs)
+                colors, keyed = _keyed_matchings(
+                    [(v.ins, v.outs) for v in map(self.generator.vertex, combo)]
+                )
+                for rows, in_keys, out_keys in keyed:
+                    el = self._element(rows, colors, combo, in_keys, out_keys)
                     found.setdefault(el[1].profile(), set()).add(el)
         return found
 
@@ -645,13 +636,8 @@ class FreeProperad(FiniteProperad):
 
     def act(self, op, in_perm, out_perm):
         _, zg, labels = op
-        g = zg.graph
-        in_order = tuple(zg.in_order[in_perm[i]] for i in range(len(zg.in_order)))
-        out_order = tuple(zg.out_order[out_perm[j]] for j in range(len(zg.out_order)))
-        return self._element(
-            g, dict(zip(g.edges, zg.colors)),
-            dict(zip(g.vertex_names, labels)), in_order, out_order,
-        )
+        zg = sigma_action(zg, None, in_perm, out_perm)
+        return self._element(_rows(zg.graph), zg.color_of, labels, zg.in_order, zg.out_order)
 
     def evaluate(self, dec):
         """Grafting: compose the labels' indexed graphs into the decorated
@@ -661,12 +647,8 @@ class FreeProperad(FiniteProperad):
         outer = zgraph(dec.graph, dec.in_order, dec.out_order, dec.color_of)
         elements = [dec.label_of[name] for name in dec.graph.vertex_names]
         zg = prpd_compose(outer, {z: el[1] for z, el in enumerate(elements)})
-        g = zg.graph
-        return self._element(
-            g, dict(zip(g.edges, zg.colors)),
-            dict(zip(g.vertex_names, (lab for el in elements for lab in el[2]))),
-            zg.in_order, zg.out_order,
-        )
+        labels = tuple(lab for el in elements for lab in el[2])
+        return self._element(_rows(zg.graph), zg.color_of, labels, zg.in_order, zg.out_order)
 
 
 def _zkey(zg):
@@ -890,23 +872,15 @@ def cartesian_lift_active(g, arrow):
 
 
 def operation_to_json(z):
-    out = {
-        "edges": list(z.graph.edges),
-        "vertices": [
-            {"name": v.name, "in": list(v.ins), "out": list(v.outs)}
-            for v in z.graph.vertices
-        ],
-        "in_order": list(z.in_order),
-        "out_order": list(z.out_order),
-    }
+    out = graph_to_json(z.graph)
+    out["in_order"] = list(z.in_order)
+    out["out_order"] = list(z.out_order)
     if z.colors is not None:
         out["colors"] = dict(zip(z.graph.edges, z.colors))
     return out
 
 
 def operation_from_json(data):
-    from .digraph import graph_from_json
-
     g = graph_from_json(data)
     colors = data.get("colors")
     return zgraph(
@@ -923,8 +897,6 @@ def decorated_to_json(P, dec):
     Labels are referenced by their position in the operation set of
     their profile, which is deterministic for a fixed properad.
     """
-    from .digraph import graph_to_json
-
     labels = {}
     for v in dec.graph.vertices:
         op = dec.label_of[v.name]
@@ -943,8 +915,6 @@ def decorated_to_json(P, dec):
 
 
 def decorated_from_json(P, data):
-    from .digraph import graph_from_json
-
     g = graph_from_json(data)
     labels = {}
     for name, spec in data["labels"].items():

@@ -4,8 +4,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphcat.digraph import (
+    _vertex_orders,
     boundary,
     canonical_form,
     connected_components,
@@ -439,3 +441,139 @@ def test_canonical_form_sees_orderings():
 def test_strict_iso_positive_and_negative():
     assert strict_iso(corolla(2, 1), corolla(2, 1, name="other"))
     assert not strict_iso(corolla(2, 1), corolla(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# canonical forms against the parent's edge numbering
+
+
+def _edge_numbering(g, vorder, edge_label):
+    """The parent's numbering, kept as a test-side reference: outputs by
+    vertex, then attached inputs by consumer and position, then loose
+    edges (sorted by ``edge_label`` when given)."""
+    vpos = {name: i for i, name in enumerate(vorder)}
+    eid = {}
+    counter = itertools.count(1)
+    for name in vorder:
+        for e in g.vertex(name).outs:
+            eid[e] = next(counter)
+    attached_inputs = sorted(
+        (vpos[g.in_vertex[e]], g.vertex(g.in_vertex[e]).ins.index(e), e)
+        for e in g.inputs
+        if e in g.in_vertex
+    )
+    for _, _, e in attached_inputs:
+        eid[e] = next(counter)
+    loose = [e for e in g.edges if e not in eid]
+    if edge_label:
+        loose.sort(key=lambda e: repr(edge_label(e)))
+    for e in loose:
+        eid[e] = next(counter)
+    return eid
+
+
+def _certificate(g, vorder):
+    eid = _edge_numbering(g, vorder, None)
+    rows = tuple(
+        (
+            tuple(eid[e] for e in g.vertex(name).ins),
+            tuple(eid[e] for e in g.vertex(name).outs),
+        )
+        for name in vorder
+    )
+    return (len(g.edges), rows, (), (), ()), eid
+
+
+def canonical_form_reference(g):
+    """``canonical_form`` as it was: the least certificate of integer
+    rows over the refinement-compatible vertex orders, the first order
+    reaching it kept."""
+    best = None
+    for order in _vertex_orders(g, order_sensitive=True):
+        cert, eid = _certificate(g, order)
+        if best is None or cert < best[0]:
+            best = (cert, order, eid)
+    _, order, eid = best
+    edge_map = {e: f"e{eid[e]}" for e in g.edges}
+    vertex_map = {name: f"v{i+1}" for i, name in enumerate(order)}
+    edges = tuple(f"e{k}" for k in range(1, len(g.edges) + 1))
+    vs = tuple(
+        (vertex_map[name], [edge_map[e] for e in g.vertex(name).ins],
+         [edge_map[e] for e in g.vertex(name).outs])
+        for name in order
+    )
+    return graph(edges, vs), edge_map, vertex_map
+
+
+@st.composite
+def ordered_graphs(draw):
+    """Valid ordered graphs, connected or not: up to five vertices, where
+    vertex i may feed vertex j only when i < j, loose ends, up to three
+    edges without a vertex, and shuffled vertex orders, vertex list and
+    edge list.  Edges are named ``e<k>`` in a drawn order, so that the
+    order of their names disagrees with reading order."""
+    n = draw(st.integers(0, 5))
+    ins, outs, edges = [[] for _ in range(n)], [[] for _ in range(n)], []
+    for i, j in itertools.combinations(range(n), 2):
+        for _ in range(draw(st.integers(0, 2))):
+            outs[i].append(len(edges))
+            ins[j].append(len(edges))
+            edges.append(len(edges))
+    for side in ins + outs:
+        for _ in range(draw(st.integers(0, 2))):
+            side.append(len(edges))
+            edges.append(len(edges))
+    edges.extend(range(len(edges), len(edges) + draw(st.integers(0, 3))))
+    name = dict(zip(edges, draw(st.permutations([f"e{k}" for k in range(1, len(edges) + 1)]))))
+    vs = [
+        (f"w{i}", [name[e] for e in draw(st.permutations(ins[i]))],
+         [name[e] for e in draw(st.permutations(outs[i]))])
+        for i in draw(st.permutations(range(n)))
+    ]
+    return graph(draw(st.permutations([name[e] for e in edges])), vs)
+
+
+def renamed_copy(g, rng):
+    """The same ordered graph under fresh edge and vertex names, with the
+    vertex list and the edge list shuffled."""
+    fresh = [f"e{k}" for k in range(1, len(g.edges) + 1)]
+    rng.shuffle(fresh)
+    name = dict(zip(g.edges, fresh))
+    vs = [
+        (f"u{rng.randrange(100)}_{v.name}", [name[e] for e in v.ins], [name[e] for e in v.outs])
+        for v in g.vertices
+    ]
+    rng.shuffle(vs)
+    rng.shuffle(fresh)
+    return graph(fresh, vs)
+
+
+# two equal components, so several orders reach the least certificate
+TWO_CHAINS = graph("abcdef", [("p", "a", "b"), ("q", "b", "c"), ("r", "d", "e"), ("s", "e", "f")])
+# three edges without a vertex around a corolla
+BARE_EDGES = graph("zyxab", [("v", "a", "b")])
+# 15 edges, and vertices w3 and w4 of one class: the third rows of the
+# two orders first differ where one numbers an edge 11 and the other 9,
+# which as names ("e11" < "e9") would compare the other way
+WIDE = graph(
+    [f"x{k}" for k in range(15)],
+    [("w0", ["x9"], ["x0", "x3", "x1", "x2", "x11", "x4"]),
+     ("w1", ["x0"], ["x13", "x12"]),
+     ("w4", ["x7", "x4", "x8"], []),
+     ("w3", ["x6", "x3", "x5"], []),
+     ("w2", ["x2", "x10", "x1"], ["x7", "x5", "x6", "x8", "x14"])],
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ordered_graphs(), st.randoms(use_true_random=False))
+@example(TWO_CHAINS, random.Random(0))
+@example(BARE_EDGES, random.Random(1))
+@example(WIDE, random.Random(2))
+def test_canonical_form_matches_the_parent_numbering(g, rng):
+    assert validate(g) is None
+    form = canonical_form(g)
+    assert form == canonical_form_reference(g)
+    copy = renamed_copy(g, rng)
+    assert canonical_form(copy) == canonical_form_reference(copy)
+    assert canonical_form(copy)[0] == form[0]

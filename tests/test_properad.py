@@ -26,8 +26,8 @@ from graphcat.graphical import (
 )
 from graphcat.properad import (
     DecoratedGraph,
+    _matchings,
     _normalize,
-    _stub_matchings,
     all_operations,
     cartesian_lift_active,
     compose_arrows,
@@ -599,6 +599,31 @@ def test_operad_constructors_are_valid_by_construction():
         for op in all_operations(shape, orderings="all"):
             assert_valid_by_construction(op)
 
+
+
+def _stub_matchings(boundaries):
+    """The parent's graph builder over ``_matchings``, kept as a test-side
+    reference: each matching as (graph, edge colors), with vertices
+    ``z<z>`` and edges ``m<n>`` for the n-th glue, then ``in<z>_<k>`` and
+    ``out<z>_<k>`` for loose stubs, listed in that order so that the
+    graph's boundary orders follow the stubs."""
+    stubs_in, stubs_out, matchings = _matchings(boundaries)
+    for matching in matchings:
+        edge_of_in, edge_of_out, colors = {}, {}, {}
+        glues = ((so, si, c) for (si, c), so in zip(stubs_in, matching) if so is not None)
+        for n, (so, si, color) in enumerate(glues):
+            edge_of_out[so] = edge_of_in[si] = f"m{n}"
+            colors[f"m{n}"] = color
+        for stubs, edge_of, side in ((stubs_in, edge_of_in, "in"), (stubs_out, edge_of_out, "out")):
+            for key, color in stubs:
+                if key not in edge_of:
+                    edge_of[key] = f"{side}{key[0]}_{key[1]}"
+                    colors[edge_of[key]] = color
+        yield Graph(tuple(colors), tuple(
+            Vertex(f"z{z}", tuple(edge_of_in[z, k] for k in range(len(ins))),
+                   tuple(edge_of_out[z, k] for k in range(len(outs))))
+            for z, (ins, outs) in enumerate(boundaries)
+        )), colors
 
 
 def stub_matchings_oracle(boundaries):

@@ -3,9 +3,10 @@
 The first section keeps the path that ``prpd_compose`` and
 ``sigma_action`` replaced as a reference: substitute with
 ``multi_substitute``, then number the edges of the result with the
-vertex order pinned to the indexing (``_edge_numbering``, which
-``canonical_form`` ran for a pinned order).  The direct numbering must
-give equal operations (DECISIONS.md D15).
+vertex order pinned to the indexing (``_edge_numbering``, the numbering
+``canonical_form`` used before ``reading_order``, kept in
+``test_digraph``).  The direct numbering must give equal operations
+(DECISIONS.md D15).
 
 The second section is an oracle from the definition.  Two indexed
 graphs are equal exactly when the index-preserving vertex bijection
@@ -14,9 +15,15 @@ orders, both boundary orders and the colours.  The oracle tries every
 edge bijection, and shares no code with the normal form.
 
 The third section keeps the path that ``all_operations`` replaced as a
-reference: build each stub matching as a graph with ``_stub_matchings``,
-then normalize it and drop repeats.  Numbering the matching's stub keys
-must give the same operations in the same order (DECISIONS.md D16).
+reference: build each stub matching as a graph with ``_stub_matchings``
+(kept in ``test_properad``), then normalize it and drop repeats.
+Numbering the matching's stub keys must give the same operations in the
+same order (DECISIONS.md D16).
+
+The fourth section keeps the free properad's element path as it was:
+every reindexing built as a ``Graph`` and normalized, over a pool of
+``_stub_matchings`` graphs.  Numbering each reindexing's rows must give
+the same elements (DECISIONS.md D17).
 
 The last section pins the direct paths with counters.
 """
@@ -25,11 +32,13 @@ import itertools
 import random
 
 from graphcat import digraph, properad, zoo
+import pytest
+
 from graphcat.digraph import (
     Graph,
     Vertex,
-    _edge_numbering,
     betti_number,
+    check,
     corolla,
     edge_graph,
     linear_graph,
@@ -42,7 +51,7 @@ from graphcat.properad import (
     OperadArrow,
     ZGraph,
     _normalize,
-    _stub_matchings,
+    _zkey,
     all_operations,
     cartesian_lift_active,
     decorated_graph,
@@ -57,7 +66,14 @@ from graphcat.properad import (
     zgraph_of_graph,
 )
 from graphcat.zoo import closed_square_graph, double_edge_graph, three_vertex_graph
-from test_properad import SMALL_BIARITIES, _criterion_6_shapes, _operad_laws_shapes, op_pool
+from test_digraph import _edge_numbering
+from test_properad import (
+    SMALL_BIARITIES,
+    _criterion_6_shapes,
+    _operad_laws_shapes,
+    _stub_matchings,
+    op_pool,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +597,161 @@ def test_long_chains_are_numbered_like_the_reference():
 
 
 # ---------------------------------------------------------------------------
+# free-properad elements numbered from rows, against built graphs
+
+
+def element_reference(graph, colors, labels, in_order, out_order):
+    """``FreeProperad._element`` as it was: each reindexing built as a
+    ``Graph`` and normalized, the least by ``(_zkey, labels)`` kept."""
+    best = None
+    for perm in itertools.permutations(range(len(graph.vertices))):
+        reordered = Graph(graph.edges, tuple(graph.vertices[k] for k in perm))
+        cand = normalize_reference(reordered, in_order, out_order, dict(colors))
+        labs = tuple(labels[graph.vertices[k].name] for k in perm)
+        key = (_zkey(cand), labs)
+        if best is None or key < best[0]:
+            best = (key, cand, labs)
+    return ("el", best[1], best[2])
+
+
+def generator_element_reference(P, vname):
+    v = P.generator.vertex(vname)
+    g = Graph(tuple(v.ins) + tuple(v.outs), (v,))
+    return element_reference(g, {e: e for e in g.edges}, {vname: vname}, v.ins, v.outs)
+
+
+def subgraph_element_reference(sub):
+    g = sub.as_graph
+    return element_reference(
+        g, {e: e for e in g.edges}, {v: v for v in g.vertex_names}, g.inputs, g.outputs
+    )
+
+
+def pool_reference(P):
+    """``FreeProperad._pool`` as it was: bare edges, then every stub
+    matching of up to ``vertex_bound`` generators built as a graph."""
+    found = {}
+    for c in P.colors:
+        el = element_reference(Graph(("e",), ()), {"e": c}, {}, ("e",), ("e",))
+        found.setdefault(el[1].profile(), set()).add(el)
+    for k in range(1, P.vertex_bound + 1):
+        for combo in itertools.combinations_with_replacement(P.generator.vertex_names, k):
+            stubs = [(v.ins, v.outs) for v in map(P.generator.vertex, combo)]
+            for g, colors in _stub_matchings(stubs):
+                labels = dict(zip(g.vertex_names, combo))
+                el = element_reference(g, colors, labels, g.inputs, g.outputs)
+                found.setdefault(el[1].profile(), set()).add(el)
+    return found
+
+
+def act_reference(op, in_perm, out_perm):
+    _, zg, labels = op
+    g = zg.graph
+    in_order = tuple(zg.in_order[in_perm[i]] for i in range(len(zg.in_order)))
+    out_order = tuple(zg.out_order[out_perm[j]] for j in range(len(zg.out_order)))
+    return element_reference(
+        g, dict(zip(g.edges, zg.colors)), dict(zip(g.vertex_names, labels)), in_order, out_order
+    )
+
+
+def ops_reference(pool, ins, outs):
+    """``FreeProperad.ops`` as it was, over the reference pool and action."""
+    out = set(pool.get((ins, outs), ()))
+    for (pins, pouts), els in pool.items():
+        if sorted(pins) != sorted(ins) or sorted(pouts) != sorted(outs):
+            continue
+        for el in els:
+            for ip in properad._color_permutations(pins, ins):
+                for op_ in properad._color_permutations(pouts, outs):
+                    out.add(act_reference(el, ip, op_))
+    return tuple(sorted(out, key=repr))
+
+
+def evaluate_reference(P, dec):
+    """``FreeProperad.evaluate`` as it was, over the substitute-then-
+    renumber composition."""
+    assert P.check_decoration(dec)
+    outer = normalize_reference(check(dec.graph), dec.in_order, dec.out_order, dec.color_of)
+    elements = [dec.label_of[name] for name in dec.graph.vertex_names]
+    zg = compose_reference(outer, {z: el[1] for z, el in enumerate(elements)})
+    g = zg.graph
+    return element_reference(
+        g, dict(zip(g.edges, zg.colors)),
+        dict(zip(g.vertex_names, (lab for el in elements for lab in el[2]))),
+        zg.in_order, zg.out_order,
+    )
+
+
+FREE_GENERATORS = [(name, getattr(zoo, name)()) for name in sorted(dir(zoo)) if name.endswith("_graph")]
+FREE_GENERATORS += [("linear_graph_3", linear_graph(3)), ("corolla_2_2", corolla(2, 2))]
+
+
+def decorations(P):
+    """Decorated graphs to evaluate: every pool element's own graph with
+    its generators as labels, and, on a connected generator, each
+    structured subgraph with generator labels and its witness with the
+    subgraph's element at the collapsed vertex."""
+    for els in P._pool.values():
+        for _, zg, labels in sorted(els, key=repr):
+            g = zg.graph
+            yield decorated_graph(
+                g, zg.color_of, {v: P.generator_element(lab) for v, lab in zip(g.vertex_names, labels)},
+                zg.in_order, zg.out_order,
+            )
+    g = P.generator
+    if not digraph.is_connected(g):
+        return
+    for sub in structured_subgraphs(g):
+        h = sub.as_graph
+        yield decorated_graph(h, {e: e for e in h.edges}, {v: P.generator_element(v) for v in h.vertex_names})
+        data = subgraph_witness(sub)
+        labels = {v: P.generator_element(v) for v in g.vertex_names}
+        labels[data.vertex] = P.subgraph_element(sub)
+        yield decorated_graph(
+            data.outer,
+            {e: e for e in data.outer.edges} | dict(data.bij_out),
+            {v: labels[v] for v in data.outer.vertex_names},
+            g.inputs,
+            tuple({x: e for e, x in data.bij_out}.get(e, e) for e in g.outputs),
+        )
+
+
+@pytest.mark.parametrize("g", [g for _, g in FREE_GENERATORS], ids=[name for name, _ in FREE_GENERATORS])
+def test_free_properad_matches_the_built_graphs(g):
+    rng = random.Random(len(g.edges))
+    P = free_properad(g, vertex_bound=4)
+    pool = pool_reference(P)
+    assert P._pool == pool
+    for ins, outs in pool:
+        for profile in ((ins, outs), (ins[::-1], outs[::-1])):
+            assert P.ops(*profile) == ops_reference(pool, *profile), profile
+    for v in g.vertex_names:
+        assert P.generator_element(v) == generator_element_reference(P, v)
+    if digraph.is_connected(g):
+        for sub in structured_subgraphs(g):
+            assert P.subgraph_element(sub) == subgraph_element_reference(sub)
+    for els in pool.values():
+        for el in sorted(els, key=repr):
+            _, zg, _ = el
+            args = shuffled(rng, len(zg.in_order)), shuffled(rng, len(zg.out_order))
+            assert P.act(el, *args) == act_reference(el, *args)
+    decs = list(decorations(P))
+    assert [P.evaluate(dec) for dec in decs] == [evaluate_reference(P, dec) for dec in decs]
+    assert len(decs) >= sum(map(len, pool.values()))
+
+
+@pytest.mark.parametrize("in_perm, out_perm", [((0, 0), (0, 1)), ((0, 1), (1, 1))])
+def test_free_act_rejects_a_non_permutation_like_the_reference(in_perm, out_perm):
+    P = free_properad(corolla(2, 2), vertex_bound=1)
+    el = P.generator_element("v")
+    with pytest.raises(ProfileMismatch) as got:
+        P.act(el, in_perm, out_perm)
+    with pytest.raises(ProfileMismatch) as expected:
+        act_reference(el, in_perm, out_perm)
+    assert str(got.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
 # the direct paths, pinned by counters
 
 
@@ -636,3 +807,23 @@ def test_enumeration_neither_normalizes_nor_counts_cycles(monkeypatch):
     zgraph(ops[-1].graph, ops[-1].in_order, ops[-1].out_order)
     digraph.is_simply_connected(ops[-1].graph)
     assert len(normalized) == 1 and len(searched) == 1
+
+
+def test_free_elements_neither_normalize_nor_build_reindexings(monkeypatch):
+    # each reindexing is numbered from rows (DECISIONS.md D17); evaluate
+    # normalizes once, where its decorated graph enters through zgraph (D4)
+    normalized = []
+    normalize = properad._normalize
+    monkeypatch.setattr(
+        properad, "_normalize", lambda *args: normalized.append(args) or normalize(*args)
+    )
+    P = free_properad(three_vertex_graph(), vertex_bound=4)
+    els = [el for els in P._pool.values() for el in els]
+    for el in els:
+        _, zg, _ = el
+        P.act(el, tuple(reversed(range(len(zg.in_order)))), tuple(reversed(range(len(zg.out_order)))))
+    assert els and normalized == []
+    decs = list(decorations(P))
+    for dec in decs:
+        P.evaluate(dec)
+    assert len(normalized) == len(decs) > 0
