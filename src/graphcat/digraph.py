@@ -469,20 +469,21 @@ def path_reentry(parent, members):
     return None
 
 
-def _linked(g, members):
-    """Are the member vertices connected through edges between members?
-    (The open subgraph they span is then connected.)"""
+def _walk(g, members):
+    """The member vertices reached from the first member through edges
+    between members, as dict keys in the order reached; they are all the
+    members exactly when the open subgraph they span is connected."""
     start = next(iter(members))
-    seen, stack = {start}, [start]
+    seen, stack = {start: None}, [start]
     while stack:
         v = g.vertex(stack.pop())
         for w in itertools.chain(
             map(g.in_vertex.get, v.outs), map(g.out_vertex.get, v.ins)
         ):
             if w in members and w not in seen:
-                seen.add(w)
+                seen[w] = None
                 stack.append(w)
-    return len(seen) == len(members)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -565,21 +566,32 @@ def structured_subgraphs(g, max_vertices=16):
     Single edges come first (in edge order), then vertex-spanned
     subgraphs by size and name.  Every subgraph with at least one vertex
     is spanned by its vertex set, so enumeration ranges over connected,
-    convex vertex subsets.
+    convex vertex subsets.  Each subgraph comes with its inputs and
+    outputs, read off its member vertices' edges and listed in parent
+    edge order as ``_boundary`` lists them (DECISIONS.md D18).
     """
     if not is_connected(g):
         raise ConnectivityError("structured subgraphs require a connected parent")
     if len(g.vertices) > max_vertices:
         raise SizeLimit(f"too many vertices ({len(g.vertices)} > {max_vertices})")
     found = [edge_subgraph(g, e) for e in g.edges]
+    for sub, e in zip(found, g.edges):
+        sub.__dict__.update(inputs=(e,), outputs=(e,))
+    pos = {e: i for i, e in enumerate(g.edges)}
     names = g.vertex_names
     spanned = []
     for r in range(1, len(names) + 1):
         for combo in itertools.combinations(names, r):
             members = frozenset(combo)
-            if _linked(g, members) and path_reentry(g, members) is None:
-                sub = open_subgraph(g, combo)
-                spanned.append(StructuredSubgraph(g, sub.edge_names, members))
+            if len(_walk(g, members)) < r or path_reentry(g, members) is not None:
+                continue
+            vs = [g.vertex(name) for name in combo]
+            ins = [e for v in vs for e in v.ins if g.out_vertex.get(e) not in members]
+            outs = [e for v in vs for e in v.outs if g.in_vertex.get(e) not in members]
+            sub = StructuredSubgraph(g, open_subgraph(g, combo).edge_names, members)
+            sub.__dict__["inputs"] = tuple(sorted(ins, key=pos.get))
+            sub.__dict__["outputs"] = tuple(sorted(outs, key=pos.get))
+            spanned.append(sub)
     spanned.sort(key=lambda s: (len(s.vertex_names_set), sorted(s.vertex_names_set)))
     return tuple(found + spanned)
 
@@ -671,9 +683,39 @@ def multi_substitute(outer, assignment):
     ``assignment`` maps vertex names to either a Graph (boundaries are
     then paired by position) or triples ``(graph, bij_in, bij_out)``
     pairing the vertex's edges with the inner graph's boundary; names
-    that are not vertices of ``outer`` are ignored.  Callers pass
-    connected inner graphs (``substitute`` checks its one), and
-    connectivity is not checked again here.
+    that are not vertices of ``outer`` are ignored.  A pairing that is
+    no bijection raises ProfileMismatch.  Callers pass connected inner
+    graphs (``substitute`` checks its one), and connectivity is not
+    checked again here.  ``_glue`` builds the result.
+    """
+    specs = {}
+    for w in outer.vertices:
+        if w.name not in assignment:
+            continue
+        spec = assignment[w.name]
+        if isinstance(spec, Graph):
+            inner = spec
+            in_map = dict(zip(w.ins, inner.inputs))
+            out_map = dict(zip(w.outs, inner.outputs))
+        else:
+            inner, bij_in, bij_out = spec
+            in_map, out_map = dict(bij_in), dict(bij_out)
+        for side, ends, pairs, targets in (
+            ("in", w.ins, in_map, inner.inputs),
+            ("out", w.outs, out_map, inner.outputs),
+        ):
+            if sorted(pairs) != sorted(ends) or sorted(pairs.values()) != sorted(targets):
+                raise ProfileMismatch(
+                    f"{side}({w.name}) does not match the {side}puts of the inner graph"
+                )
+        specs[w.name] = (inner, in_map, out_map)
+    return _glue(outer, specs)
+
+
+def _glue(outer, specs):
+    """Substitute ``specs[v] = (inner, in_map, out_map)`` at each vertex
+    v; the maps pair v's in- and out-edges with the inner inputs and
+    outputs, and are not checked to be bijections (DECISIONS.md D18).
 
     The result equals substituting one vertex at a time in the outer
     graph's vertex order.  Inner vertices take the place of the vertex
@@ -689,35 +731,16 @@ def multi_substitute(outer, assignment):
     internal = []
     pieces = []  # per outer vertex: the vertex kept, or what replaces it
     for w in outer.vertices:
-        if w.name not in assignment:
+        if w.name not in specs:
             pieces.append(w)
             continue
-        spec = assignment[w.name]
-        ins = tuple(name[e] for e in w.ins)
-        outs = tuple(name[e] for e in w.outs)
-        if isinstance(spec, Graph):
-            inner = spec
-            in_map = dict(zip(ins, inner.inputs))
-            out_map = dict(zip(outs, inner.outputs))
-        else:
-            inner, bij_in, bij_out = spec
-            # a key that is no outer edge stays, and fails the check below
-            in_map = {name.get(e, e): x for e, x in dict(bij_in).items()}
-            out_map = {name.get(e, e): x for e, x in dict(bij_out).items()}
-        for side, ends, pairs, targets in (
-            ("in", ins, in_map, inner.inputs),
-            ("out", outs, out_map, inner.outputs),
-        ):
-            if sorted(pairs) != sorted(ends) or sorted(pairs.values()) != sorted(targets):
-                raise ProfileMismatch(
-                    f"{side}({w.name}) does not match the {side}puts of the inner graph"
-                )
-        # inner boundary edge -> the outer edge glued to it
-        bound = {x: e for e, x in out_map.items()} | {x: e for e, x in in_map.items()}
+        inner, in_map, out_map = specs[w.name]
+        # inner boundary edge -> the outer edge glued to it, as named now
+        bound = {x: name[e] for e, x in itertools.chain(out_map.items(), in_map.items())}
         fresh_e, fresh_v = {}, {}
         if not inner.vertices:
             # a single edge: the output edge of w merges into its input edge
-            (e_in,), (e_out,) = in_map, out_map
+            (e_in,), (e_out,) = [name[e] for e in in_map], [name[e] for e in out_map]
             name = {e: e_in if x == e_out else x for e, x in name.items()}
             live_edges.discard(e_out)
         for e in inner.edges:

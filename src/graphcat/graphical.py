@@ -19,11 +19,12 @@ from . import digraph
 from .digraph import (
     Graph,
     StructuredSubgraph,
+    _glue,
+    _walk,
     cached_property,
     edge_subgraph,
     is_connected,
     is_convex_open,
-    multi_substitute,
     path_reentry,
     structured_subgraphs,
     vertex_corolla,
@@ -247,10 +248,12 @@ def factorize_G(f):
     The middle object substitutes every image subgraph into the source,
     with boundaries paired by the edge map; it maps into the target by
     the edge map and by the identity on internal edges and vertices.
+    For a valid map the pairings, ``f0`` itself, are bijections onto
+    the boundaries, so they are glued unchecked (DECISIONS.md D18).
     """
     G = f.source
     inner = {v: f.f1v[v].as_graph for v in G.vertex_names}
-    assembled, corr = multi_substitute(G, {
+    assembled, corr = _glue(G, {
         v.name: (
             inner[v.name],
             {e: f.f0[e] for e in v.ins},
@@ -293,9 +296,9 @@ def hom_set(G, K, max_vertices=10):
     Each vertex is offered the structured subgraphs of K of its arity,
     with each pairing of its edges to their boundary that agrees with
     the edges already assigned, so a completed map runs only the clauses
-    of ``_image_violation`` (DECISIONS.md D9, D11).  A disconnected K raises
-    ConnectivityError when G has vertices; otherwise a disconnected G
-    or K has no maps.
+    of ``_image_violation`` (DECISIONS.md D9, D11, D18).  A disconnected
+    K raises ConnectivityError when G has vertices; otherwise a
+    disconnected G or K has no maps.
     """
     if len(G.vertices) > max_vertices or len(K.vertices) > max_vertices:
         raise SizeLimit("hom enumeration bound exceeded")
@@ -310,18 +313,22 @@ def hom_set(G, K, max_vertices=10):
         by_arity.setdefault(
             (len(sub.inputs), len(sub.outputs)), []
         ).append(sub)
-    if not is_connected(G):
+    # connected: a walk along shared edges reaches every vertex and every
+    # edge is at one; in its order, each later vertex meets an assigned edge
+    order = [G.vertex(v) for v in _walk(G, G.vertex_by_name)]
+    attached = G.in_vertex.keys() | G.out_vertex.keys()
+    if len(order) < len(G.vertices) or len(attached) < len(G.edges):
         return ()
     results = []
-    vnames = G.vertex_names
 
     def backtrack(idx, f0, f1v):
-        if idx == len(vnames):
+        if idx == len(order):
             if _image_violation(G, K, f0, f1v) is None:
+                f1v = {v: f1v[v] for v in G.vertex_names}
                 results.append(graphical_morphism(G, K, f0, f1v))
             return
-        v = vnames[idx]
-        vert = G.vertex(v)
+        vert = order[idx]
+        v = vert.name
         for sub in by_arity.get(vert.biarity(), ()):
             ins, outs = sub.inputs, sub.outputs
             for in_perm in itertools.permutations(ins):

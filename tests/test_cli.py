@@ -223,6 +223,31 @@ def test_theta_reports_where_a_map_fails(tmp_path, capsys, data, line):
     assert err == f"violation: {line}\n"
 
 
+@pytest.mark.parametrize("data, digest", [
+    # v onto the chain a -p-> x -q-> c: the internal edge x is named v.x,
+    # which the source uses, so the middle object calls it v.x'
+    (_graphical_json(
+        graph(["v.x", "b"], [("v", ["v.x"], ["b"])]),
+        graph(["a", "x", "c"], [("p", ["a"], ["x"]), ("q", ["x"], ["c"])]),
+        {"v.x": "a", "b": "c"}, {"v": ("axc", "pq")},
+    ), "6f19b91b59b6d5522e67d5400151e8447c28be041c092ca1d08224cb6082d4f0"),
+    # v1 onto the edge e0: the middle object merges e1 into e0
+    (_graphical_json(
+        linear_graph(2), linear_graph(1), {"e0": "e0", "e1": "e0", "e2": "e1"},
+        {"v1": (["e0"], []), "v2": (["e0", "e1"], ["v1"])},
+    ), "ad458f8738cc7379d9055bb56047110c0286e0f8f1ade91ead92609d05cf3a03"),
+], ids=["primed-name", "merged-edge"])
+def test_factorize_G_output_is_pinned(tmp_path, capsys, data, digest):
+    # the sha256 of the JSON that `factorize --cat G` prints
+    import hashlib
+
+    path = tmp_path / "morphism.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "--format", "json", "factorize", "--cat", "G", str(path))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _STRAY_F1 = {
     **_graphical_identity_json(["v"]),
     "f1": {

@@ -280,27 +280,49 @@ def test_factorization_recomposes_and_classes():
 
 def test_only_factorization_builds_the_assembled_graph(monkeypatch):
     # hom_set and validate_graphical decide a map from the edge and
-    # vertex sets of its images (DECISIONS.md D11); factorize_G still
-    # substitutes them into the source for its middle object
-    calls = []
-    original = digraph.multi_substitute
+    # vertex sets of its images (DECISIONS.md D11); factorize_G glues
+    # them into the source for its middle object, without the boundary
+    # check of multi_substitute; hom_set reads the boundaries that
+    # structured_subgraphs lists, and its walk decides whether the
+    # source is connected (D18)
+    glued, checked, scanned, connected = [], [], [], []
+    glue, check = digraph._glue, digraph.multi_substitute
+    boundary, is_connected = digraph.StructuredSubgraph._boundary, digraph.is_connected
 
-    def counted(outer, assignment):
-        calls.append(outer)
-        return original(outer, assignment)
+    def counted_glue(outer, specs):
+        glued.append(outer)
+        return glue(outer, specs)
 
-    monkeypatch.setattr(digraph, "multi_substitute", counted)
-    monkeypatch.setattr(graphical, "multi_substitute", counted)
+    def counted_check(outer, assignment):
+        checked.append(outer)
+        return check(outer, assignment)
+
+    monkeypatch.setattr(digraph, "_glue", counted_glue)
+    monkeypatch.setattr(graphical, "_glue", counted_glue)
+    monkeypatch.setattr(digraph, "multi_substitute", counted_check)
+    monkeypatch.setattr(
+        digraph.StructuredSubgraph, "_boundary",
+        lambda sub, end: scanned.append(sub) or boundary(sub, end),
+    )
+    for module in (digraph, graphical):
+        monkeypatch.setattr(
+            module, "is_connected", lambda g: connected.append(g) or is_connected(g)
+        )
     zoo = [
         edge_graph(), corolla(1, 1), linear_graph(2), G3, K_TWIST,
         double_edge_graph(), closed_double_edge_graph(), closed_square_graph(),
     ]
-    maps = [m for g in zoo for k in zoo for m in hom_set(g, k)]
+    maps = []
+    for g, k in itertools.product(zoo, zoo):
+        maps += hom_set(g, k)
+        assert all(x is k for x in connected), (g, k)
+        connected.clear()
+    assert maps and scanned == []
     assert all(validate_graphical(m) is None for m in maps)
-    assert maps and calls == []
+    assert glued == [] and checked == []
     for m in maps:
         factorize_G(m)
-    assert len(calls) == len(maps)
+    assert len(glued) == len(maps) and checked == []
 
 
 def test_hom_set_and_compose_build_no_subgraph_graph(monkeypatch):

@@ -24,15 +24,26 @@ leaf that decides from edge and vertex sets (DECISIONS.md D11).
 The next section checks ``unordered_canonical_form`` against
 ``iso_set``, the isomorphisms among the maps ``hom_set`` finds.
 
-The last section keeps the derived action on subgraphs that promoted
+The next section keeps the derived action on subgraphs that promoted
 the union of the vertex images through ``is_convex_open`` as a
 reference, and checks the subgraphs that morphisms keep and the
 boundaries read from the parent against their rebuilt counterparts
 (DECISIONS.md D14).
+
+The last section keeps the enumeration and factorization as they were
+before DECISIONS.md D18 -- boundaries scanned by ``_boundary``, the
+search in the source's vertex order after ``is_connected``, and the
+middle object glued by a substitution that checks each vertex's
+pairings -- and compares subgraph tables, hom-sets (in order, or the
+error raised) and factorizations with them: on the zoo, on graphs from
+the benchmark's drafter and their relabelled copies, and on a middle
+object that needs a primed name.
 """
 
 import functools
+import importlib.util
 import itertools
+import pathlib
 import random
 from unittest import mock
 
@@ -40,22 +51,35 @@ from hypothesis import given, settings, strategies as st
 
 from graphcat import graphical
 from graphcat.digraph import (
+    Correspondence,
+    Graph,
     OpenSubgraph,
     StructuredSubgraph,
+    Vertex,
+    _fresh,
     canonical_form,
     corolla,
     edge_graph,
     edge_subgraph,
     graph,
+    is_connected,
     is_convex_open,
     linear_graph,
     multi_substitute,
+    open_subgraph,
     open_union,
+    path_reentry,
     structured_subgraphs,
     unordered_canonical_form,
     vertex_corolla,
 )
-from graphcat.errors import GraphcatError, Violation
+from graphcat.errors import (
+    ConnectivityError,
+    GraphcatError,
+    ProfileMismatch,
+    SizeLimit,
+    Violation,
+)
 from graphcat.graphical import (
     GraphicalMorphism,
     compose_graphical,
@@ -75,6 +99,7 @@ from graphcat.zoo import (
     dangling_pair_graph,
     double_edge_graph,
     three_vertex_graph,
+    two_component_graph,
 )
 
 
@@ -807,3 +832,339 @@ def test_graphical_layer_matches_the_reference_on_corollas_and_linear_graphs():
 @given(small_connected_graphs(3), small_connected_graphs(), small_connected_graphs())
 def test_graphical_layer_matches_the_reference_on_random_graphs(h, g, k):
     assert_graphical_layer([h, g, k])
+
+
+# ---------------------------------------------------------------------------
+# enumeration and factorization as they were before DECISIONS.md D18
+
+
+def _reference_linked(g, members):
+    """Are the member vertices connected through edges between members?"""
+    start = next(iter(members))
+    seen, stack = {start}, [start]
+    while stack:
+        v = g.vertex(stack.pop())
+        for w in itertools.chain(
+            map(g.in_vertex.get, v.outs), map(g.out_vertex.get, v.ins)
+        ):
+            if w in members and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(members)
+
+
+def reference_structured_subgraphs(g, max_vertices=16):
+    """The same subsets in the same order, with boundaries left to
+    ``StructuredSubgraph._boundary``, which scans the parent's edges."""
+    if not is_connected(g):
+        raise ConnectivityError("structured subgraphs require a connected parent")
+    if len(g.vertices) > max_vertices:
+        raise SizeLimit(f"too many vertices ({len(g.vertices)} > {max_vertices})")
+    found = [edge_subgraph(g, e) for e in g.edges]
+    names = g.vertex_names
+    spanned = []
+    for r in range(1, len(names) + 1):
+        for combo in itertools.combinations(names, r):
+            members = frozenset(combo)
+            if _reference_linked(g, members) and path_reentry(g, members) is None:
+                sub = open_subgraph(g, combo)
+                spanned.append(StructuredSubgraph(g, sub.edge_names, members))
+    spanned.sort(key=lambda s: (len(s.vertex_names_set), sorted(s.vertex_names_set)))
+    return tuple(found + spanned)
+
+
+def reference_hom_set(G, K, max_vertices=10):
+    """The search over G's vertices in G's own order, after an
+    ``is_connected(G)`` test."""
+    if len(G.vertices) > max_vertices or len(K.vertices) > max_vertices:
+        raise SizeLimit("hom enumeration bound exceeded")
+    if not G.vertices:
+        if len(G.edges) != 1 or not is_connected(K):
+            return ()
+        return tuple(
+            graphical_morphism(G, K, {G.edges[0]: y}, {}) for y in K.edges
+        )
+    by_arity = {}
+    for sub in reference_structured_subgraphs(K):
+        by_arity.setdefault((len(sub.inputs), len(sub.outputs)), []).append(sub)
+    if not is_connected(G):
+        return ()
+    results = []
+    vnames = G.vertex_names
+
+    def backtrack(idx, f0, f1v):
+        if idx == len(vnames):
+            if graphical._image_violation(G, K, f0, f1v) is None:
+                results.append(graphical_morphism(G, K, f0, f1v))
+            return
+        v = vnames[idx]
+        vert = G.vertex(v)
+        for sub in by_arity.get(vert.biarity(), ()):
+            for in_perm in itertools.permutations(sub.inputs):
+                if any(f0.get(e, y) != y for e, y in zip(vert.ins, in_perm)):
+                    continue
+                for out_perm in itertools.permutations(sub.outputs):
+                    trial = dict(f0)
+                    trial.update(zip(vert.ins, in_perm))
+                    pairs = zip(vert.outs, out_perm)
+                    if any(trial.setdefault(e, y) != y for e, y in pairs):
+                        continue
+                    f1v[v] = sub
+                    backtrack(idx + 1, trial, f1v)
+                    del f1v[v]
+
+    backtrack(0, {}, {})
+    results.sort(key=lambda m: m.sort_key())
+    return tuple(results)
+
+
+def reference_multi_substitute(outer, assignment):
+    """Substitution with the boundary check made vertex by vertex, on the
+    edge names as they stand after the merges before it."""
+    name = {e: e for e in outer.edges}
+    live_edges, live_vertices = set(outer.edges), set(outer.vertex_names)
+    internal = []
+    pieces = []
+    for w in outer.vertices:
+        if w.name not in assignment:
+            pieces.append(w)
+            continue
+        spec = assignment[w.name]
+        ins = tuple(name[e] for e in w.ins)
+        outs = tuple(name[e] for e in w.outs)
+        if isinstance(spec, Graph):
+            inner = spec
+            in_map = dict(zip(ins, inner.inputs))
+            out_map = dict(zip(outs, inner.outputs))
+        else:
+            inner, bij_in, bij_out = spec
+            in_map = {name.get(e, e): x for e, x in dict(bij_in).items()}
+            out_map = {name.get(e, e): x for e, x in dict(bij_out).items()}
+        for side, ends, pairs, targets in (
+            ("in", ins, in_map, inner.inputs),
+            ("out", outs, out_map, inner.outputs),
+        ):
+            if sorted(pairs) != sorted(ends) or sorted(pairs.values()) != sorted(targets):
+                raise ProfileMismatch(
+                    f"{side}({w.name}) does not match the {side}puts of the inner graph"
+                )
+        bound = {x: e for e, x in out_map.items()} | {x: e for e, x in in_map.items()}
+        fresh_e, fresh_v = {}, {}
+        if not inner.vertices:
+            (e_in,), (e_out,) = in_map, out_map
+            name = {e: e_in if x == e_out else x for e, x in name.items()}
+            live_edges.discard(e_out)
+        for e in inner.edges:
+            if e not in bound:
+                fresh_e[e] = _fresh(f"{w.name}.{e}", live_edges, live_vertices)
+                live_edges.add(fresh_e[e])
+                internal.append(fresh_e[e])
+        for u in inner.vertices:
+            fresh_v[u.name] = _fresh(f"{w.name}.{u.name}", live_edges, live_vertices)
+            live_vertices.add(fresh_v[u.name])
+        live_vertices.discard(w.name)
+        pieces.append((w.name, inner, bound, fresh_e, fresh_v))
+    vertices, inner_edge, inner_vertex = [], {}, {}
+    for piece in pieces:
+        if isinstance(piece, Vertex):
+            vertices.append(Vertex(
+                piece.name,
+                tuple(name[e] for e in piece.ins),
+                tuple(name[e] for e in piece.outs),
+            ))
+            continue
+        vname, inner, bound, fresh_e, fresh_v = piece
+        ref = {e: name[bound[e]] if e in bound else fresh_e[e] for e in inner.edges}
+        inner_edge.update(((vname, e), ref[e]) for e in inner.edges)
+        for u in inner.vertices:
+            inner_vertex[(vname, u.name)] = fresh_v[u.name]
+            vertices.append(Vertex(
+                fresh_v[u.name],
+                tuple(ref[e] for e in u.ins),
+                tuple(ref[e] for e in u.outs),
+            ))
+    edges = tuple(e for e in outer.edges if name[e] == e) + tuple(internal)
+    return Graph(edges, tuple(vertices)), Correspondence(name, inner_edge, inner_vertex)
+
+
+def reference_factorize_G(f):
+    """The factorization through the checked ``reference_multi_substitute``."""
+    G = f.source
+    inner = {v: f.f1v[v].as_graph for v in G.vertex_names}
+    assembled, corr = reference_multi_substitute(G, {
+        v.name: (
+            inner[v.name],
+            {e: f.f0[e] for e in v.ins},
+            {e: f.f0[e] for e in v.outs},
+        )
+        for v in G.vertices
+    })
+    active = graphical.active_onto_substitution(G, assembled, corr, inner)
+    e_map = {corr.outer_edge[e]: f.f0[e] for e in G.edges}
+    e_map.update((res, e) for (_, e), res in corr.inner_edge.items())
+    inert_f1v = {
+        res: vertex_corolla(f.target, kv)
+        for (_, kv), res in corr.inner_vertex.items()
+    }
+    inert = graphical_morphism(assembled, f.target, e_map, inert_f1v)
+    return active, inert
+
+
+def _listed(subs):
+    """Subgraphs in order, with their boundaries as listed; an error
+    message as it is."""
+    if isinstance(subs, str):
+        return subs
+    return [(sub.key(), sub.inputs, sub.outputs) for sub in subs]
+
+
+def _outcome(function, *args):
+    """The result, or the class and message of the error raised."""
+    try:
+        return function(*args)
+    except GraphcatError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _kept(maps):
+    """Morphisms with the subgraphs they keep, in order, with boundaries;
+    an error message as it is."""
+    if isinstance(maps, str):
+        return maps
+    return [(m, list(m.f1v), _listed(m.f1v.values())) for m in maps]
+
+
+def assert_matches_the_reference(graphs, pairs):
+    """On ``graphs``, subgraph tables equal the reference's; on ``pairs``,
+    hom-sets equal it in order (or raise alike) and so do both parts of
+    every map's factorization.  Returns the number of maps factorized."""
+    for g in graphs:
+        assert _listed(_outcome(structured_subgraphs, g)) == _listed(
+            _outcome(reference_structured_subgraphs, g)
+        ), g
+    factorized = 0
+    for g, k in pairs:
+        maps = _outcome(hom_set, g, k)
+        assert _kept(maps) == _kept(_outcome(reference_hom_set, g, k)), (g, k)
+        for m in () if isinstance(maps, str) else maps:
+            assert _kept(factorize_G(m)) == _kept(reference_factorize_G(m)), m
+            factorized += 1
+    return factorized
+
+
+def test_enumeration_and_factorization_match_the_reference_on_the_zoo():
+    graphs = ZOO + [edge_graph("z"), graph(["z0", "z1"], []), two_component_graph()]
+    graphs += [_shuffled(g, random.Random(i)) for i, g in enumerate(graphs)]
+    assert assert_matches_the_reference(
+        graphs, [(g, k) for g in graphs for k in graphs]
+    ) > 0
+
+
+def _benchmark_gen():
+    """The benchmark's input drafter, ``perfbench/gen.py``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _renamed(g, suffix):
+    return graph(
+        [e + suffix for e in g.edges],
+        [(v.name + suffix, [e + suffix for e in v.ins], [e + suffix for e in v.outs])
+         for v in g.vertices],
+    )
+
+
+def benchmark_graphs(count, seed):
+    """``count`` drafts of 1-5 vertices from the benchmark's drafter, in
+    turn connected, closed, two components, and with vertexless edges."""
+    gen, rng = _benchmark_gen(), random.Random(seed)
+    graphs = []
+    for i in range(count):
+        if i % 4 == 0:
+            g = gen.random_graph(rng, rng.randint(1, 5))
+        elif i % 4 == 1:
+            g = gen.random_graph(rng, rng.randint(2, 5), closed=True)
+        elif i % 4 == 2:
+            g = gen.random_graph(rng, rng.randint(1, 2))
+            h = _renamed(gen.random_graph(rng, rng.randint(1, 3)), "'")
+            g = graph(g.edges + h.edges, g.vertices + h.vertices)
+        else:
+            g = gen.random_graph(rng, rng.randint(1, 4))
+            g = graph(g.edges + tuple(f"z{j}" for j in range(rng.randint(1, 2))), g.vertices)
+        graphs.append(g)
+    return graphs
+
+
+def test_enumeration_and_factorization_match_the_reference_on_benchmark_graphs():
+    # 2,400 pairs: each graph or relabelled copy as G, against three
+    # connected targets and one drawn from all 600; 281 pairs raise, and
+    # 695 maps are factorized
+    graphs = benchmark_graphs(300, seed=18)
+    copies = [_shuffled(g, random.Random(i)) for i, g in enumerate(graphs)]
+    pool = [g for pair in zip(graphs, copies) for g in pair]
+    rng = random.Random(18)
+    connected = [g for g in pool if is_connected(g)]
+    pairs = [(g, k) for g in pool for k in rng.sample(connected, 3) + [rng.choice(pool)]]
+    assert assert_matches_the_reference(pool, pairs) > 600
+
+
+# G has a vertex v with edges v.x -> b, and K is the chain a -p-> x -q-> c:
+# sent onto the whole chain, v's internal edge x is named v.x, which G
+# already uses, so the middle object primes it
+PRIMED_SOURCE = graph(["v.x", "b"], [("v", ["v.x"], ["b"])])
+PRIMED_TARGET = graph(["a", "x", "c"], [("p", ["a"], ["x"]), ("q", ["x"], ["c"])])
+
+
+def test_factorization_primes_a_taken_name_like_the_reference():
+    (f,) = [
+        m for m in hom_set(PRIMED_SOURCE, PRIMED_TARGET)
+        if m.f1v["v"].vertex_names_set == {"p", "q"}
+    ]
+    active, inert = factorize_G(f)
+    assert active.target == graph(
+        ["v.x", "b", "v.x'"], [("v.p", ["v.x"], ["v.x'"]), ("v.q", ["v.x'"], ["b"])]
+    )
+    assert dict(inert.f0_pairs) == {"v.x": "a", "b": "c", "v.x'": "x"}
+    assert _kept((active, inert)) == _kept(reference_factorize_G(f))
+    assert assert_matches_the_reference(
+        [PRIMED_SOURCE, PRIMED_TARGET], [(PRIMED_SOURCE, PRIMED_TARGET)]
+    ) == 6
+
+
+def test_multi_substitute_checks_pairings_like_the_reference():
+    # good pairings and a merge, then broken ones: a Graph of the wrong
+    # arity, an empty pairing, a key that is no edge of the vertex, a
+    # wrong inner edge, and a merge at a vertex that is no (1, 1)
+    g3 = three_vertex_graph()
+    v = g3.vertex("v")
+    inner = corolla(len(v.ins), len(v.outs))
+    good = (inner, dict(zip(v.ins, inner.inputs)), dict(zip(v.outs, inner.outputs)))
+    cases = [{"v": good}, {"v": inner}, {"v": edge_graph()}, {"v": corolla(2, 1)}]
+    cases += [{"v": (inner, {}, good[2])}]
+    cases += [{"v": (inner, {**good[1], "nope": "i1"}, good[2])}]
+    cases += [{"v": (inner, good[1], {e: "i1" for e in v.outs})}]
+    cases += [{name: edge_graph() for name in ("v", "u")}]
+    for assignment in cases:
+        new = _outcome(multi_substitute, g3, assignment)
+        assert new == _outcome(reference_multi_substitute, g3, assignment), assignment
+    # a key naming an edge that an earlier vertex merged into one of the
+    # vertex's own (e0, into which v1's collapse merges v2's input e1)
+    # passed the reference, which compared names after the merges; the
+    # pairing is now checked on the vertex's own edges (DECISIONS.md D18)
+    aliased = {"v1": edge_graph(), "v2": (corolla(1, 1), {"e0": "i1"}, {"e2": "o1"})}
+    assert not isinstance(_outcome(reference_multi_substitute, linear_graph(3), aliased), str)
+    assert _outcome(multi_substitute, linear_graph(3), aliased) == (
+        "ProfileMismatch: in(v2) does not match the inputs of the inner graph"
+    )
+    f = hom_set(PRIMED_SOURCE, PRIMED_TARGET)[-1]
+    specs = {
+        u.name: (f.f1v[u.name].as_graph, {e: f.f0[e] for e in u.ins},
+                 {e: f.f0[e] for e in u.outs})
+        for u in PRIMED_SOURCE.vertices
+    }
+    assert multi_substitute(PRIMED_SOURCE, specs) == reference_multi_substitute(
+        PRIMED_SOURCE, specs
+    )
