@@ -208,8 +208,9 @@ class SpecialFunctor:
     use.
     """
 
-    def __init__(self, lg):
+    def __init__(self, lg, shifted=None):
         self.lg = lg
+        self._shifted = shifted  # (functor of K, t, kept classes): see factorize_L
         self._reps = {}
         self._elements = {}
         self._members = {}
@@ -226,6 +227,13 @@ class SpecialFunctor:
         return table
 
     def _component_reps(self, i, j):
+        if self._shifted is not None:
+            sf, t, kept = self._shifted
+            top = sf.reps((t, t + self.lg.height))
+            return {
+                (a[0], a[1] - t, a[2]): (r[0], r[1] - t, r[2])
+                for a, r in sf.reps((i + t, j + t)).items() if top[r] in kept
+            }
         lg = self.lg
         parent = {}
         for k in range(i, j + 1):
@@ -488,8 +496,8 @@ def validate_level_morphism(f):
     return None
 
 
-def compose_level(f, g):
-    """The composite of f: G -> H followed by g: H -> K."""
+def composite_key(f, g):
+    """``compose_level(f, g).sort_key()``, raising alike, with no composite built."""
     if f.target != g.source:
         raise GraphcatError("morphisms are not composable")
     # f's layers are sorted by source name, so are these (DECISIONS.md D6)
@@ -502,7 +510,12 @@ def compose_level(f, g):
     for i, layer in enumerate(f.eta_v):
         dmap = derived_class_map(g, (f.alpha[i], f.alpha[i + 1]))
         eta_v.append(tuple((v, dmap[c]) for v, c in layer))
-    return LevelMorphism(f.source, g.target, alpha, eta_e, tuple(eta_v))
+    return alpha, eta_e, tuple(eta_v)
+
+
+def compose_level(f, g):
+    """The composite of f: G -> H followed by g: H -> K."""
+    return LevelMorphism(f.source, g.target, *composite_key(f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -535,47 +548,31 @@ def factorize_L(f):
 
     The middle object is carved out of the target: it spans the levels
     hit by alpha and keeps exactly the atoms lying over components in
-    the image of the top component map.
+    the image of the top component map.  Those are whole classes of the
+    target, so the middle's classes are the target's, shifted
+    (DECISIONS.md D19).
     """
     G, H = f.source, f.target
-    n = G.height
     t = f.alpha[0]
     p = f.alpha[-1] - t
     sf_t = special_extension(H)
-    tfull = (t, t + p)
-    full = derived_class_map(f, (0, n))
-    im_full = set(full.values())
-
-    def keep_edge(level, e):
-        return sf_t.cls(tfull, ("e", level, e)) in im_full
-
-    def keep_vertex(layer, name):
-        return sf_t.cls(tfull, ("v", layer, name)) in im_full
-
-    edge_layers = tuple(
-        tuple(e for e in H.edge_layers[t + i] if keep_edge(t + i, e))
-        for i in range(p + 1)
+    im_full = set(derived_class_map(f, (0, G.height)).values())
+    top = sf_t.reps((t, t + p))
+    middle = LevelGraph(
+        tuple(tuple(e for e in H.edge_layers[k] if top[("e", k, e)] in im_full)
+              for k in range(t, t + p + 1)),
+        tuple(tuple(v for v in H.vertex_layers[k] if top[("v", k, v.name)] in im_full)
+              for k in range(t, t + p)),
     )
-    vls = tuple(
-        tuple(v for v in H.vertex_layers[t + i] if keep_vertex(t + i, v.name))
-        for i in range(p)
+    # its classes are the kept classes of H, shifted down by t
+    middle.__dict__["_components"] = SpecialFunctor(middle, (sf_t, t, im_full))
+    # naturality at (0, n) puts each image class c inside a top class in
+    # the image, so the middle object keeps c, with c shifted as its
+    # representative; f's layers stay sorted by source name (D6)
+    active = LevelMorphism(
+        G, middle, tuple(a - t for a in f.alpha), f.eta_e,
+        tuple(tuple((v, (c[0], c[1] - t, c[2])) for v, c in layer) for layer in f.eta_v),
     )
-    middle = LevelGraph(edge_layers, vls)
-    sf_m = special_extension(middle)
-
-    gamma = tuple(a - t for a in f.alpha)
-    act_emaps = [dict(layer) for layer in f.edge_maps]
-    act_vmaps = []
-    for i, layer in enumerate(f.vertex_maps):
-        # naturality at (0, n) puts each image class c inside a top class
-        # in the image, so the middle object keeps every atom of c, c itself
-        # included
-        pair = (f.alpha[i] - t, f.alpha[i + 1] - t)
-        act_vmaps.append(
-            {v: sf_m.cls(pair, (c[0], c[1] - t, c[2])) for v, c in layer.items()}
-        )
-    active = level_morphism(G, middle, gamma, act_emaps, act_vmaps)
-
     beta = tuple(range(t, t + p + 1))
     in_emaps = [{e: e for e in layer} for layer in middle.edge_layers]
     in_vmaps = [

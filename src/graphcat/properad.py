@@ -93,12 +93,15 @@ class ZGraph:
 
 
 def zgraph(graph, in_order, out_order, colors=None):
-    """Indexed-graph data from outside, checked (GraphcatError unless the
-    graph is valid and connected) and then normalized."""
+    """Indexed-graph data from outside, checked and then normalized."""
+    _check_connected(graph)
+    return _normalize(graph, in_order, out_order, colors)
+
+
+def _check_connected(graph):
     check(graph)
     if not is_connected(graph):
         raise GraphcatError("indexed graphs must be connected")
-    return _normalize(graph, in_order, out_order, colors)
 
 
 def _normalize(graph, in_order, out_order, colors=None):
@@ -110,6 +113,12 @@ def _normalize(graph, in_order, out_order, colors=None):
     graph is not checked again (DECISIONS.md D4); the boundary orders
     and colors are.
     """
+    color_map = _check_boundary(graph, in_order, out_order, colors)
+    return _numbered(_rows(graph), tuple(in_order), tuple(out_order), color_map)
+
+
+def _check_boundary(graph, in_order, out_order, colors=None):
+    """The colors as a dict (or None), once orders and colors are checked."""
     if sorted(in_order) != sorted(graph.inputs):
         raise ProfileMismatch("in_order must enumerate the graph inputs")
     if sorted(out_order) != sorted(graph.outputs):
@@ -119,7 +128,7 @@ def _normalize(graph, in_order, out_order, colors=None):
     )
     if color_map is not None and not graph.edge_set <= color_map.keys():
         raise ColorMismatch("colors must cover every edge")
-    return _numbered(_rows(graph), tuple(in_order), tuple(out_order), color_map)
+    return color_map
 
 
 def _rows(graph):
@@ -641,10 +650,14 @@ class FreeProperad(FiniteProperad):
 
     def evaluate(self, dec):
         """Grafting: compose the labels' indexed graphs into the decorated
-        graph, indexed in its vertex order, and renormalize."""
+        graph, indexed in its vertex order, and renormalize.  The graph is
+        checked like ``zgraph``'s but not numbered (DECISIONS.md D17)."""
         if not self.check_decoration(dec):
             raise ColorMismatch("decoration does not match vertex profiles")
-        outer = zgraph(dec.graph, dec.in_order, dec.out_order, dec.color_of)
+        g = dec.graph
+        _check_connected(g)
+        colors = _check_boundary(g, dec.in_order, dec.out_order, dec.color_of)
+        outer = ZGraph(g, dec.in_order, dec.out_order, tuple(map(colors.get, g.edges)))
         elements = [dec.label_of[name] for name in dec.graph.vertex_names]
         zg = prpd_compose(outer, {z: el[1] for z, el in enumerate(elements)})
         labels = tuple(lab for el in elements for lab in el[2])

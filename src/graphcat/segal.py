@@ -37,13 +37,14 @@ from .graphical import (
     identity_graphical,
 )
 from .level import (
+    LevelMorphism,
     component_images,
     compose_level,
+    composite_key,
     elementary_corolla,
     elementary_edge,
     hom_level,
     identity_level,
-    level_morphism,
     segmentation_pieces,
     special_extension,
     underlying_graph,
@@ -60,54 +61,52 @@ class Category:
     """What the Segal engine reads from a category of graphs.
 
     ``hom(x, y)`` lists the maps x -> y; ``graph_of(x)`` is x's underlying graph.
-    ``corolla_inclusion(c, x, v)`` sends the corolla object c onto the
-    vertex v of ``graph_of(x)``; ``edge_inclusion(edge, x, e)`` sends the
-    single-edge object onto the edge e.  ``images(f)`` is the edge map of
+    ``composite_key(f, g)`` is ``compose(f, g).sort_key()``.
+    ``corolla_inclusion(c, x, v, at)`` sends the corolla object c onto the
+    vertex v of ``graph_of(x)``; ``edge_inclusion(edge, x, e, at)`` sends the
+    single-edge object onto the edge e; ``at`` is the table ``locate(x)``.
+    ``images(f)`` is the edge map of
     a morphism together with, per source vertex, the target subgraph it
     is sent to (anything with an ``as_graph``).
     """
 
     hom: Callable
     compose: Callable
+    composite_key: Callable
     identity: Callable
     graph_of: Callable
+    locate: Callable
     corolla_inclusion: Callable
     edge_inclusion: Callable
     images: Callable
 
 
-def _graphical_corolla_inclusion(c, g, v):
+def _graphical_corolla_inclusion(c, g, v, at=None):
     cv = c.vertices[0]
     f0 = dict(zip(cv.ins, v.ins)) | dict(zip(cv.outs, v.outs))
     return graphical_morphism(c, g, f0, {cv.name: vertex_corolla(g, v.name)})
 
 
-def _graphical_edge_inclusion(edge, g, e):
+def _graphical_edge_inclusion(edge, g, e, at=None):
     return graphical_morphism(edge, g, {edge.edges[0]: e}, {})
 
 
-def _level_corolla_inclusion(c, lg, v):
-    i = _layer_of(lg, v.name)
+def _level_positions(lg):
+    """Each edge's level and each vertex's layer (the names are distinct)."""
+    return {e: i for i, layer in enumerate(lg.edge_layers) for e in layer} | {
+        v.name: i for i, layer in enumerate(lg.vertex_layers) for v in layer}
+
+
+def _level_corolla_inclusion(c, lg, v, at):
+    i = at[v.name]
     cv = c.vertex_layers[0][0]
-    emaps = [dict(zip(cv.ins, v.ins)), dict(zip(cv.outs, v.outs))]
+    eta_e = (tuple(sorted(zip(cv.ins, v.ins))), tuple(sorted(zip(cv.outs, v.outs))))
     rep = special_extension(lg).cls((i, i + 1), ("v", i, v.name))
-    return level_morphism(c, lg, (i, i + 1), emaps, [{cv.name: rep}])
+    return LevelMorphism(c, lg, (i, i + 1), eta_e, (((cv.name, rep),),))
 
 
-def _level_edge_inclusion(edge, lg, e):
-    return level_morphism(
-        edge, lg, (_level_of(lg, e),), [{edge.edge_layers[0][0]: e}], []
-    )
-
-
-def _level_of(lg, edge):
-    return next(i for i, layer in enumerate(lg.edge_layers) if edge in layer)
-
-
-def _layer_of(lg, vname):
-    return next(
-        i for i, layer in enumerate(lg.vertex_layers) if any(v.name == vname for v in layer)
-    )
+def _level_edge_inclusion(edge, lg, e, at):
+    return LevelMorphism(edge, lg, (at[e],), (((edge.edge_layers[0][0], e),),), ())
 
 
 # hom and compose are looked up when called, so that rebinding the
@@ -115,8 +114,10 @@ def _layer_of(lg, vname):
 GRAPHICAL = Category(
     hom=lambda x, y: hom_set(x, y),
     compose=lambda f, g: compose_graphical(f, g),
+    composite_key=lambda f, g: compose_graphical(f, g).sort_key(),
     identity=identity_graphical,
     graph_of=lambda g: g,
+    locate=lambda g: None,
     corolla_inclusion=_graphical_corolla_inclusion,
     edge_inclusion=_graphical_edge_inclusion,
     images=lambda f: (f.f0, f.f1v),
@@ -125,8 +126,10 @@ GRAPHICAL = Category(
 LEVEL = Category(
     hom=lambda x, y: hom_level(x, y),
     compose=lambda f, g: compose_level(f, g),
+    composite_key=composite_key,
     identity=identity_level,
     graph_of=underlying_graph,
+    locate=_level_positions,
     corolla_inclusion=_level_corolla_inclusion,
     edge_inclusion=_level_edge_inclusion,
     images=component_images,
@@ -164,6 +167,9 @@ class Corpus:
     ``graphs[i]`` is the underlying graph of ``objects[i]``; the edge
     and corolla objects are located on the underlying graphs.  ``homs[(i, j)]``
     is the tuple of maps A_i -> A_j, by default found on its first read.
+    ``segments[i]``, kept by ``build_level_corpus`` for each generator,
+    holds its height-1 pieces as (object index, inclusion) pairs and its
+    interfaces' object indices.
     """
 
     def __init__(self, category, objects, homs=None):
@@ -176,6 +182,7 @@ class Corpus:
             lambda key: category.hom(*(at[i] for i in key)),
         )
         self._covers = {}
+        self.segments = {}
         self._hom_index = OnDemand(self.homs.keys, self._sort_key_index)
 
     def _sort_key_index(self, key):
@@ -195,7 +202,11 @@ class Corpus:
         """The position of m: A_i -> A_j in ``hom(i, j)``, found by its
         ``sort_key()`` within that pair (DECISIONS.md D6); KeyError if no
         map there has that key; GraphcatError if two maps there share one."""
-        return self._hom_index[(i, j)][m.sort_key()]
+        return self.key_index(i, j, m.sort_key())
+
+    def key_index(self, i, j, key):
+        """The position in ``hom(i, j)`` of the map whose sort key is key."""
+        return self._hom_index[(i, j)][key]
 
     def object_index(self, x):
         return self.objects.index(x)
@@ -250,24 +261,24 @@ def build_corpus(generators, max_vertices=3):
 
 
 def build_level_corpus(generators):
-    """Close level graphs under segmentation pieces and elementaries."""
+    """Close level graphs under segmentation pieces and elementaries,
+    keeping each generator's pieces as its ``segments``."""
     pool = [elementary_edge()]
-    biarities = set()
-    for lg in generators:
+    cuts = [(lg, *segmentation_pieces(lg)) for lg in generators]
+    for lg, pieces, interfaces in cuts:
         pool.append(lg)
-        pieces, interfaces = segmentation_pieces(lg)
-        pool.extend(p for p, _ in pieces)
-        pool.extend(p for p, _ in interfaces)
-        for layer in lg.vertex_layers:
-            for v in layer:
-                biarities.add(v.biarity())
-    for m, n in sorted(biarities):
-        pool.append(elementary_corolla(m, n))
-    objects = []
+        pool.extend(p for p, _ in pieces + interfaces)
+    biarities = {v.biarity() for lg in generators for layer in lg.vertex_layers for v in layer}
+    pool.extend(elementary_corolla(m, n) for m, n in sorted(biarities))
+    index = {}  # equal graphs merge into the first one's index
     for lg in pool:
-        if lg not in objects:
-            objects.append(lg)
-    return Corpus(LEVEL, objects)
+        index.setdefault(lg, len(index))
+    corpus = Corpus(LEVEL, index)
+    for lg, pieces, interfaces in cuts:
+        corpus.segments[index[lg]] = (
+            [(index[p], incl) for p, incl in pieces], [index[p] for p, _ in interfaces]
+        )
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +378,8 @@ def representable_presheaf(corpus, x_index):
     values = tuple(corpus.homs[(i, x_index)] for i in range(len(corpus)))
 
     def table(i, j, f):
-        return tuple(corpus.hom_index(i, x_index, corpus.compose(f, h)) for h in values[j])
+        key = corpus.category.composite_key
+        return tuple(corpus.key_index(i, x_index, key(f, h)) for h in values[j])
 
     return FinitePresheaf(corpus, values, *_per_morphism(corpus, table))
 
@@ -403,18 +415,22 @@ def elementary_cover(corpus, gi):
     cat = corpus.category
     x, g = corpus.objects[gi], corpus.graphs[gi]
     ei = corpus.edge_index
-    edge_obj = corpus.objects[ei]
+    at = cat.locate(x)
+    edge_entries = tuple(
+        (e, ei, cat.edge_inclusion(corpus.objects[ei], x, e, at)) for e in g.edges
+    )
     vertex_entries, connections = [], []
     for v in g.vertices:
         ci = corpus.corolla_index[v.biarity()]
-        c = corpus.objects[ci]
-        vertex_entries.append((v.name, ci, cat.corolla_inclusion(c, x, v)))
+        vertex_entries.append((v.name, ci, cat.corolla_inclusion(corpus.objects[ci], x, v, at)))
+        # a connection is an edge entry of the corolla's own cover
+        links = {ce: conn for ce, _, conn in (
+            edge_entries if ci == gi else elementary_cover(corpus, ci).edge_entries
+        )}
         cv = corpus.graphs[ci].vertices[0]
         for ends, corolla_ends in ((v.ins, cv.ins), (v.outs, cv.outs)):
             for e, ce in zip(ends, corolla_ends):
-                conn = cat.edge_inclusion(edge_obj, c, ce)
-                connections.append((e, v.name, ci, conn))
-    edge_entries = tuple((e, ei, cat.edge_inclusion(edge_obj, x, e)) for e in g.edges)
+                connections.append((e, v.name, ci, links[ce]))
     cover = Cover(gi, tuple(vertex_entries), edge_entries, tuple(connections))
     corpus._covers[gi] = cover
     return cover
@@ -494,10 +510,9 @@ def nerve(P, corpus):
     per vertex of the underlying graph; restriction along a morphism
     evaluates the decoration on each vertex's image subgraph, on the
     first read of its table (DECISIONS.md D12).  Per presheaf,
-    ``P.evaluate`` runs once per target object and distinct key: the
-    image's edges and vertices, its boundary order, and the decoration's
-    colors and operations on the image, which is all that evaluation
-    reads (D6).
+    ``P.evaluate`` runs once per distinct input: the image's edges and
+    vertex rows, its boundary order, and the decoration's colors and
+    operations on the image (D6, D19).
     """
     values = []
     for g in corpus.graphs:
@@ -514,8 +529,8 @@ def nerve(P, corpus):
     positions = [{x: p for p, x in enumerate(entries)} for entries in values]
     edge_pos = [{e: p for p, e in enumerate(g.edges)} for g in corpus.graphs]
     vertex_pos = [{w: p for p, w in enumerate(g.vertex_names)} for g in corpus.graphs]
-    # per target object: image and boundary -> {(colors, operations): value}
-    memos = [{} for _ in corpus.graphs]
+    # image, vertex rows and boundary -> {(colors, operations): value}
+    memos = {}
 
     def table(i, j, f):
         f0, subs = corpus.category.images(f)
@@ -524,9 +539,8 @@ def nerve(P, corpus):
             img = subs[v.name].as_graph
             ins = tuple(f0[e] for e in v.ins)
             outs = tuple(f0[e] for e in v.outs)
-            memo = memos[j].setdefault((img.edges, img.vertex_names, ins, outs), {})
             plans.append((
-                img, ins, outs, memo,
+                img, ins, outs, memos.setdefault((img.edges, img.vertices, ins, outs), {}),
                 [edge_pos[j][e] for e in img.edges],
                 [vertex_pos[j][w] for w in img.vertex_names],
             ))
@@ -731,25 +745,27 @@ def segmentation_local(F):
     """Locality with respect to the segmentation maps.
 
     The value at a level graph must biject with tuples of values on the
-    height-1 slices agreeing on the height-0 interfaces.
+    height-1 slices agreeing on the height-0 interfaces.  The slices are
+    the corpus's ``segments``, which ``build_level_corpus`` keeps.
     """
     corpus = F.corpus
-    for li, lg in enumerate(corpus.objects):
+    objects = corpus.objects
+    for li, lg in enumerate(objects):
         if lg.height <= 1:
             continue
-        pieces, interfaces = segmentation_pieces(lg)
-        piece_idx = [corpus.object_index(p) for p, _ in pieces]
-        face_idx = [corpus.object_index(p) for p, _ in interfaces]
+        pieces, face_idx = corpus.segments[li]
+        piece_idx = [pi for pi, _ in pieces]
         # interface i sits between pieces i-1 and i: the restriction
         # tables from the top of piece i and from the bottom of piece i+1
         faces = []
-        for i, (face, _) in enumerate(interfaces):
-            emap = [{e: e for e in face.edge_layers[0]}]
-            top = level_morphism(face, pieces[i][0], (1,), emap, [])
-            bottom = level_morphism(face, pieces[i + 1][0], (0,), emap, [])
+        for i, fi in enumerate(face_idx):
+            face = objects[fi]
+            emap = (tuple((e, e) for e in sorted(face.edge_layers[0])),)
+            top = LevelMorphism(face, objects[piece_idx[i]], (1,), emap, ())
+            bottom = LevelMorphism(face, objects[piece_idx[i + 1]], (0,), emap, ())
             faces.append((
-                F.table_along(face_idx[i], piece_idx[i], top),
-                F.table_along(face_idx[i], piece_idx[i + 1], bottom),
+                F.table_along(fi, piece_idx[i], top),
+                F.table_along(fi, piece_idx[i + 1], bottom),
             ))
         families = [
             choice
@@ -759,7 +775,7 @@ def segmentation_local(F):
                 for i, (top, bottom) in enumerate(faces)
             )
         ]
-        tables = [F.table_along(pi, li, incl) for pi, (_, incl) in zip(piece_idx, pieces)]
+        tables = [F.table_along(pi, li, incl) for pi, incl in pieces]
         # the p-th value of F(lg) -> its restrictions to the pieces
         if not _bijective_onto(list(zip(*tables)), families):
             return False, li

@@ -283,6 +283,15 @@ _LEVEL_IDENTITY = {
      "EdgeMapError at ('edge_maps',): 1 edge map layers for 2 levels"),
     (["tau"], {**_LEVEL_IDENTITY, "vertex_maps": []},
      "VertexMapError at ('vertex_maps',): 0 vertex map layers for 1 layers"),
+    (["validate", "--level"], {"edge_layers": [["a"], ["b"]], "vertex_layers": [
+        [{"name": "v", "in": ["a"], "out": ["a"]}],
+    ]}, "UnknownEdge at (0, 'v', 'a'): out(v) uses a outside level 1"),
+    (["tau"], {**_LEVEL_IDENTITY, "edge_maps": [{"a": "a"}, {}]},
+     "EdgeMapError at (1,): edge map at level 1 is not total"),
+    (["factorize", "--cat", "L"], {**_LEVEL_IDENTITY, "edge_maps": [{"a": "b"}, {"b": "b"}]},
+     "EdgeMapError at (0, 'a'): a maps outside level 0"),
+    (["tau"], {**_LEVEL_IDENTITY, "vertex_maps": [{}]},
+     "VertexMapError at (0,): vertex map at layer 0 is not total"),
     (["theta"], _STRAY_F1,
      "VertexMapError at ('zz',): image subgraph for unknown vertex zz"),
     (["factorize", "--cat", "G"], _STRAY_F1,
@@ -293,6 +302,7 @@ _LEVEL_IDENTITY = {
     }), "NotConvexOpenImage at ('w',): total image is not a structured subgraph"),
 ], ids=["duplicate-edge", "duplicate-vertex", "no-edge-layers", "vertex-layer-count",
         "duplicate-name", "alpha", "edge-map-layers", "vertex-map-layers",
+        "output-off-level", "edge-map-not-total", "edge-off-level", "vertex-map-not-total",
         "theta-stray-f1", "factorize-stray-f1", "stray-f1-after-another-fault"])
 def test_violations_say_where(tmp_path, capsys, command, data, line):
     path = tmp_path / "data.json"

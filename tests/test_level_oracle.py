@@ -25,6 +25,7 @@ code with ``SpecialFunctor``, ``derived_class_map``,
 ("e", level, edge) and ("v", layer, vertex) tuples.
 """
 
+import functools
 import itertools
 from collections import deque
 
@@ -64,9 +65,11 @@ from graphcat.level import (
 # the oracle
 
 
+@functools.cache
 def slice_components(lg, i, j):
     """Components of the slice at levels i..j (layers i..j-1), each a
-    frozenset of atoms, found by breadth-first search."""
+    frozenset of atoms, found by breadth-first search; kept per graph
+    value and pair, since the oracle asks for the same slices many times."""
     atoms = [("e", k, e) for k in range(i, j + 1) for e in lg.edge_layers[k]]
     atoms += [("v", k, v.name) for k in range(i, j) for v in lg.vertex_layers[k]]
     neighbours = {a: [] for a in atoms}
@@ -90,7 +93,7 @@ def slice_components(lg, i, j):
                     component.add(b)
                     queue.append(b)
         components.append(frozenset(component))
-    return components
+    return tuple(components)
 
 
 def containing(components, atom):

@@ -46,7 +46,7 @@ from graphcat.digraph import (
     structured_subgraphs,
     subgraph_witness,
 )
-from graphcat.errors import ProfileMismatch
+from graphcat.errors import ColorMismatch, GraphcatError, ProfileMismatch
 from graphcat.properad import (
     OperadArrow,
     ZGraph,
@@ -811,7 +811,7 @@ def test_enumeration_neither_normalizes_nor_counts_cycles(monkeypatch):
 
 def test_free_elements_neither_normalize_nor_build_reindexings(monkeypatch):
     # each reindexing is numbered from rows (DECISIONS.md D17); evaluate
-    # normalizes once, where its decorated graph enters through zgraph (D4)
+    # checks its decorated graph as zgraph does (D4) but does not number it
     normalized = []
     normalize = properad._normalize
     monkeypatch.setattr(
@@ -826,4 +826,28 @@ def test_free_elements_neither_normalize_nor_build_reindexings(monkeypatch):
     decs = list(decorations(P))
     for dec in decs:
         P.evaluate(dec)
-    assert len(normalized) == len(decs) > 0
+    assert decs and normalized == []
+
+
+def test_free_evaluate_checks_its_input_like_zgraph():
+    # evaluate checks the decorated graph as zgraph does, without
+    # numbering it: mismatched labels, a boundary order that is not the
+    # boundary, and a disconnected graph are each refused
+    g = three_vertex_graph()
+    P = free_properad(g, vertex_bound=4)
+    colors = {e: e for e in g.edges}
+    labels = {v: P.generator_element(v) for v in g.vertex_names}
+    whole = P.evaluate(decorated_graph(g, colors, labels))
+    assert whole == P.evaluate(decorated_graph(g, colors, labels, g.inputs, g.outputs))
+    with pytest.raises(ColorMismatch, match="decoration does not match vertex profiles"):
+        P.evaluate(decorated_graph(g, colors, labels | {"v": P.generator_element("u")}))
+    with pytest.raises(ProfileMismatch, match="in_order must enumerate the graph inputs"):
+        P.evaluate(decorated_graph(g, colors, labels, ("b",), g.outputs))
+    with pytest.raises(ProfileMismatch, match="out_order must enumerate the graph outputs"):
+        P.evaluate(decorated_graph(g, colors, labels, g.inputs, ("e", "e")))
+    u, w = g.vertex("u"), g.vertex("w")
+    apart = Graph(("a", "b", "d", "c", "x", "e"), (u, Vertex("w", ("c", "x"), ("e",))))
+    with pytest.raises(GraphcatError, match="indexed graphs must be connected"):
+        P.evaluate(decorated_graph(
+            apart, colors | {"x": "d"}, {"u": labels["u"], "w": labels["w"]},
+        ))

@@ -925,14 +925,15 @@ def test_tables_by_morphism_equal_tables_by_position(monkeypatch, corpus,
     properads = (terminal_properad(), end_properad({"c": 2}))
     expected = [eager_nerve(P, reference, homs) for P in properads]
     expected.append(eager_representable(reference, x, homs))
-    # count the work of each table: the nerve's images, the representable's composites
+    # count the work of each table: the nerve's images, the representable's
+    # composite keys
     images, composites = [], []
     name = "GRAPHICAL" if reference.category is segal.GRAPHICAL else "LEVEL"
     category = getattr(segal, name)
     monkeypatch.setattr(segal, name, dataclasses.replace(
         category,
         images=lambda f: images.append(f) or category.images(f),
-        compose=lambda f, g: composites.append(f) or category.compose(f, g),
+        composite_key=lambda f, g: composites.append(f) or category.composite_key(f, g),
     ))
     C = corpus()
     maps = [(i, j, k, m) for (i, j), fs in C.homs.items() for k, m in enumerate(fs)]
