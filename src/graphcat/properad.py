@@ -651,7 +651,7 @@ class FreeProperad(FiniteProperad):
     def evaluate(self, dec):
         """Grafting: compose the labels' indexed graphs into the decorated
         graph, indexed in its vertex order, and renormalize.  The graph is
-        checked like ``zgraph``'s but not numbered (DECISIONS.md D17)."""
+        checked like ``zgraph``'s but not numbered (DECISIONS.md D17, D19)."""
         if not self.check_decoration(dec):
             raise ColorMismatch("decoration does not match vertex profiles")
         g = dec.graph

@@ -65,9 +65,8 @@ class Category:
     ``corolla_inclusion(c, x, v, at)`` sends the corolla object c onto the
     vertex v of ``graph_of(x)``; ``edge_inclusion(edge, x, e, at)`` sends the
     single-edge object onto the edge e; ``at`` is the table ``locate(x)``.
-    ``images(f)`` is the edge map of
-    a morphism together with, per source vertex, the target subgraph it
-    is sent to (anything with an ``as_graph``).
+    ``images(f)`` is the edge map of a morphism together with, per source
+    vertex, the target subgraph it is sent to (anything with an ``as_graph``).
     """
 
     hom: Callable

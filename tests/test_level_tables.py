@@ -35,7 +35,6 @@ from graphcat.level import (
 )
 from graphcat.properad import end_properad, terminal_properad
 from graphcat.segal import (
-    GRAPHICAL,
     LEVEL,
     build_level_corpus,
     nerve,
@@ -167,7 +166,6 @@ def test_composite_key_is_the_key_of_the_composite(corpus):
         assert cat.composite_key(f, g) == cat.compose(f, g).sort_key()
         pairs += 1
     assert pairs > 100
-    assert cat in (GRAPHICAL, LEVEL)
 
 
 def _raised(call):
