@@ -46,7 +46,7 @@ f = graphical_morphism(
     },
 )
 print("map accepted:", validate_graphical(f) is None)
-meet = open_intersection(f.f1v["u"].as_open, f.f1v["w"].as_open)
+meet = open_intersection(f.f1v["u"], f.f1v["w"])
 print("image intersection has", len(meet.edge_names),
       "edges; structured:", is_convex_open(meet))
 print("map is active:", is_active_G(f))

@@ -57,8 +57,6 @@ def _emit_text(data, indent=0):
                 _emit_text(item, indent)
             else:
                 print(f"{pad}{item}")
-    else:
-        print(f"{pad}{data}")
 
 
 # ---------------------------------------------------------------------------

@@ -293,66 +293,65 @@ def topological_vertices(g):
 # connectivity
 
 
-def _incidence_neighbours(g):
-    """Undirected adjacency on the disjoint union of edges and vertices."""
-    adj = {("e", e): [] for e in g.edges}
-    for v in g.vertices:
-        node = ("v", v.name)
-        adj[node] = []
-        for e in itertools.chain(v.ins, v.outs):
-            adj[node].append(("e", e))
-            adj[("e", e)].append(node)
-    return adj
+def _walk(g, members):
+    """The member vertices reached from the first member through edges
+    between members, as dict keys in the order reached; they are all the
+    members exactly when the open subgraph they span is connected."""
+    start = next(iter(members))
+    seen, stack = {start: None}, [start]
+    while stack:
+        v = g.vertex(stack.pop())
+        for w in itertools.chain(
+            map(g.in_vertex.get, v.outs), map(g.out_vertex.get, v.ins)
+        ):
+            if w in members and w not in seen:
+                seen[w] = None
+                stack.append(w)
+    return seen
 
 
-def _component_atoms(g):
-    adj = _incidence_neighbours(g)
-    seen = set()
-    comps = []
-    for atom in adj:
-        if atom in seen:
-            continue
-        comp = set()
-        stack = [atom]
-        seen.add(atom)
-        while stack:
-            a = stack.pop()
-            comp.add(a)
-            for b in adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        comps.append(comp)
-    return comps
+def _spanning_walk(g):
+    """``_walk`` from g's first vertex, or None unless it reaches every
+    vertex and every edge meets one: g is connected exactly when not None."""
+    order = _walk(g, g.vertex_by_name)
+    attached = g.in_vertex.keys() | g.out_vertex.keys()
+    if len(order) < len(g.vertices) or len(attached) < len(g.edges):
+        return None
+    return order
 
 
 def is_connected(g):
-    if not g.edges and not g.vertices:
-        return False
-    return len(_component_atoms(g)) == 1
+    if not g.vertices:
+        return len(g.edges) == 1
+    return _spanning_walk(g) is not None
 
 
 def connected_components(g):
     """Split into components; returns (component, embedding) pairs.
 
-    The embedding maps component edge/vertex names to the parent's (the
-    identity on names, recorded for uniformity).
+    Components come in the order of their first edge, edgeless ones
+    last.  The embedding maps component edge/vertex names to the
+    parent's (the identity on names, recorded for uniformity).
     """
-    out = []
-    for comp in _component_atoms(g):
-        edges = tuple(e for e in g.edges if ("e", e) in comp)
-        vs = tuple(v for v in g.vertices if ("v", v.name) in comp)
-        emb = {e: e for e in edges}
-        emb.update({v.name: v.name for v in vs})
-        out.append((Graph(edges, vs), emb))
-    return out
+    # the walks from the first vertex not yet reached, then the loose edges
+    parts, left = [], dict.fromkeys(g.vertex_names)
+    while left:
+        members = _walk(g, left)
+        parts.append(open_subgraph(g, members))
+        left = dict.fromkeys(v for v in left if v not in members)
+    attached = g.in_vertex.keys() | g.out_vertex.keys()
+    parts += [open_subgraph(g, (), (e,)) for e in g.edges if e not in attached]
+    first = {e: i for i, e in enumerate(g.edges)}
+    parts.sort(key=lambda h: min(map(first.get, h.edge_names), default=len(first)))
+    graphs = [h.as_graph for h in parts]
+    return [(c, {x: x for x in c.edges + c.vertex_names}) for c in graphs]
 
 
 def betti_number(g):
     """First Betti number of the underlying undirected incidence structure."""
     incidences = sum(len(v.ins) + len(v.outs) for v in g.vertices)
     atoms = len(g.edges) + len(g.vertices)
-    return incidences - atoms + len(_component_atoms(g)) if atoms else 0
+    return incidences - atoms + len(connected_components(g)) if atoms else 0
 
 
 def is_simply_connected(g):
@@ -469,43 +468,13 @@ def path_reentry(parent, members):
     return None
 
 
-def _walk(g, members):
-    """The member vertices reached from the first member through edges
-    between members, as dict keys in the order reached; they are all the
-    members exactly when the open subgraph they span is connected."""
-    start = next(iter(members))
-    seen, stack = {start: None}, [start]
-    while stack:
-        v = g.vertex(stack.pop())
-        for w in itertools.chain(
-            map(g.in_vertex.get, v.outs), map(g.out_vertex.get, v.ins)
-        ):
-            if w in members and w not in seen:
-                seen[w] = None
-                stack.append(w)
-    return seen
-
-
-@dataclass(frozen=True)
-class StructuredSubgraph:
+class StructuredSubgraph(OpenSubgraph):
     """A connected, convex open subgraph of a connected acyclic graph.
 
     Exactly these subgraphs arise from collapsing a vertex via graph
     substitution, so each admits substitution data exhibiting the parent
     as a substitution into a smaller graph (see ``subgraph_witness``).
     """
-
-    parent: Graph
-    edge_names: frozenset
-    vertex_names_set: frozenset
-
-    @cached_property
-    def as_open(self):
-        return OpenSubgraph(self.parent, self.edge_names, self.vertex_names_set)
-
-    @cached_property
-    def as_graph(self):
-        return self.as_open.as_graph
 
     @cached_property
     def inputs(self):
@@ -532,9 +501,6 @@ class StructuredSubgraph:
 
     def is_corolla(self):
         return len(self.vertex_names_set) == 1
-
-    def key(self):
-        return (tuple(sorted(self.edge_names)), tuple(sorted(self.vertex_names_set)))
 
     def __le__(self, other):
         return (
@@ -602,7 +568,7 @@ def tilde_union(h1, h2):
     Returns None when the union is not connected-convex ("does not
     exist"); when it exists it is the least upper bound under inclusion.
     """
-    union = open_union(h1.as_open, h2.as_open)
+    union = open_union(h1, h2)
     if not is_convex_open(union):
         return None
     return StructuredSubgraph(union.parent, union.edge_names, union.vertex_names_set)
@@ -816,8 +782,6 @@ def subgraph_witness(h):
                 placed = True
             continue
         vs.append(v)
-    if not placed:
-        vs.append(Vertex(vname, ins, outs))
     collapsed = Graph(edges, tuple(vs))
     return substitution_data(
         collapsed,

@@ -20,7 +20,7 @@ from .digraph import (
     Graph,
     StructuredSubgraph,
     _glue,
-    _walk,
+    _spanning_walk,
     cached_property,
     edge_subgraph,
     is_connected,
@@ -141,8 +141,7 @@ def validate_graphical(f):
         if v not in f.f1v:
             return Violation("VertexMapError", f"no image subgraph for {v}", (v,))
         h = f.f1v[v]
-        sub = h.as_open
-        if not sub.is_open() or not is_convex_open(sub):
+        if not h.is_open() or not is_convex_open(h):
             return Violation(
                 "NotConvexOpenImage", f"image of {v} is not structured", (v,)
             )
@@ -313,12 +312,11 @@ def hom_set(G, K, max_vertices=10):
         by_arity.setdefault(
             (len(sub.inputs), len(sub.outputs)), []
         ).append(sub)
-    # connected: a walk along shared edges reaches every vertex and every
-    # edge is at one; in its order, each later vertex meets an assigned edge
-    order = [G.vertex(v) for v in _walk(G, G.vertex_by_name)]
-    attached = G.in_vertex.keys() | G.out_vertex.keys()
-    if len(order) < len(G.vertices) or len(attached) < len(G.edges):
+    # in the order of a spanning walk, each later vertex meets an assigned edge
+    walk = _spanning_walk(G)
+    if walk is None:
         return ()
+    order = [G.vertex(v) for v in walk]
     results = []
 
     def backtrack(idx, f0, f1v):

@@ -424,31 +424,18 @@ def decorated_graph(graph, colors, labels, in_order=None, out_order=None):
 class FiniteProperad:
     """Interface for finite set-valued colored properads.
 
-    Subclasses provide colors, per-profile operation sets, identities,
-    the boundary permutation action, and evaluation of decorated
-    connected graphs (the unbiased composition).
+    Subclasses provide ``colors``, ``ops(ins, outs)``, ``identity(color)``,
+    the boundary action ``act(op, in_perm, out_perm)``, ``op_profile(op)``
+    and ``evaluate(dec)`` of decorated graphs (the unbiased composition).
     """
 
     colors = ()
 
-    def ops(self, ins, outs):
-        raise NotImplementedError
-
-    def identity(self, color):
-        raise NotImplementedError
-
-    def act(self, op, in_perm, out_perm):
-        raise NotImplementedError
-
-    def evaluate(self, dec):
-        raise NotImplementedError
-
-    def op_profile(self, op):
-        raise NotImplementedError
-
     def check_decoration(self, dec):
-        """Color-compatibility of labels at every vertex."""
+        """Every edge is colored, and labels match colors at every vertex."""
         cof = dec.color_of
+        if not dec.graph.edge_set <= cof.keys():
+            return False
         for v in dec.graph.vertices:
             op = dec.label_of[v.name]
             ins, outs = self.op_profile(op)
@@ -582,11 +569,8 @@ class FreeProperad(FiniteProperad):
         colors = {e: e for e in itertools.chain(v.ins, v.outs)}
         return self._element([(v.ins, v.outs)], colors, (vname,), v.ins, v.outs)
 
-    def edge_element(self, color):
-        return self._element([], {0: color}, (), (0,), (0,))
-
     def identity(self, color):
-        return self.edge_element(color)
+        return self._element([], {0: color}, (), (0,), (0,))
 
     def subgraph_element(self, sub):
         """The element carried by a connected open subgraph."""
@@ -600,7 +584,7 @@ class FreeProperad(FiniteProperad):
         """All elements with canonical boundary orders, up to the bound."""
         found = {}
         for c in self.colors:
-            el = self.edge_element(c)
+            el = self.identity(c)
             found.setdefault(el[1].profile(), set()).add(el)
         gens = self.generator.vertex_names
         for k in range(1, self.vertex_bound + 1):
@@ -614,13 +598,10 @@ class FreeProperad(FiniteProperad):
         return found
 
     def ops(self, ins, outs):
-        """Elements in an exact ordered profile, up to the vertex bound."""
+        """Elements in an exact ordered profile, up to the vertex bound: the
+        pool's elements of each profile with the same colors, reordered to it."""
         ins, outs = tuple(ins), tuple(outs)
         out = set()
-        for el in self._pool.get((ins, outs), ()):
-            out.add(el)
-        # profiles related by boundary permutations contribute reordered
-        # representatives as well
         for profile, els in self._pool.items():
             pins, pouts = profile
             if sorted(pins) != sorted(ins) or sorted(pouts) != sorted(outs):
@@ -676,13 +657,12 @@ def _zkey(zg):
 
 
 def _color_permutations(src, dst):
-    """Permutations p with src[p[i]] == dst[i] for all i."""
+    """Permutations p with src[p[i]] == dst[i] for all i; src and dst
+    list the same colors, each as often."""
     n = len(src)
     positions = {}
     for i, c in enumerate(src):
         positions.setdefault(c, []).append(i)
-    if sorted(src) != sorted(dst):
-        return
     slots = [positions[c] for c in dst]
     for choice in itertools.product(*slots):
         if len(set(choice)) == n:

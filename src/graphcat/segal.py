@@ -435,6 +435,21 @@ def elementary_cover(corpus, gi):
     return cover
 
 
+def _families(F, parts):
+    """The choices of one position per part, at that part's object,
+    whose tables give one value under each shared key: ``parts`` lists
+    (object index, [(key, table), ...]), and a position x gives each key
+    of its part ``table[x]``.  Yields (choice, {key: value}) in order."""
+    for choice in itertools.product(*(F.positions(i) for i, _ in parts)):
+        values = {}
+        if all(
+            values.setdefault(key, table[x]) == table[x]
+            for (_, checks), x in zip(parts, choice)
+            for key, table in checks
+        ):
+            yield choice, values
+
+
 def segal_limit(F, gi):
     """Families over the elementary cover agreeing on shared edges: per
     vertex in cover order a position at its corolla, and per edge one at
@@ -447,23 +462,14 @@ def segal_limit(F, gi):
         # a vertexless object is covered by its edges alone
         combos = itertools.product(F.positions(ei), repeat=len(edge_list))
         return tuple(((), combo) for combo in combos)
-    # per vertex, in cover order: its edges and their restriction tables
-    checks = {vname: [] for vname, _, _ in cover.vertex_entries}
+    # the parts are the vertices, in cover order, and the keys their edges
+    parts = {vname: (ci, []) for vname, ci, _ in cover.vertex_entries}
     for e, vname, ci, conn in cover.connections:
-        checks[vname].append((e, F.table_along(ei, ci, conn)))
-    families = []
-    for choice in itertools.product(
-        *(F.positions(ci) for _, ci, _ in cover.vertex_entries)
-    ):
-        # an edge takes the value its first vertex gives it; the rest agree
-        edge_values = {}
-        if all(
-            edge_values.setdefault(e, table[x]) == table[x]
-            for check, x in zip(checks.values(), choice)
-            for e, table in check
-        ):
-            families.append((choice, tuple(edge_values[e] for e in edge_list)))
-    return tuple(families)
+        parts[vname][1].append((e, F.table_along(ei, ci, conn)))
+    return tuple(
+        (choice, tuple(values[e] for e in edge_list))
+        for choice, values in _families(F, parts.values())
+    )
 
 
 def segal_map(F, gi):
@@ -717,9 +723,8 @@ class ExtractedProperad(FiniteProperad):
             tuple(F.position(ci, dec.label_of[v]) for v, ci, _ in cover.vertex_entries),
             tuple(F.position(ei, dec.color_of[e]) for e, ei, _ in cover.edge_entries),
         )
-        target = self._fingerprints[gi].get(fingerprint)
-        if target is None:
-            raise NotSegal("no Segal preimage for the decoration")
+        # a point of the limit, which has a preimage as F is Segal (DECISIONS.md D20)
+        target = self._fingerprints[gi][fingerprint]
         m, n = len(dec.in_order), len(dec.out_order)
         ci, c = self._corolla(m, n)
         cv = c.vertices[0]
@@ -743,37 +748,30 @@ def extract_properad(F):
 def segmentation_local(F):
     """Locality with respect to the segmentation maps.
 
-    The value at a level graph must biject with tuples of values on the
-    height-1 slices agreeing on the height-0 interfaces.  The slices are
-    the corpus's ``segments``, which ``build_level_corpus`` keeps.
+    The value at a level graph must biject with the families of values
+    on its height-1 slices that agree on the height-0 interfaces.  The
+    slices are the corpus's ``segments``, kept by ``build_level_corpus``.
     """
     corpus = F.corpus
     objects = corpus.objects
     for li, lg in enumerate(objects):
         if lg.height <= 1:
             continue
+        if li not in corpus.segments:
+            raise GraphcatError(
+                f"no segments kept for object {li}: only build_level_corpus keeps them"
+            )
         pieces, face_idx = corpus.segments[li]
-        piece_idx = [pi for pi, _ in pieces]
-        # interface i sits between pieces i-1 and i: the restriction
-        # tables from the top of piece i and from the bottom of piece i+1
-        faces = []
+        parts = [(pi, []) for pi, _ in pieces]
+        # interface i is the key shared by the restriction tables from the
+        # top of piece i and from the bottom of piece i+1
         for i, fi in enumerate(face_idx):
             face = objects[fi]
             emap = (tuple((e, e) for e in sorted(face.edge_layers[0])),)
-            top = LevelMorphism(face, objects[piece_idx[i]], (1,), emap, ())
-            bottom = LevelMorphism(face, objects[piece_idx[i + 1]], (0,), emap, ())
-            faces.append((
-                F.table_along(fi, piece_idx[i], top),
-                F.table_along(fi, piece_idx[i + 1], bottom),
-            ))
-        families = [
-            choice
-            for choice in itertools.product(*(F.positions(pi) for pi in piece_idx))
-            if all(
-                top[choice[i]] == bottom[choice[i + 1]]
-                for i, (top, bottom) in enumerate(faces)
-            )
-        ]
+            for (pi, checks), layer in ((parts[i], 1), (parts[i + 1], 0)):
+                side = LevelMorphism(face, objects[pi], (layer,), emap, ())
+                checks.append((i, F.table_along(fi, pi, side)))
+        families = [choice for choice, _ in _families(F, parts)]
         tables = [F.table_along(pi, li, incl) for pi, incl in pieces]
         # the p-th value of F(lg) -> its restrictions to the pieces
         if not _bijective_onto(list(zip(*tables)), families):

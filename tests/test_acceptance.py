@@ -196,7 +196,7 @@ def test_criterion_2_no_morphisms_either_way():
 def test_criterion_3_intersections_not_preserved():
     f = no_intersections_map()
     ok_valid = validate_graphical(f) is None
-    meet = open_intersection(f.f1v["u"].as_open, f.f1v["w"].as_open)
+    meet = open_intersection(f.f1v["u"], f.f1v["w"])
     two_edges = len(meet.edge_names) == 2
     not_structured = not is_convex_open(meet)
     report(

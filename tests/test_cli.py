@@ -960,3 +960,74 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "subgraphs" in proc.stdout
+
+
+def _colored_operation(g, color):
+    return {**graph_to_json(g), "in_order": list(g.inputs), "out_order": list(g.outputs),
+            "colors": {e: color for e in g.edges}}
+
+
+def _composition(inner, outer=linear_graph(2)):
+    return {"outer": _colored_operation(outer, "c"),
+            "inner": {k: _colored_operation(g, c) for k, (g, c) in inner.items()}}
+
+
+def test_prpd_compose_substitutes_colored_operations(tmp_path, capsys):
+    from graphcat.digraph import corolla
+
+    path = tmp_path / "composition.json"
+    path.write_text(json.dumps(_composition({"0": (corolla(1, 1, name="w"), "c"),
+                                             "1": (linear_graph(2), "c")})))
+    code, out, err = run_cli(capsys, "--format", "json", "prpd", "compose", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "colors": {"e1": "c", "e2": "c", "e3": "c", "e4": "c"},
+        "edges": ["e1", "e2", "e3", "e4"], "in_order": ["e4"], "out_order": ["e3"],
+        "vertices": [{"in": ["e4"], "name": "v1", "out": ["e1"]},
+                     {"in": ["e1"], "name": "v2", "out": ["e2"]},
+                     {"in": ["e2"], "name": "v3", "out": ["e3"]}],
+    }
+
+
+@pytest.mark.parametrize("command, files, line", [
+    (["theta", "@"], [{**_graphical_identity_json(["v"]), "f1": {}}],
+     "VertexMapError at ('v',): no image subgraph for v"),
+    (["theta", "@"], [{**_graphical_identity_json(["v"]), "f0": {"i1": "i1", "o1": "zz"}}],
+     "EdgeMapError at ('o1',): o1 maps to unknown edge zz"),
+    (["validate", "@"], [{"edges": ["a"], "vertices": [{"name": "u", "in": ["a", "a"], "out": []}]}],
+     "DuplicateEdge at ('u',): duplicate edge in in(u)"),
+    (["validate", "@"], [{"edges": ["a", "b", "c"], "vertices": [
+        {"name": "u", "in": ["a"], "out": ["c"]}, {"name": "v", "in": ["b"], "out": ["c"]},
+    ]}], "MonoViolation at ('c',): edge c is an output of both u and v"),
+    (["--max-vertices", "1", "subgraphs", "@"], [graph_to_json(linear_graph(2))],
+     "SizeLimit: too many vertices (2 > 1)"),
+    (["--max-vertices", "1", "hom", "@", "@"], [graph_to_json(linear_graph(2))] * 2,
+     "SizeLimit: hom enumeration bound exceeded"),
+    (["nerve", "@", "@"], [{"kind": "terminal"},
+                           {"generators": [graph_to_json(linear_graph(4))]}],
+     "GraphcatError: generator exceeds the corpus vertex bound"),
+    (["prpd", "compose", "@"], [_composition({"0": (linear_graph(1), "c")})],
+     "ProfileMismatch: inner family must cover every vertex index"),
+    (["prpd", "compose", "@"], [_composition({"0": (linear_graph(1), "c"),
+                                              "1": (graph("abc", [("v", "ab", "c")]), "c")})],
+     "ProfileMismatch: operation at index 1 has biarity (2, 1), vertex needs (1, 1)"),
+    (["prpd", "compose", "@"], [_composition({"0": (linear_graph(1), "c"),
+                                              "1": (linear_graph(1), "d")})],
+     "ColorMismatch: colors disagree at index 1"),
+], ids=["theta-f1-omits-a-vertex", "theta-f0-unknown-edge", "edge-twice-in-one-list",
+        "edge-output-of-two-vertices", "subgraphs-vertex-bound", "hom-vertex-bound",
+        "nerve-generator-too-large", "compose-missing-index", "compose-biarity",
+        "compose-colors"])
+def test_reachable_violations_say_where(tmp_path, capsys, command, files, line):
+    # the k-th "@" in the command names a file holding files[k]
+    paths = iter(files)
+    argv = []
+    for k, arg in enumerate(command):
+        if arg == "@":
+            path = tmp_path / f"data{k}.json"
+            path.write_text(json.dumps(next(paths)))
+            arg = str(path)
+        argv.append(arg)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"violation: {line}\n"

@@ -22,17 +22,25 @@ from graphcat.digraph import (
     multi_substitute,
     open_intersection,
     open_subgraph,
+    open_union,
     strict_iso,
     structured_subgraphs,
     subgraph_witness,
     substitute,
     substitution_data,
     tilde_union,
+    topological_vertices,
     validate,
     vertex_corolla,
     whole_subgraph,
 )
-from graphcat.errors import ConnectivityError, OpennessViolation, ProfileMismatch
+from graphcat.errors import (
+    ConnectivityError,
+    GraphcatError,
+    OpennessViolation,
+    ProfileMismatch,
+    SizeLimit,
+)
 from graphcat.zoo import three_vertex_graph, two_component_graph
 
 
@@ -198,7 +206,7 @@ def test_tilde_union_least_upper_bound():
 def test_intersection_not_always_structured():
     cu = vertex_corolla(G3, "u")
     cw = vertex_corolla(G3, "w")
-    meet = open_intersection(cu.as_open, cw.as_open)
+    meet = open_intersection(cu, cw)
     assert meet.edge_names == {"d"}
     assert is_convex_open(meet)  # a single edge is structured
 
@@ -577,3 +585,27 @@ def test_canonical_form_matches_the_parent_numbering(g, rng):
     copy = renamed_copy(g, rng)
     assert canonical_form(copy) == canonical_form_reference(copy)
     assert canonical_form(copy)[0] == form[0]
+
+
+@pytest.mark.parametrize("combine", [open_intersection, open_union])
+def test_open_subgraphs_of_different_parents_do_not_combine(combine):
+    with pytest.raises(GraphcatError, match="^subgraphs of different parents$"):
+        combine(open_subgraph(G3, ["u"]), open_subgraph(linear_graph(1), ["v1"]))
+
+
+def test_canonical_form_refuses_too_many_vertex_orders():
+    # refinement cannot tell nine leaves of one centre apart: 9! orders
+    leaves = [f"e{k}" for k in range(9)]
+    star = graph(leaves, [("c", [], leaves)] + [(f"w{e}", [e], []) for e in leaves])
+    with pytest.raises(SizeLimit, match="^canonical form search space too large$"):
+        canonical_form(star)
+
+
+def test_graphs_of_different_sizes_are_not_strictly_isomorphic():
+    assert not strict_iso(linear_graph(1), linear_graph(2))
+
+
+def test_topological_vertices_refuses_a_cycle():
+    cyclic = graph("ab", [("u", "a", "b"), ("w", "b", "a")])
+    with pytest.raises(GraphcatError, match="^graph has a directed cycle$"):
+        topological_vertices(cyclic)

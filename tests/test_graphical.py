@@ -16,7 +16,7 @@ from graphcat.digraph import (
     vertex_corolla,
     whole_subgraph,
 )
-from graphcat.errors import ConnectivityError
+from graphcat.errors import ConnectivityError, GraphcatError
 from graphcat.graphical import (
     boundary_bijective,
     compose_graphical,
@@ -80,11 +80,11 @@ def test_no_intersections_map_accepted():
     assert validate_graphical(f) is None
     # the images of the outer corollas overlap in two edges and their
     # plain intersection is not structured, yet the map is legal
-    meet = open_intersection(f.f1v["u"].as_open, f.f1v["w"].as_open)
+    meet = open_intersection(f.f1v["u"], f.f1v["w"])
     assert len(meet.edge_names) == 2
     assert not is_convex_open(meet)
     src_meet = open_intersection(
-        vertex_corolla(G3, "u").as_open, vertex_corolla(G3, "w").as_open
+        vertex_corolla(G3, "u"), vertex_corolla(G3, "w")
     )
     assert len(src_meet.edge_names) == 1
 
@@ -214,7 +214,7 @@ def test_f1_on_subgraph():
     whole = f1_on_subgraph(f, whole_subgraph(G3))
     assert whole.key() == whole_subgraph(K_TWIST).key()
     assert is_convex_open(
-        open_intersection(whole_subgraph(G3).as_open, whole_subgraph(G3).as_open)
+        open_intersection(whole_subgraph(G3), whole_subgraph(G3))
     )
     ed = f1_on_subgraph(f, edge_subgraph(G3, "b"))
     assert ed.key() == edge_subgraph(K_TWIST, "t2").key()
@@ -450,3 +450,8 @@ def test_morphism_json_roundtrip():
     data = morphism_to_json(f)
     back = morphism_from_json(G3, K_TWIST, data)
     assert back == f
+
+
+def test_maps_that_do_not_compose_are_refused():
+    with pytest.raises(GraphcatError, match="^morphisms are not composable$"):
+        compose_graphical(identity_graphical(G3), identity_graphical(linear_graph(1)))

@@ -763,7 +763,7 @@ def promoted_image(f, j):
         return edge_subgraph(f.target, f.f0[e])
     current = None
     for v in sorted(j.vertex_names_set):
-        sub = f.f1v[v].as_open
+        sub = f.f1v[v]
         current = sub if current is None else open_union(current, sub)
     if not is_convex_open(current):
         return None

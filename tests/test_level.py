@@ -451,3 +451,9 @@ def test_tau_preserves_classes():
 def test_json_roundtrip():
     lg = branching_level()
     assert level_from_json(level_to_json(lg)) == lg
+
+
+def test_special_extension_has_no_pair_beyond_the_height():
+    lg = linear_level_graph(2)
+    with pytest.raises(KeyError):
+        special_extension(lg).reps((0, lg.height + 1))

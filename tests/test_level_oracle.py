@@ -393,7 +393,7 @@ def assert_structured(sub, lg):
     the definition: open, connected and closed under directed paths, and
     one edge when it has no vertex."""
     assert isinstance(sub, StructuredSubgraph) and sub.parent is underlying_graph(lg)
-    assert sub.as_open.is_open() and is_convex_open(sub.as_open), sub
+    assert sub.is_open() and is_convex_open(sub), sub
     assert sub.vertex_names_set or len(sub.edge_names) == 1, sub
 
 

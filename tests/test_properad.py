@@ -26,6 +26,7 @@ from graphcat.graphical import (
 )
 from graphcat.properad import (
     DecoratedGraph,
+    OperadArrow,
     _matchings,
     _normalize,
     all_operations,
@@ -752,3 +753,70 @@ def test_non_permutation_boundary_action_raises(in_perm, out_perm):
     P = free_properad(corolla(2, 2), vertex_bound=1)
     with pytest.raises(ProfileMismatch):
         P.act(P.generator_element("v"), in_perm, out_perm)
+
+
+def test_sigma_action_refuses_an_index_map_that_is_not_a_permutation():
+    op = zgraph_of_graph(linear_graph(2))
+    with pytest.raises(ProfileMismatch, match="^not a permutation of the index set$"):
+        sigma_action(op, (0, 0))
+
+
+def test_uncolored_profile_is_the_biarity():
+    assert zgraph_of_graph(corolla(2, 3)).profile() == (2, 3)
+
+
+def test_arrows_that_do_not_compose_are_refused():
+    with pytest.raises(GraphcatError, match="^arrows are not composable$"):
+        compose_arrows(identity_arrow(((1, 1),)), identity_arrow(((2, 1),)))
+
+
+@pytest.mark.parametrize("arrow, message", [
+    (OperadArrow(((1, 1),), ((1, 1),), (None,), (identity_operation(1, 1),)),
+     "arrow must be active"),
+    (OperadArrow(((2, 1),), ((1, 1),), (0,), (identity_operation(2, 1),)),
+     "operation at v1 has wrong biarity"),
+], ids=["inactive", "biarity"])
+def test_cartesian_lift_refuses_arrows_it_cannot_lift(arrow, message):
+    with pytest.raises(ProfileMismatch, match=f"^{message}$"):
+        cartesian_lift_active(linear_graph(1), arrow)
+
+
+def test_vertex_lift_refuses_an_image_of_the_wrong_profile():
+    P = free_properad(linear_graph(2), vertex_bound=1)
+    with pytest.raises(ProfileMismatch, match="^image of z has the wrong profile$"):
+        vertex_lift(corolla(1, 1, name="z"), linear_graph(2), {"i1": "e0", "o1": "e1"},
+                    {"z": P.generator_element("v2")})
+
+
+@pytest.mark.parametrize("name", ["v1", "v2"])
+def test_vertex_lift_needs_the_named_vertex_to_have_the_image_edges(name):
+    # an element of the free properad on another graph, whose vertex of
+    # that name has the edges e0 -> e2; in the chain v1 is e0 -> e1 and
+    # v2 is e1 -> e2
+    other = free_properad(graph(["e0", "e2"], [(name, ["e0"], ["e2"])]), vertex_bound=1)
+    images = {"z": other.generator_element(name)}
+    edge_map = {"i1": "e0", "o1": "e2"}
+    assert vertex_lift(corolla(1, 1, name="z"), linear_graph(2), edge_map, images) is None
+    lift = vertex_lift(corolla(1, 1, name="z"), other.generator, edge_map, images)
+    assert lift.edges == edge_map and lift.vertices == {"z": name}
+
+
+FREE_G3 = free_properad(three_vertex_graph())
+END_C = end_properad({"c": 2})
+END_CD = end_properad({"c": 2, "d": 2})
+
+
+@pytest.mark.parametrize("P, g, colors, labels", [
+    # the edge b, at two of the vertices, has no color
+    (FREE_G3, three_vertex_graph(), {e: e for e in "acde"},
+     {v: FREE_G3.generator_element(v) for v in "uvw"}),
+    # the output edge o1 has no color
+    (END_C, corolla(1, 1), {"i1": "c"}, {"v": END_C.ops(("c",), ("c",))[0]}),
+    # every edge is colored c, but the label's output is a d
+    (END_CD, corolla(1, 1), {"i1": "c", "o1": "c"}, {"v": END_CD.ops(("c",), ("d",))[0]}),
+], ids=["free-uncolored-edge", "end-uncolored-edge", "end-output-color"])
+def test_evaluate_refuses_colors_that_miss_or_mismatch_an_edge(P, g, colors, labels):
+    dec = decorated_graph(g, colors, labels)
+    assert not P.check_decoration(dec)
+    with pytest.raises(ColorMismatch, match="^decoration does not match vertex profiles$"):
+        P.evaluate(dec)

@@ -43,6 +43,7 @@ from graphcat.properad import (
 )
 from graphcat.segal import (
     GRAPHICAL,
+    LEVEL,
     Corpus,
     Cover,
     build_corpus,
@@ -959,3 +960,71 @@ def test_tables_by_morphism_equal_tables_by_position(monkeypatch, corpus,
         # each table is computed once across both kinds of read
         assert len(calls) == sum(per_table(j) for _, j, _, _ in maps)
         assert len(images) + len(composites) == len(calls)
+
+
+def chain_nerve():
+    corpus = build_corpus([linear_graph(2)])
+    return corpus, nerve(end_properad({"c": 2}), corpus)
+
+
+def test_check_functorial_refuses_a_reversed_identity():
+    # each table along a (1, 1)-corolla endomorphism reversed: the
+    # identity's reads [3, 2, 1, 0]
+    corpus, N = chain_nerve()
+    ci = corpus.corolla_index[(1, 1)]
+    tables = dict(N.restrictions)
+    for key in [key for key in tables if key[:2] == (ci, ci)]:
+        tables[key] = tables[key][::-1]
+    assert tables[(ci, ci, corpus.hom_index(ci, ci, corpus.identity_of(ci)))] == (3, 2, 1, 0)
+    assert not FinitePresheaf(corpus, N.values, tables).check_functorial()
+
+
+def test_check_functorial_refuses_a_table_that_breaks_a_composite():
+    # the first entry of a table from the corolla into the chain moved;
+    # every identity still restricts trivially
+    corpus, N = chain_nerve()
+    ci = corpus.corolla_index[(1, 1)]
+    gi = next(i for i, g in enumerate(corpus.graphs) if len(g.vertices) == 2)
+    tables = dict(N.restrictions)
+    tables[(ci, gi, 0)] = ((tables[(ci, gi, 0)][0] + 1) % 4, *tables[(ci, gi, 0)][1:])
+    F = FinitePresheaf(corpus, N.values, tables)
+    assert all(
+        F.table_along(i, i, corpus.identity_of(i)) == tuple(F.positions(i))
+        for i in range(len(corpus))
+    )
+    assert not F.check_functorial()
+
+
+def test_tables_by_morphism_have_no_entry_off_the_hom_table():
+    corpus, N = chain_nerve()
+    with pytest.raises(KeyError):
+        N.restrictions[(0, 0, len(corpus.hom(0, 0)))]
+
+
+def test_extracted_properad_refuses_what_its_corpus_cannot_answer():
+    corpus, N = chain_nerve()
+    Q = extract_properad(N)
+    (c,) = Q.colors
+    with pytest.raises(GraphcatError, match=r"^corpus has no corolla of biarity \(2, 1\)$"):
+        Q.ops((c, c), (c,))
+    op = Q.ops((c,), (c,))[0]
+    # three vertices: isomorphic to no object of the corpus
+    g = linear_graph(3)
+    dec = decorated_graph(g, {e: c for e in g.edges}, {v: op for v in g.vertex_names})
+    with pytest.raises(GraphcatError, match="^decorated graph is not isomorphic to a corpus object$"):
+        Q.evaluate(dec)
+    # the chain with its input and output swapped: no active map from the
+    # corolla has that boundary
+    chain = next(g for g in corpus.objects if len(g.vertices) == 2)
+    dec = decorated_graph(chain, {e: c for e in chain.edges}, {v: op for v in chain.vertex_names},
+                          chain.outputs, chain.inputs)
+    with pytest.raises(GraphcatError, match="^no active comparison with the given boundary$"):
+        Q.evaluate(dec)
+
+
+def test_segmentation_check_needs_the_segments_build_level_corpus_keeps():
+    corpus = Corpus(LEVEL, [elementary_edge(), elementary_corolla(1, 1), linear_level_graph(2)])
+    with pytest.raises(GraphcatError, match=(
+        "^no segments kept for object 2: only build_level_corpus keeps them$"
+    )):
+        segmentation_check(nerve(terminal_properad(), corpus))
