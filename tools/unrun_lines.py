@@ -5,9 +5,9 @@
 
 Runs the Tier-1 suite (``tests/``) and ``perfbench/`` with pytest in this
 process under a ``sys.settrace`` line tracer, so no coverage package is
-needed beyond the test dependencies.  A line is executable when the compiler gives it an
-instruction; it is unrun when no traced frame executes it, so code run
-only in a subprocess counts as unrun.  Hypothesis examples are
+needed beyond the test dependencies.  A line is executable when the
+compiler gives it an instruction; it is unrun when no traced frame
+executes it, so code run only in a subprocess counts as unrun.  Hypothesis examples are
 derandomized and string hashing is fixed (``PYTHONHASHSEED=0``, set by
 re-running the script), so that two runs see the same lines.
 
