@@ -432,16 +432,15 @@ class FiniteProperad:
     colors = ()
 
     def check_decoration(self, dec):
-        """Every edge is colored, and labels match colors at every vertex."""
+        """Labels match colors at every vertex; an uncolored edge there
+        matches no color."""
         cof = dec.color_of
-        if not dec.graph.edge_set <= cof.keys():
-            return False
         for v in dec.graph.vertices:
             op = dec.label_of[v.name]
             ins, outs = self.op_profile(op)
-            if ins != tuple(cof[e] for e in v.ins):
+            if ins != tuple(cof.get(e) for e in v.ins):
                 return False
-            if outs != tuple(cof[e] for e in v.outs):
+            if outs != tuple(cof.get(e) for e in v.outs):
                 return False
         return True
 
@@ -499,6 +498,8 @@ class EndProperad(FiniteProperad):
         if not self.check_decoration(dec):
             raise ColorMismatch("decoration does not match vertex profiles")
         cof = dec.color_of
+        if not dec.graph.edge_set <= cof.keys():
+            raise ColorMismatch("colors must cover every edge")
         ins = tuple(cof[e] for e in dec.in_order)
         outs = tuple(cof[e] for e in dec.out_order)
         order = topological_vertices(dec.graph)

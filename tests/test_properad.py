@@ -820,3 +820,11 @@ def test_evaluate_refuses_colors_that_miss_or_mismatch_an_edge(P, g, colors, lab
     assert not P.check_decoration(dec)
     with pytest.raises(ColorMismatch, match="^decoration does not match vertex profiles$"):
         P.evaluate(dec)
+
+
+@pytest.mark.parametrize("P", [FREE_G3, END_C], ids=["free", "end"])
+def test_evaluate_refuses_an_uncolored_edge_at_no_vertex(P):
+    dec = decorated_graph(edge_graph("a"), {}, {})
+    assert P.check_decoration(dec)
+    with pytest.raises(ColorMismatch, match="^colors must cover every edge$"):
+        P.evaluate(dec)

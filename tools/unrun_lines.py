@@ -1,7 +1,6 @@
 """List the lines of ``src/graphcat`` that no test runs.
 
-    python3 tools/unrun_lines.py           # fail on an unrun line not in the list
-    python3 tools/unrun_lines.py --print   # print every unrun line, listed or not
+    python3 tools/unrun_lines.py
 
 Runs the Tier-1 suite (``tests/``) and ``perfbench/`` with pytest in this
 process under a ``sys.settrace`` line tracer, so no coverage package is
@@ -14,8 +13,9 @@ re-running the script), so that two runs see the same lines.
 Each line that stays unrun is listed in ``tools/unrun_lines.txt`` as
 ``file | line text | reason``, keyed by the stripped line text rather than
 its number; a listed text excuses as many unrun lines of that file as it
-has entries.  The check fails when the tests fail or an unrun line is not
-listed; listed lines that now run are printed as stale.
+has entries.  The check fails when the tests fail, an unrun line is not
+listed, or a listed line now runs (it is stale), so the listing is always
+the set of unrun lines.
 """
 
 from __future__ import annotations
@@ -101,11 +101,10 @@ def read_listing(path):
     return listed
 
 
-def main(argv):
+def main():
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.environ["PYTHONHASHSEED"] = "0"
         os.execv(sys.executable, [sys.executable, *sys.argv])
-    show_all = "--print" in argv
     code, hits = run_traced([
         "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
         os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench"),
@@ -122,8 +121,6 @@ def main(argv):
             total += 1
             stripped = text[line - 1].strip()
             reasons = listed.get((name, stripped))
-            if show_all:
-                print(f"{name}:{line}: {stripped}")
             if reasons:
                 reasons.pop()
             else:
@@ -136,8 +133,8 @@ def main(argv):
         print(f"stale: {entry}")
     if code != 0:
         print(f"the tests failed (pytest exit code {int(code)})")
-    return 1 if code != 0 or unlisted else 0
+    return 1 if code != 0 or unlisted or stale else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
