@@ -432,8 +432,7 @@ class FiniteProperad:
     colors = ()
 
     def check_decoration(self, dec):
-        """Labels match colors at every vertex; an uncolored edge there
-        matches no color."""
+        """Labels match colors at every vertex; an uncolored edge matches none."""
         cof = dec.color_of
         for v in dec.graph.vertices:
             op = dec.label_of[v.name]
