@@ -41,6 +41,7 @@ from graphcat.errors import (
     ProfileMismatch,
     SizeLimit,
 )
+from graphcat import zoo
 from graphcat.zoo import three_vertex_graph, two_component_graph
 
 
@@ -609,3 +610,53 @@ def test_topological_vertices_refuses_a_cycle():
     cyclic = graph("ab", [("u", "a", "b"), ("w", "b", "a")])
     with pytest.raises(GraphcatError, match="^graph has a directed cycle$"):
         topological_vertices(cyclic)
+
+
+@pytest.mark.parametrize("g, report", [
+    (graph("ab", [("u", "a", "b"), ("v", "b", "a")]),
+     "CycleViolation at ('u', 'v'): directed cycle through ['u', 'v']"),
+    # the walk enters the cycle x -> y -> z -> x from the tail vertex s
+    (graph("tabcd", [("s", "t", "a"), ("x", "ad", "b"), ("y", "b", "c"), ("z", "c", "d")]),
+     "CycleViolation at ('x', 'y', 'z'): directed cycle through ['x', 'y', 'z']"),
+], ids=["two-cycle", "three-cycle-with-tail"])
+def test_validate_reports_the_cycle_it_walks(g, report):
+    assert str(validate(g)) == report
+
+
+def _random_dag(rng):
+    """An acyclic graph of one to six vertices: each edge runs from a vertex
+    to a later one in a hidden order, which neither the names nor the
+    listed order of the vertices follow; some vertices get a loose end."""
+    n = rng.randint(1, 6)
+    ins, outs, edges = [[] for _ in range(n)], [[] for _ in range(n)], []
+    for i, j in itertools.combinations(range(n), 2):
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            edges.append(f"e{len(edges)}")
+            outs[i].append(edges[-1])
+            ins[j].append(edges[-1])
+    for k in range(n):
+        for side in (ins[k], outs[k]):
+            if rng.random() < 0.3:
+                edges.append(f"e{len(edges)}")
+                side.append(edges[-1])
+    names = rng.sample(range(n), n)
+    vertices = [(f"v{names[k]}", ins[k], outs[k]) for k in range(n)]
+    rng.shuffle(vertices)
+    return graph(edges, vertices)
+
+
+def test_topological_vertices_put_each_producer_before_its_consumers():
+    zoo_graphs = [
+        zoo.three_vertex_graph(), zoo.double_edge_graph(), zoo.closed_square_graph(),
+        zoo.closed_double_edge_graph(), zoo.dangling_pair_graph(),
+        zoo.two_component_graph(), linear_graph(3),
+    ]
+    dags = [_random_dag(random.Random(seed)) for seed in range(200)]
+    for g in zoo_graphs + dags:
+        assert validate(g) is None
+        order = topological_vertices(g)
+        assert sorted(order) == sorted(g.vertex_names), g
+        place = {name: k for k, name in enumerate(order)}
+        for e, producer in g.out_vertex.items():
+            if e in g.in_vertex:
+                assert place[producer] < place[g.in_vertex[e]], (g, e)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -71,6 +72,20 @@ def test_validate_level_partition_failure():
     bad = level_graph([["a", "x"], ["b"]], [[("v", ["a"], ["b"])]])
     rep = validate_level(bad)
     assert rep is not None and rep.kind == "PartitionViolation"
+
+
+@pytest.mark.parametrize("lg, report", [
+    (level_graph([["a"], ["b"]], [[("v", ["b"], ["b"])]]),
+     "UnknownEdge at (0, 'v', 'b'): in(v) uses b outside level 0"),
+    (level_graph([["a"], ["b"]], [[("v", ["a"], ["a"])]]),
+     "UnknownEdge at (0, 'v', 'a'): out(v) uses a outside level 1"),
+    (level_graph([["a", "x"], ["b"]], [[("v", ["a"], ["b"])]]),
+     "PartitionViolation at (0,): inputs of layer 0 vertices do not partition level 0 edges"),
+    (level_graph([["a"], ["b", "y"]], [[("v", ["a"], ["b"])]]),
+     "PartitionViolation at (0,): outputs of layer 0 vertices do not partition level 1 edges"),
+], ids=["input-outside", "output-outside", "inputs-partition", "outputs-partition"])
+def test_validate_level_reports_each_side(lg, report):
+    assert str(validate_level(lg)) == report
 
 
 def test_height_zero_with_multiple_edges():
@@ -451,6 +466,23 @@ def test_tau_preserves_classes():
 def test_json_roundtrip():
     lg = branching_level()
     assert level_from_json(level_to_json(lg)) == lg
+
+
+@pytest.mark.parametrize("lg, text", [
+    (elementary_corolla(2, 1),
+     '{"edge_layers": [["i1", "i2"], ["o1"]], "height": 1, "vertex_layers": '
+     '[[{"in": ["i1", "i2"], "name": "v", "out": ["o1"]}]]}'),
+    (linear_level_graph(2),
+     '{"edge_layers": [["e0"], ["e1"], ["e2"]], "height": 2, "vertex_layers": '
+     '[[{"in": ["e0"], "name": "v1", "out": ["e1"]}], '
+     '[{"in": ["e1"], "name": "v2", "out": ["e2"]}]]}'),
+    (branching_level(),
+     '{"edge_layers": [["a"], ["b", "c"], ["d", "e"]], "height": 2, "vertex_layers": '
+     '[[{"in": ["a"], "name": "u", "out": ["b", "c"]}], '
+     '[{"in": ["b"], "name": "v", "out": ["d"]}, {"in": ["c"], "name": "w", "out": ["e"]}]]}'),
+], ids=["corolla", "linear", "branching"])
+def test_level_json_text(lg, text):
+    assert json.dumps(level_to_json(lg), sort_keys=True) == text
 
 
 def test_special_extension_has_no_pair_beyond_the_height():

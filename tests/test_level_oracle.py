@@ -50,8 +50,10 @@ from graphcat.level import (
     elementary_corolla,
     elementary_edge,
     hom_level,
+    level_from_json,
     level_graph,
     level_structure,
+    level_to_json,
     linear_level_graph,
     special_extension,
     tau,
@@ -263,6 +265,11 @@ def test_hom_level_matches_oracle_on_every_pair():
         assert set(keys) == oracle_hom(G, H), (gname, hname)
         nonempty += bool(keys)
     assert nonempty > 50
+
+
+def test_level_json_round_trips_every_graph():
+    for name, lg in GRAPHS:
+        assert level_from_json(level_to_json(lg)) == lg, name
 
 
 def test_hom_level_returns_only_morphisms():
