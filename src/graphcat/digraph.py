@@ -121,16 +121,17 @@ class Graph:
         return f"Graph(edges={list(self.edges)}, vertices=[{vs}])"
 
 
+def as_vertex(item):
+    """A Vertex as given, or the Vertex of a (name, ins, outs) triple."""
+    if isinstance(item, Vertex):
+        return item
+    name, ins, outs = item
+    return Vertex(str(name), tuple(ins), tuple(outs))
+
+
 def graph(edges, vertices):
     """Build a Graph from edge ids and (name, ins, outs) triples."""
-    vs = []
-    for item in vertices:
-        if isinstance(item, Vertex):
-            vs.append(item)
-        else:
-            name, ins, outs = item
-            vs.append(Vertex(str(name), tuple(ins), tuple(outs)))
-    return Graph(tuple(edges), tuple(vs))
+    return Graph(tuple(edges), tuple(map(as_vertex, vertices)))
 
 
 def edge_graph(name="e"):
@@ -210,7 +211,7 @@ def validate(g):
                     (e,),
                 )
             seen_out[e] = v.name
-    cycle = _find_cycle(g)
+    cycle, _ = _depth_first(g)
     if cycle is not None:
         return Violation(
             "CycleViolation", f"directed cycle through {cycle}", tuple(cycle)
@@ -235,32 +236,38 @@ def _successors(g, vname):
     return found
 
 
-def _find_cycle(g):
+def _depth_first(g):
+    """Walk depth first from each unvisited vertex, in vertex order.
+
+    Returns (cycle, finished).  ``cycle`` is None, or the vertices of the
+    first directed cycle the walk closes, from the vertex it re-enters;
+    the vertices on the walk's stack are exactly those not yet finished,
+    so the cycle is the top of the stack.  ``finished`` lists the
+    vertices in the order the walk leaves them, all of them when there is
+    no cycle.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v.name: WHITE for v in g.vertices}
+    finished = []
     for start in g.vertex_names:
         if color[start] != WHITE:
             continue
         stack = [(start, iter(_successors(g, start)))]
         color[start] = GRAY
-        trail = [start]
         while stack:
             node, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == GRAY:
-                    return trail[trail.index(w):] if w in trail else [w]
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    trail.append(w)
-                    stack.append((w, iter(_successors(g, w))))
-                    advanced = True
-                    break
-            if not advanced:
+            w = next((w for w in it if color[w] != BLACK), None)
+            if w is None:
                 color[node] = BLACK
-                trail.pop()
+                finished.append(node)
                 stack.pop()
-    return None
+            elif color[w] == GRAY:
+                trail = [u for u, _ in stack]
+                return trail[trail.index(w):], finished
+            else:
+                color[w] = GRAY
+                stack.append((w, iter(_successors(g, w))))
+    return None, finished
 
 
 def boundary(g):
@@ -269,24 +276,12 @@ def boundary(g):
 
 
 def topological_vertices(g):
-    """Vertex names in an order compatible with the direction of edges."""
-    indeg = {v.name: 0 for v in g.vertices}
-    for v in g.vertices:
-        for e in v.ins:
-            if e in g.out_vertex:
-                indeg[v.name] += 1
-    ready = [v.name for v in g.vertices if indeg[v.name] == 0]
-    order = []
-    while ready:
-        name = ready.pop(0)
-        order.append(name)
-        for w in _successors(g, name):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if len(order) != len(g.vertices):
+    """Vertex names in an order compatible with the direction of edges:
+    the reverse of the order in which the depth-first walk finishes them."""
+    cycle, finished = _depth_first(g)
+    if cycle is not None:
         raise GraphcatError("graph has a directed cycle")
-    return order
+    return finished[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -951,22 +946,20 @@ def strict_iso(g1, g2):
 # serialization
 
 
+def vertex_to_json(v):
+    return {"name": v.name, "in": list(v.ins), "out": list(v.outs)}
+
+
+def vertex_from_json(data):
+    return as_vertex((data["name"], [str(e) for e in data["in"]], [str(e) for e in data["out"]]))
+
+
 def graph_to_json(g):
-    return {
-        "edges": list(g.edges),
-        "vertices": [
-            {"name": v.name, "in": list(v.ins), "out": list(v.outs)}
-            for v in g.vertices
-        ],
-    }
+    return {"edges": list(g.edges), "vertices": list(map(vertex_to_json, g.vertices))}
 
 
 def graph_from_json(data):
-    return graph(
-        [str(e) for e in data["edges"]],
-        [(v["name"], [str(e) for e in v["in"]], [str(e) for e in v["out"]])
-         for v in data["vertices"]],
-    )
+    return graph([str(e) for e in data["edges"]], [vertex_from_json(v) for v in data["vertices"]])
 
 
 def to_dot(g, name="G"):

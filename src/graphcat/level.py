@@ -23,11 +23,16 @@ from .digraph import (
     Graph,
     StructuredSubgraph,
     Vertex,
+    as_vertex,
     betti_number,
     cached_property,
     connected_components,
+    corolla,
+    linear_graph,
     repeated,
     validate as validate_graph,
+    vertex_from_json,
+    vertex_to_json,
 )
 from .errors import (
     ConnectivityError,
@@ -101,18 +106,10 @@ class LevelGraph:
 
 def level_graph(edge_layers, vertex_layers):
     """Build a LevelGraph from layer lists of edge ids and vertex triples."""
-    els = tuple(tuple(layer) for layer in edge_layers)
-    vls = []
-    for layer in vertex_layers:
-        out = []
-        for item in layer:
-            if isinstance(item, Vertex):
-                out.append(item)
-            else:
-                name, ins, outs = item
-                out.append(Vertex(str(name), tuple(ins), tuple(outs)))
-        vls.append(tuple(out))
-    return LevelGraph(els, tuple(vls))
+    return LevelGraph(
+        tuple(tuple(layer) for layer in edge_layers),
+        tuple(tuple(map(as_vertex, layer)) for layer in vertex_layers),
+    )
 
 
 def elementary_edge(name="e"):
@@ -121,19 +118,15 @@ def elementary_edge(name="e"):
 
 
 def elementary_corolla(p, q, name="v"):
-    """The height-1 level graph with one vertex, p inputs and q outputs."""
-    ins = tuple(f"i{k}" for k in range(1, p + 1))
-    outs = tuple(f"o{k}" for k in range(1, q + 1))
-    return LevelGraph((ins, outs), ((Vertex(name, ins, outs),),))
+    """The height-1 level graph of ``corolla(p, q, name)``."""
+    (v,) = corolla(p, q, name).vertices
+    return LevelGraph((v.ins, v.outs), ((v,),))
 
 
 def linear_level_graph(n):
-    """The height-n level graph with a single edge at every level."""
-    edge_layers = tuple((f"e{i}",) for i in range(n + 1))
-    vls = tuple(
-        (Vertex(f"v{i}", (f"e{i-1}",), (f"e{i}",)),) for i in range(1, n + 1)
-    )
-    return LevelGraph(edge_layers, vls)
+    """The height-n level graph of ``linear_graph(n)``: one edge at every level."""
+    g = linear_graph(n)
+    return LevelGraph(tuple((e,) for e in g.edges), tuple((v,) for v in g.vertices))
 
 
 def validate_level(lg):
@@ -155,36 +148,24 @@ def validate_level(lg):
             "DuplicateName", "edge/vertex names are not distinct", repeated(all_names)
         )
     for i, layer in enumerate(lg.vertex_layers):
-        covered_in, covered_out = [], []
-        for v in layer:
-            for e in v.ins:
-                if e not in lg.edge_layers[i]:
-                    return Violation(
-                        "UnknownEdge",
-                        f"in({v.name}) uses {e} outside level {i}",
-                        (i, v.name, e),
-                    )
-            for e in v.outs:
-                if e not in lg.edge_layers[i + 1]:
-                    return Violation(
-                        "UnknownEdge",
-                        f"out({v.name}) uses {e} outside level {i+1}",
-                        (i, v.name, e),
-                    )
-            covered_in.extend(v.ins)
-            covered_out.extend(v.outs)
-        if sorted(covered_in) != sorted(lg.edge_layers[i]):
-            return Violation(
-                "PartitionViolation",
-                f"inputs of layer {i} vertices do not partition level {i} edges",
-                (i,),
-            )
-        if sorted(covered_out) != sorted(lg.edge_layers[i + 1]):
-            return Violation(
-                "PartitionViolation",
-                f"outputs of layer {i} vertices do not partition level {i+1} edges",
-                (i,),
-            )
+        # each vertex's inputs then outputs, then the partition of each level
+        sides = (("in", i, [v.ins for v in layer]), ("out", i + 1, [v.outs for v in layer]))
+        for k, v in enumerate(layer):
+            for side, level, lists in sides:
+                for e in lists[k]:
+                    if e not in lg.edge_layers[level]:
+                        return Violation(
+                            "UnknownEdge",
+                            f"{side}({v.name}) uses {e} outside level {level}",
+                            (i, v.name, e),
+                        )
+        for side, level, lists in sides:
+            if sorted(e for edges in lists for e in edges) != sorted(lg.edge_layers[level]):
+                return Violation(
+                    "PartitionViolation",
+                    f"{side}puts of layer {i} vertices do not partition level {level} edges",
+                    (i,),
+                )
     return validate_graph(underlying_graph(lg))
 
 
@@ -385,16 +366,21 @@ def level_morphism(source, target, alpha, edge_maps, vertex_maps):
     )
 
 
-def identity_level(lg):
+def inert_inclusion(sub, lg, t):
+    """The inert map sub -> lg that is the identity on edge and vertex
+    names, where sub's levels are lg's levels t, t+1, ...: a layer-i
+    vertex goes to its own class at (t+i, t+i+1)."""
     sf = special_extension(lg)
-    edge_maps = [{e: e for e in layer} for layer in lg.edge_layers]
+    edge_maps = [{e: e for e in layer} for layer in sub.edge_layers]
     vertex_maps = [
-        {v.name: sf.cls((i, i + 1), ("v", i, v.name)) for v in layer}
-        for i, layer in enumerate(lg.vertex_layers)
+        {v.name: sf.cls((t + i, t + i + 1), ("v", t + i, v.name)) for v in layer}
+        for i, layer in enumerate(sub.vertex_layers)
     ]
-    return level_morphism(
-        lg, lg, tuple(range(lg.height + 1)), edge_maps, vertex_maps
-    )
+    return level_morphism(sub, lg, range(t, t + sub.height + 1), edge_maps, vertex_maps)
+
+
+def identity_level(lg):
+    return inert_inclusion(lg, lg, 0)
 
 
 def derived_class_map(f, pair):
@@ -573,14 +559,7 @@ def factorize_L(f):
         G, middle, tuple(a - t for a in f.alpha), f.eta_e,
         tuple(tuple((v, (c[0], c[1] - t, c[2])) for v, c in layer) for layer in f.eta_v),
     )
-    beta = tuple(range(t, t + p + 1))
-    in_emaps = [{e: e for e in layer} for layer in middle.edge_layers]
-    in_vmaps = [
-        {v.name: sf_t.cls((t + i, t + i + 1), ("v", t + i, v.name)) for v in layer}
-        for i, layer in enumerate(middle.vertex_layers)
-    ]
-    inert = level_morphism(middle, H, beta, in_emaps, in_vmaps)
-    return active, inert
+    return active, inert_inclusion(middle, H, t)
 
 
 # ---------------------------------------------------------------------------
@@ -716,34 +695,14 @@ def segmentation_pieces(lg):
     piece.
     """
     n = lg.height
-    sf = special_extension(lg)
     if n == 0:
         return [(lg, identity_level(lg))], []
-    pieces = []
-    for i in range(n):
-        piece = LevelGraph(
-            (lg.edge_layers[i], lg.edge_layers[i + 1]),
-            (lg.vertex_layers[i],),
-        )
-        emaps = [
-            {e: e for e in lg.edge_layers[i]},
-            {e: e for e in lg.edge_layers[i + 1]},
-        ]
-        vmaps = [
-            {v.name: sf.cls((i, i + 1), ("v", i, v.name))
-             for v in lg.vertex_layers[i]}
-        ]
-        pieces.append(
-            (piece, level_morphism(piece, lg, (i, i + 1), emaps, vmaps))
-        )
-    interfaces = []
-    for i in range(1, n):
-        interface = LevelGraph((lg.edge_layers[i],), ())
-        emaps = [{e: e for e in lg.edge_layers[i]}]
-        interfaces.append(
-            (interface, level_morphism(interface, lg, (i,), emaps, []))
-        )
-    return pieces, interfaces
+    pieces = [LevelGraph(lg.edge_layers[i:i + 2], (lg.vertex_layers[i],)) for i in range(n)]
+    faces = [LevelGraph((lg.edge_layers[i],), ()) for i in range(1, n)]
+    return (
+        [(piece, inert_inclusion(piece, lg, i)) for i, piece in enumerate(pieces)],
+        [(face, inert_inclusion(face, lg, i)) for i, face in enumerate(faces, 1)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -932,22 +891,14 @@ def level_to_json(lg):
     return {
         "height": lg.height,
         "edge_layers": [list(layer) for layer in lg.edge_layers],
-        "vertex_layers": [
-            [{"name": v.name, "in": list(v.ins), "out": list(v.outs)}
-             for v in layer]
-            for layer in lg.vertex_layers
-        ],
+        "vertex_layers": [list(map(vertex_to_json, layer)) for layer in lg.vertex_layers],
     }
 
 
 def level_from_json(data):
     return level_graph(
         [[str(e) for e in layer] for layer in data["edge_layers"]],
-        [
-            [(v["name"], [str(e) for e in v["in"]], [str(e) for e in v["out"]])
-             for v in layer]
-            for layer in data["vertex_layers"]
-        ],
+        [[vertex_from_json(v) for v in layer] for layer in data["vertex_layers"]],
     )
 
 

@@ -443,6 +443,14 @@ class FiniteProperad:
                 return False
         return True
 
+    def check_colors(self, dec):
+        """Raise ColorMismatch unless ``check_decoration`` passes and every
+        edge has a color; each ``evaluate`` calls this first."""
+        if not self.check_decoration(dec):
+            raise ColorMismatch("decoration does not match vertex profiles")
+        if not dec.graph.edge_set <= dec.color_of.keys():
+            raise ColorMismatch("colors must cover every edge")
+
 
 class EndProperad(FiniteProperad):
     """Functions between products of finite sets, composed by flow.
@@ -494,11 +502,8 @@ class EndProperad(FiniteProperad):
         return ("fn", new_ins, new_outs, tuple(values))
 
     def evaluate(self, dec):
-        if not self.check_decoration(dec):
-            raise ColorMismatch("decoration does not match vertex profiles")
+        self.check_colors(dec)
         cof = dec.color_of
-        if not dec.graph.edge_set <= cof.keys():
-            raise ColorMismatch("colors must cover every edge")
         ins = tuple(cof[e] for e in dec.in_order)
         outs = tuple(cof[e] for e in dec.out_order)
         order = topological_vertices(dec.graph)
@@ -633,8 +638,7 @@ class FreeProperad(FiniteProperad):
         """Grafting: compose the labels' indexed graphs into the decorated
         graph, indexed in its vertex order, and renormalize.  The graph is
         checked like ``zgraph``'s but not numbered (DECISIONS.md D17, D19)."""
-        if not self.check_decoration(dec):
-            raise ColorMismatch("decoration does not match vertex profiles")
+        self.check_colors(dec)
         g = dec.graph
         _check_connected(g)
         colors = _check_boundary(g, dec.in_order, dec.out_order, dec.color_of)

@@ -29,7 +29,7 @@ from .digraph import (
     vertex_corolla,
     whole_subgraph,
 )
-from .errors import ColorMismatch, GraphcatError, NotSegal
+from .errors import GraphcatError, NotSegal
 from .graphical import (
     compose_graphical,
     graphical_morphism,
@@ -45,6 +45,7 @@ from .level import (
     elementary_edge,
     hom_level,
     identity_level,
+    inert_inclusion,
     segmentation_pieces,
     special_extension,
     underlying_graph,
@@ -709,13 +710,14 @@ class ExtractedProperad(FiniteProperad):
         )
 
     def evaluate(self, dec):
+        self.check_colors(dec)
         if not dec.graph.vertices:
             (e,) = dec.graph.edges
             return self.identity(dec.color_of[e])
+        # transport permutes each label's profile as it permutes the
+        # vertex's edges, so the decoration still matches (DECISIONS.md D21)
         gi, dec = self._transport(dec)
         g = dec.graph
-        if not self.check_decoration(dec):
-            raise ColorMismatch("decoration does not match vertex profiles")
         # matching profiles put each label at its vertex's corolla
         cover = elementary_cover(self.corpus, gi)
         F = self.F
@@ -766,10 +768,8 @@ def segmentation_local(F):
         # interface i is the key shared by the restriction tables from the
         # top of piece i and from the bottom of piece i+1
         for i, fi in enumerate(face_idx):
-            face = objects[fi]
-            emap = (tuple((e, e) for e in sorted(face.edge_layers[0])),)
             for (pi, checks), layer in ((parts[i], 1), (parts[i + 1], 0)):
-                side = LevelMorphism(face, objects[pi], (layer,), emap, ())
+                side = inert_inclusion(objects[fi], objects[pi], layer)
                 checks.append((i, F.table_along(fi, pi, side)))
         families = [choice for choice, _ in _families(F, parts)]
         tables = [F.table_along(pi, li, incl) for pi, incl in pieces]

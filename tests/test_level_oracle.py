@@ -156,23 +156,26 @@ def is_morphism(G, H, alpha, image, cartesian=True):
     )
 
 
-def candidates(G, H):
+def candidates(G, H, injective=False):
     """Every monotone alpha with every edge map and vertex map, as
     ((alpha, edge maps, vertex maps), image of each atom); each map is a
-    tuple per layer of sorted (name, image) pairs."""
+    tuple per layer of sorted (name, image) pairs.  With ``injective``,
+    only the maps injective on each level and each layer."""
     n, m = G.height, H.height
+
+    def maps(targets, count):
+        if injective:
+            return itertools.permutations(targets, count)
+        return itertools.product(targets, repeat=count)
+
     for alpha in itertools.product(range(m + 1), repeat=n + 1):
         if any(alpha[k] > alpha[k + 1] for k in range(n)):
             continue
         edge_choices = [
-            itertools.product(H.edge_layers[alpha[k]], repeat=len(G.edge_layers[k]))
-            for k in range(n + 1)
+            maps(H.edge_layers[alpha[k]], len(G.edge_layers[k])) for k in range(n + 1)
         ]
         vertex_choices = [
-            list(itertools.product(
-                slice_components(H, alpha[k], alpha[k + 1]),
-                repeat=len(G.vertex_layers[k]),
-            ))
+            list(maps(slice_components(H, alpha[k], alpha[k + 1]), len(G.vertex_layers[k])))
             for k in range(n)
         ]
         for edges in itertools.product(*edge_choices):
@@ -201,9 +204,13 @@ def candidates(G, H):
 
 
 def oracle_hom(G, H, cartesian=True):
-    """The keys of every candidate that is a morphism."""
+    """The keys of every candidate that is a morphism.  Only candidates
+    injective on each level and layer are tried: the monomorphism clause
+    at (k, k), whose components are single edges, and at (k, k+1), whose
+    components each hold exactly one layer-k vertex, rejects every other
+    one."""
     return {
-        key for key, image in candidates(G, H)
+        key for key, image in candidates(G, H, injective=True)
         if is_morphism(G, H, key[0], image, cartesian)
     }
 

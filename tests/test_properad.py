@@ -49,6 +49,7 @@ from graphcat.properad import (
     zgraph_of_graph,
 )
 from graphcat import zoo
+from graphcat.segal import build_corpus, extract_properad, nerve
 from graphcat.zoo import (
     closed_square_graph,
     dangling_pair_graph,
@@ -804,6 +805,8 @@ def test_vertex_lift_needs_the_named_vertex_to_have_the_image_edges(name):
 FREE_G3 = free_properad(three_vertex_graph())
 END_C = end_properad({"c": 2})
 END_CD = end_properad({"c": 2, "d": 2})
+EXTRACTED_C = extract_properad(nerve(END_C, build_corpus([linear_graph(2)])))
+(C_EX,) = EXTRACTED_C.colors
 
 
 @pytest.mark.parametrize("P, g, colors, labels", [
@@ -814,7 +817,12 @@ END_CD = end_properad({"c": 2, "d": 2})
     (END_C, corolla(1, 1), {"i1": "c"}, {"v": END_C.ops(("c",), ("c",))[0]}),
     # every edge is colored c, but the label's output is a d
     (END_CD, corolla(1, 1), {"i1": "c", "o1": "c"}, {"v": END_CD.ops(("c",), ("d",))[0]}),
-], ids=["free-uncolored-edge", "end-uncolored-edge", "end-output-color"])
+    # the output edge e2 has no color; the chain is not itself a corpus
+    # object, so the decoration is checked before it is transported
+    (EXTRACTED_C, linear_graph(2), {"e0": C_EX, "e1": C_EX},
+     {v: EXTRACTED_C.ops((C_EX,), (C_EX,))[0] for v in ("v1", "v2")}),
+], ids=["free-uncolored-edge", "end-uncolored-edge", "end-output-color",
+        "extracted-uncolored-edge"])
 def test_evaluate_refuses_colors_that_miss_or_mismatch_an_edge(P, g, colors, labels):
     dec = decorated_graph(g, colors, labels)
     assert not P.check_decoration(dec)
@@ -822,9 +830,25 @@ def test_evaluate_refuses_colors_that_miss_or_mismatch_an_edge(P, g, colors, lab
         P.evaluate(dec)
 
 
-@pytest.mark.parametrize("P", [FREE_G3, END_C], ids=["free", "end"])
+@pytest.mark.parametrize("P", [FREE_G3, END_C, EXTRACTED_C], ids=["free", "end", "extracted"])
 def test_evaluate_refuses_an_uncolored_edge_at_no_vertex(P):
     dec = decorated_graph(edge_graph("a"), {}, {})
     assert P.check_decoration(dec)
     with pytest.raises(ColorMismatch, match="^colors must cover every edge$"):
         P.evaluate(dec)
+
+
+def test_evaluate_checks_the_colors_before_the_graph():
+    # decorations wrong in two ways report their colors: a free-properad
+    # graph whose uncolored loose edge also disconnects it, and a chain
+    # longer than any corpus object, with an uncolored output
+    loose = graph("abdx", [("u", "a", "bd")])
+    dec = decorated_graph(loose, {e: e for e in "abd"}, {"u": FREE_G3.generator_element("u")})
+    with pytest.raises(ColorMismatch, match="^colors must cover every edge$"):
+        FREE_G3.evaluate(dec)
+    chain = linear_graph(3)
+    op = EXTRACTED_C.ops((C_EX,), (C_EX,))[0]
+    dec = decorated_graph(chain, {e: C_EX for e in ("e0", "e1", "e2")},
+                          {v: op for v in chain.vertex_names})
+    with pytest.raises(ColorMismatch, match="^decoration does not match vertex profiles$"):
+        EXTRACTED_C.evaluate(dec)
