@@ -240,11 +240,10 @@ def _depth_first(g):
     """Walk depth first from each unvisited vertex, in vertex order.
 
     Returns (cycle, finished).  ``cycle`` is None, or the vertices of the
-    first directed cycle the walk closes, from the vertex it re-enters;
-    the vertices on the walk's stack are exactly those not yet finished,
-    so the cycle is the top of the stack.  ``finished`` lists the
-    vertices in the order the walk leaves them, all of them when there is
-    no cycle.
+    first directed cycle the walk closes, from the vertex it re-enters:
+    the vertices on the walk's stack are exactly the GRAY ones, so the
+    cycle is the top of the stack.  ``finished`` lists the vertices in
+    the order the walk leaves them, all of them when there is no cycle.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v.name: WHITE for v in g.vertices}
@@ -951,15 +950,22 @@ def vertex_to_json(v):
 
 
 def vertex_from_json(data):
-    return as_vertex((data["name"], [str(e) for e in data["in"]], [str(e) for e in data["out"]]))
+    return as_vertex(
+        (data["name"], [str(e) for e in data["in"]], [str(e) for e in data["out"]])
+    )
 
 
 def graph_to_json(g):
-    return {"edges": list(g.edges), "vertices": list(map(vertex_to_json, g.vertices))}
+    return {
+        "edges": list(g.edges),
+        "vertices": [vertex_to_json(v) for v in g.vertices],
+    }
 
 
 def graph_from_json(data):
-    return graph([str(e) for e in data["edges"]], [vertex_from_json(v) for v in data["vertices"]])
+    return graph(
+        [str(e) for e in data["edges"]], [vertex_from_json(v) for v in data["vertices"]]
+    )
 
 
 def to_dot(g, name="G"):

@@ -149,7 +149,10 @@ def validate_level(lg):
         )
     for i, layer in enumerate(lg.vertex_layers):
         # each vertex's inputs then outputs, then the partition of each level
-        sides = (("in", i, [v.ins for v in layer]), ("out", i + 1, [v.outs for v in layer]))
+        sides = (
+            ("in", i, [v.ins for v in layer]),
+            ("out", i + 1, [v.outs for v in layer]),
+        )
         for k, v in enumerate(layer):
             for side, level, lists in sides:
                 for e in lists[k]:
@@ -891,7 +894,9 @@ def level_to_json(lg):
     return {
         "height": lg.height,
         "edge_layers": [list(layer) for layer in lg.edge_layers],
-        "vertex_layers": [list(map(vertex_to_json, layer)) for layer in lg.vertex_layers],
+        "vertex_layers": [
+            [vertex_to_json(v) for v in layer] for layer in lg.vertex_layers
+        ],
     }
 
 
