@@ -255,17 +255,18 @@ def _depth_first(g):
         color[start] = GRAY
         while stack:
             node, it = stack[-1]
-            w = next((w for w in it if color[w] != BLACK), None)
-            if w is None:
+            for w in it:
+                if color[w] == GRAY:
+                    trail = [u for u, _ in stack]
+                    return trail[trail.index(w):], finished
+                if color[w] == WHITE:
+                    color[w] = GRAY
+                    stack.append((w, iter(_successors(g, w))))
+                    break
+            else:
                 color[node] = BLACK
                 finished.append(node)
                 stack.pop()
-            elif color[w] == GRAY:
-                trail = [u for u, _ in stack]
-                return trail[trail.index(w):], finished
-            else:
-                color[w] = GRAY
-                stack.append((w, iter(_successors(g, w))))
     return None, finished
 
 
