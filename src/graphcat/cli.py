@@ -467,7 +467,7 @@ def cmd_nerve(args):
     payload = _presheaf_to_json(N, manifest)
     if args.output:
         with open(args.output, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(json.dumps(payload, sort_keys=True))
         _emit({"objects": len(corpus), "written": args.output}, args.format)
     else:
         _emit(payload, args.format)

@@ -118,10 +118,13 @@ def _normalize(graph, in_order, out_order, colors=None):
 
 
 def _check_boundary(graph, in_order, out_order, colors=None):
-    """The colors as a dict (or None), once orders and colors are checked."""
-    if sorted(in_order) != sorted(graph.inputs):
+    """The colors as a dict (or None), once orders and colors are checked.
+    Ends are read off the vertices, so no table is cached on ``graph``."""
+    made = {e for v in graph.vertices for e in v.outs}
+    used = {e for v in graph.vertices for e in v.ins}
+    if sorted(in_order) != sorted(e for e in graph.edges if e not in made):
         raise ProfileMismatch("in_order must enumerate the graph inputs")
-    if sorted(out_order) != sorted(graph.outputs):
+    if sorted(out_order) != sorted(e for e in graph.edges if e not in used):
         raise ProfileMismatch("out_order must enumerate the graph outputs")
     color_map = dict(colors) if isinstance(colors, dict) else (
         dict(zip(graph.edges, colors)) if colors is not None else None
@@ -484,9 +487,13 @@ class EndProperad(FiniteProperad):
         return op[1], op[2]
 
     def apply(self, op, args):
-        _, ins, outs, table = op
-        domain = self._inputs(ins)
-        return table[domain.index(tuple(args))]
+        _, ins, _, table = op
+        if len(args) != len(ins):
+            raise ValueError(f"{len(args)} arguments for {len(ins)} inputs")
+        rank = 0
+        for c, x in zip(ins, args):
+            rank = rank * len(self.sets[c]) + self.sets[c].index(x)
+        return table[rank]
 
     def act(self, op, in_perm, out_perm):
         _, ins, outs, table = op
@@ -503,6 +510,7 @@ class EndProperad(FiniteProperad):
 
     def evaluate(self, dec):
         self.check_colors(dec)
+        _check_boundary(dec.graph, dec.in_order, dec.out_order)
         cof = dec.color_of
         ins = tuple(cof[e] for e in dec.in_order)
         outs = tuple(cof[e] for e in dec.out_order)

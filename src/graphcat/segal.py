@@ -219,27 +219,33 @@ class Corpus:
 
     @cached_property
     def edge_index(self):
-        return next(
-            i for i, g in enumerate(self.graphs)
-            if not g.vertices and len(g.edges) == 1
-        )
+        return next(i for i, g in enumerate(self.graphs) if _biarity_class(g) == (0, 1, 1))
 
     @cached_property
     def corolla_index(self):
         """biarity -> index of the corolla object."""
-        table = {}
-        for i, g in enumerate(self.graphs):
-            if len(g.vertices) == 1 and len(g.edges) == sum(g.vertices[0].biarity()):
-                table[g.vertices[0].biarity()] = i
-        return table
+        keys = map(_biarity_class, self.graphs)
+        return {key[1:]: i for i, key in enumerate(keys) if key and key[0] == 1}
+
+
+def _biarity_class(g):
+    """(0, 1, 1) for the edge, (1, m, n) for the corolla (m, n), else None;
+    each key fixes its graph up to isomorphism (DECISIONS.md D22)."""
+    if not g.vertices:
+        return (0, 1, 1) if len(g.edges) == 1 else None
+    if len(g.vertices) == 1:
+        v = g.vertices[0]
+        ends = {*v.ins, *v.outs}
+        if ends == set(g.edges) and len(ends) == len(g.edges) == sum(v.biarity()):
+            return (1, *v.biarity())
 
 
 def build_corpus(generators, max_vertices=3):
     """Close generators under structured subgraphs and boundary corollas.
 
-    Objects are canonical forms, deduplicated up to isomorphism of the
-    graphical category (orderings quotiented); each hom-set is
-    enumerated on its first read.
+    Objects are canonical forms, one per isomorphism class of the graphical
+    category: the edge and the corollas classed by biarity, the rest by
+    unordered canonical form.  Each hom-set is enumerated on its first read.
     """
     pool = [edge_graph()]
     for g in generators:
@@ -250,11 +256,11 @@ def build_corpus(generators, max_vertices=3):
             pool.append(sub.as_graph)
         pool.append(corolla(len(g.inputs), len(g.outputs)))
     objects = []
-    forms = set()
+    classes = set()
     for g in pool:
-        form, _, _ = unordered_canonical_form(g)
-        if form not in forms:
-            forms.add(form)
+        key = _biarity_class(g) or unordered_canonical_form(g)[0]
+        if key not in classes:
+            classes.add(key)
             objects.append(canonical_form(g)[0])
     objects.sort(key=lambda g: (len(g.vertices), len(g.edges), repr(g)))
     return Corpus(GRAPHICAL, objects)
@@ -601,13 +607,8 @@ class ExtractedProperad(FiniteProperad):
             lambda: range(len(self.corpus)),
             lambda gi: {fp: p for p, fp in enumerate(segal_map(F, gi))},
         )
-        # unordered form -> (object index, edge renaming, vertex renaming)
-        self._by_form = {}
         # decorated graph -> (object index, its isomorphism from the object)
         self._isos = {}
-        for gi, obj in enumerate(self.corpus.objects):
-            form, edge_map, vertex_map = unordered_canonical_form(obj)
-            self._by_form[form] = (gi, edge_map, vertex_map)
         # a corolla value's profile: its restrictions to the corolla's
         # inputs, then to its outputs, along the cover's connections
         ei = self.corpus.edge_index
@@ -666,6 +667,12 @@ class ExtractedProperad(FiniteProperad):
         f0 |= {cv.outs[j]: cv.outs[out_perm[j]] for j in range(n)}
         perm_map = graphical_morphism(c, c, f0, {cv.name: vertex_corolla(c, cv.name)})
         return self.F.restrict_along(ci, ci, perm_map, op)
+
+    @cached_property
+    def _by_form(self):
+        """unordered form -> (object index, edge renaming, vertex renaming)"""
+        forms = map(unordered_canonical_form, self.corpus.objects)
+        return {form: (gi, *renamings) for gi, (form, *renamings) in enumerate(forms)}
 
     def _iso_from_object(self, g):
         """The corpus object isomorphic to ``g`` and the isomorphism

@@ -479,6 +479,23 @@ def test_presheaf_file_is_pinned_and_reads_back(presheaf, digest):
     assert _presheaf_from_json(json.loads(text)).restrictions == F.restrictions
 
 
+def test_nerve_output_file_has_the_pinned_bytes(tmp_path, capsys):
+    # the file `nerve -o` writes is the text the golden digest above pins
+    import hashlib
+
+    properad_file = tmp_path / "p.json"
+    properad_file.write_text(json.dumps({"kind": "end", "sets": {"c": 2}}))
+    corpus_file = tmp_path / "corpus.json"
+    corpus_file.write_text(json.dumps({"generators": [graph_to_json(linear_graph(2))]}))
+    presheaf_file = tmp_path / "nerve.json"
+    code, _, _ = run_cli(
+        capsys, "nerve", str(properad_file), str(corpus_file), "-o", str(presheaf_file),
+    )
+    assert code == 0
+    assert hashlib.sha256(presheaf_file.read_bytes()).hexdigest() == (
+        "c35a0a2d537a4e85c8e4b0288185daaa3ca13ea9c616fa00065a087e26caffaf")
+
+
 def test_segal_on_a_presheaf_that_is_not_segal(tmp_path, capsys):
     from graphcat.cli import _presheaf_to_json
 

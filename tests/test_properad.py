@@ -364,6 +364,41 @@ def test_end_evaluate_rejects_mismatched_colors():
         P.evaluate(dec)
 
 
+@pytest.mark.parametrize("in_order, out_order, side", [
+    ((), ("e1",), "in_order"),
+    (("e1",), ("e1",), "in_order"),
+    (("e0",), (), "out_order"),
+    (("e0",), ("e0",), "out_order"),
+], ids=["no-input", "output-as-input", "no-output", "input-as-output"])
+def test_end_evaluate_refuses_orders_that_are_not_the_boundary(in_order, out_order, side):
+    P = end_properad({"c": 2})
+    lin = linear_graph(1)
+    f = P.ops(("c",), ("c",))[1]
+    dec = decorated_graph(lin, dict.fromkeys(lin.edges, "c"), {"v1": f}, in_order, out_order)
+    with pytest.raises(ProfileMismatch, match=f"^{side} must enumerate the graph {side[:-6]}puts$"):
+        P.evaluate(dec)
+
+
+def test_end_apply_ranks_its_arguments_as_the_listed_domain():
+    P = end_properad({"a": ("x",), "b": ("p", "q"), "c": (0, 1, 2)})
+    for k in range(4):
+        for ins in itertools.product(P.colors, repeat=k):
+            domain = P._inputs(ins)
+            op = ("fn", ins, (), tuple(range(len(domain))))
+            for args in domain:
+                assert P.apply(op, args) == domain.index(args), (ins, args)
+                assert P.apply(op, list(args)) == domain.index(args), (ins, args)
+
+
+@pytest.mark.parametrize("args", [(3,), ("p",), (), (0, 0)],
+                         ids=["outside-the-set", "another-colour", "too-few", "too-many"])
+def test_end_apply_refuses_arguments_off_the_domain(args):
+    P = end_properad({"b": ("p", "q"), "c": 3})
+    op = P.ops(("c",), ("c",))[0]
+    with pytest.raises(ValueError):
+        P.apply(op, args)
+
+
 def test_end_act_group_law():
     P = end_properad({"c": 2, "d": 3})
     op = P.ops(("c", "d"), ("d", "c"))[5]

@@ -7,9 +7,12 @@ from graphcat.digraph import (
     Graph,
     OpenSubgraph,
     Vertex,
+    canonical_form,
     corolla,
     edge_graph,
+    graph,
     linear_graph,
+    structured_subgraphs,
     unordered_canonical_form,
     vertex_corolla,
     whole_subgraph,
@@ -64,6 +67,7 @@ from graphcat.segal import (
 from graphcat.zoo import (
     closed_double_edge_graph,
     closed_square_graph,
+    dangling_pair_graph,
     double_edge_graph,
     three_vertex_graph,
 )
@@ -85,6 +89,143 @@ def test_corpus_contains_edge_and_corollas():
     assert (1, 2) in corpus.corolla_index
     assert (2, 1) in corpus.corolla_index
     assert (1, 1) in corpus.corolla_index
+
+
+# ---------------------------------------------------------------------------
+# build_corpus against its definition
+
+
+def corpus_by_forms(generators, max_vertices=3):
+    """``build_corpus``'s objects by its definition: every pool member is
+    classed by its unordered canonical form, and the first member of each
+    class gives the object through ``canonical_form``."""
+    pool = [edge_graph()]
+    for g in generators:
+        if len(g.vertices) > max_vertices:
+            raise GraphcatError("generator exceeds the corpus vertex bound")
+        pool += [g, *(sub.as_graph for sub in structured_subgraphs(g))]
+        pool.append(corolla(len(g.inputs), len(g.outputs)))
+    objects, forms = [], set()
+    for g in pool:
+        form = unordered_canonical_form(g)[0]
+        if form not in forms:
+            forms.add(form)
+            objects.append(canonical_form(g)[0])
+    return tuple(sorted(objects, key=lambda g: (len(g.vertices), len(g.edges), repr(g))))
+
+
+def assert_corpus_matches_its_definition(generators, max_vertices=3):
+    """Equal objects in equal order, or the same error from both: a
+    malformed generator may make either raise."""
+    def outcome(build):
+        try:
+            return build(generators, max_vertices)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    built = outcome(lambda gs, k: build_corpus(gs, k).objects)
+    assert built == outcome(corpus_by_forms), generators
+
+
+def random_small_graph(rnd):
+    """A connected acyclic graph of zero to three vertices, with parallel
+    edges and loose ends; its edges, its vertices and each vertex's inputs
+    and outputs are listed in shuffled orders."""
+    n = rnd.randint(0, 3)
+    if n == 0:
+        return edge_graph("x0")
+    ins, outs, edges = [[] for _ in range(n)], [[] for _ in range(n)], []
+
+    def join(i, j):
+        edges.append(f"x{len(edges)}")
+        outs[i].append(edges[-1])
+        ins[j].append(edges[-1])
+
+    for j in range(1, n):
+        join(rnd.randrange(j), j)
+        for i in range(j):
+            for _ in range(rnd.choice((0, 0, 0, 1))):
+                join(i, j)
+    for side in ins + outs:
+        for _ in range(rnd.choice((0, 0, 1, 2))):
+            edges.append(f"x{len(edges)}")
+            side.append(edges[-1])
+    names = rnd.sample(range(n), n)
+    vertices = [(f"w{names[k]}", rnd.sample(ins[k], len(ins[k])),
+                 rnd.sample(outs[k], len(outs[k]))) for k in range(n)]
+    return graph(rnd.sample(edges, len(edges)), rnd.sample(vertices, n))
+
+
+def criterion_9_generators():
+    """The connected underlying graphs of the criterion-9 level corpus."""
+    C = criterion_9_level_corpus()
+    return [g for x, g in zip(C.objects, C.graphs) if is_connected_level(x)]
+
+
+def test_build_corpus_matches_its_definition_on_the_zoo_and_the_fixture_corpora():
+    zoo = [
+        edge_graph(), corolla(0, 2), corolla(2, 1), corolla(2, 2), linear_graph(1),
+        linear_graph(2), linear_graph(3), three_vertex_graph(), double_edge_graph(),
+        dangling_pair_graph(), closed_double_edge_graph(), closed_square_graph(),
+    ]
+    for g in zoo:
+        assert_corpus_matches_its_definition([g], max(3, len(g.vertices)))
+    assert g3_corpus().objects == corpus_by_forms([three_vertex_graph()])
+    assert pair_corpus().objects == corpus_by_forms(
+        [closed_square_graph(), closed_double_edge_graph()], 4)
+    gens = criterion_9_generators()
+    assert_corpus_matches_its_definition(gens, max(len(g.vertices) for g in gens))
+
+
+def test_build_corpus_matches_its_definition_on_seeded_random_graphs():
+    rnd = random.Random(29)
+    graphs = [random_small_graph(rnd) for _ in range(200)]
+    assert {len(g.vertices) for g in graphs} == {0, 1, 2, 3}
+    for g in graphs:
+        assert_corpus_matches_its_definition([g])
+    for pair in zip(graphs[::2], graphs[1::2]):
+        assert_corpus_matches_its_definition(list(pair))
+
+
+def test_build_corpus_matches_its_definition_on_malformed_one_vertex_generators():
+    # a loop makes a one-vertex graph with biarity (1, 1) and one edge:
+    # it must not be classed with the corolla (1, 1) before it
+    looped = graph(["a"], [("v", ["a"], ["a"])])
+    assert_corpus_matches_its_definition([corolla(1, 1), looped])
+    assert len(build_corpus([corolla(1, 1), looped])) == 4
+    # and every one-vertex graph over two edge names, repeats allowed,
+    # placed after the corolla of its vertex's biarity
+    words = [w for k in range(4) for w in itertools.product("ab", repeat=k)]
+    for edges in words[1:]:
+        for ins, outs in itertools.product(words[:7], repeat=2):
+            g = graph(edges, [("v", ins, outs)])
+            assert_corpus_matches_its_definition([corolla(len(ins), len(outs)), g])
+
+
+def test_only_graphs_with_two_vertices_or_more_are_canonicalised(monkeypatch):
+    from graphcat import segal
+
+    seen = []
+    form = segal.unordered_canonical_form
+    monkeypatch.setattr(segal, "unordered_canonical_form", lambda g: seen.append(g) or form(g))
+    corpus = build_corpus([double_edge_graph(), corolla(2, 1), linear_graph(2)])
+    assert seen and min(len(g.vertices) for g in seen) >= 2
+    # extraction, and evaluation on corpus objects, canonicalise nothing
+    seen.clear()
+    Q = extract_properad(nerve(end_properad({"c": 2}), corpus))
+    (c,) = Q.colors
+    op = Q.ops((c,), (c,))[1]
+    chain = next(g for g in corpus.objects if len(g.vertices) == 2 and len(g.edges) == 3)
+    labels = dict.fromkeys(chain.vertex_names, op)
+    Q.evaluate(decorated_graph(chain, dict.fromkeys(chain.edges, c), labels))
+    assert seen == []
+    # a graph that is no corpus object: its form, then every object's, once
+    for prefix in ("r", "s"):
+        h = Graph(chain.edges, tuple(Vertex(prefix + v.name, v.ins, v.outs)
+                                     for v in chain.vertices))
+        labels = dict.fromkeys(h.vertex_names, op)
+        Q.evaluate(decorated_graph(h, dict.fromkeys(h.edges, c), labels))
+    assert seen[1:-1] == list(corpus.objects) and len(seen) == len(corpus) + 2
 
 
 def test_elementary_cover_counts():
