@@ -521,10 +521,11 @@ def nerve(P, corpus):
     A decoration is an edge coloring plus a color-compatible operation
     per vertex of the underlying graph; restriction along a morphism
     evaluates the decoration on each vertex's image subgraph, on the
-    first read of its table (DECISIONS.md D12).  Per presheaf,
-    ``P.evaluate`` runs once per distinct input: the image's edges and
-    vertex rows, its boundary order, and the decoration's colors and
-    operations on the image (D6, D19).
+    first read of its table (DECISIONS.md D12).  A vertex sent onto one
+    vertex in its own boundary order keeps its label (the unit law, D23).
+    Other images run ``P.evaluate`` once per presheaf and distinct input:
+    the image's edges and vertex rows, its boundary order, and the
+    decoration's colors and operations on the image (D6, D19).
     """
     values = []
     for g in corpus.graphs:
@@ -548,19 +549,26 @@ def nerve(P, corpus):
         f0, subs = corpus.category.images(f)
         plans = []
         for v in corpus.graphs[i].vertices:
-            img = subs[v.name].as_graph
+            sub = subs[v.name]
             ins = tuple(f0[e] for e in v.ins)
             outs = tuple(f0[e] for e in v.outs)
+            ws = [sub.parent.vertex(name) for name in sub.vertex_names_set]
+            if len(ws) == 1 and (ws[0].ins, ws[0].outs) == (ins, outs):
+                plans.append(vertex_pos[j][ws[0].name])  # its label: the unit law, D23
+                continue
+            img = sub.as_graph
             plans.append((
                 img, ins, outs, memos.setdefault((img.edges, img.vertices, ins, outs), {}),
                 [edge_pos[j][e] for e in img.edges],
                 [vertex_pos[j][w] for w in img.vertex_names],
             ))
         colour_pos = [edge_pos[j][f0[e]] for e in corpus.graphs[i].edges]
-        return tuple(
-            _restrict_decoration(P, positions[i], colour_pos, plans, x)
-            for x in values[j]
-        )
+        restricted = [_restrict_decoration(P, colour_pos, plans, x) for x in values[j]]
+        try:
+            return tuple(map(positions[i].__getitem__, restricted))
+        except KeyError:
+            raise GraphcatError(f"restriction from object {j} to object {i} leaves the "
+                                "nerve's values: P is not closed under composition") from None
 
     return FinitePresheaf(corpus, values, *_per_morphism(corpus, table))
 
@@ -570,17 +578,21 @@ def nerve_level(P, corpus):
     return nerve(P, corpus)
 
 
-def _restrict_decoration(P, positions, colour_pos, plans, x):
+def _restrict_decoration(P, colour_pos, plans, x):
     coloring, ops = x
     new_ops = []
-    for img, ins, outs, memo, epos, vpos in plans:
+    for plan in plans:
+        if type(plan) is int:
+            new_ops.append(ops[plan])
+            continue
+        img, ins, outs, memo, epos, vpos = plan
         key = (tuple(coloring[p] for p in epos), tuple(ops[p] for p in vpos))
         if key not in memo:
             colors = dict(zip(img.edges, key[0]))
             labels = dict(zip(img.vertex_names, key[1]))
             memo[key] = P.evaluate(decorated_graph(img, colors, labels, ins, outs))
         new_ops.append(memo[key])
-    return positions[(tuple(coloring[p] for p in colour_pos), tuple(new_ops))]
+    return tuple(coloring[p] for p in colour_pos), tuple(new_ops)
 
 
 class ExtractedProperad(FiniteProperad):

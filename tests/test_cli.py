@@ -430,6 +430,31 @@ def test_nerve_error_in_a_table_writes_no_file(tmp_path, capsys, monkeypatch):
     assert not presheaf_file.exists()
 
 
+@pytest.mark.parametrize("bound, code", [(3, 0), (1, 1)], ids=["closed", "truncated"])
+def test_nerve_of_a_free_properad_round_trips_or_is_a_violation(tmp_path, capsys,
+                                                               bound, code):
+    # x;y has two vertices: the bound 1 leaves it out, so composition leaves
+    # the properad and the nerve is a violation, not a traceback
+    generator = graph(["a", "u", "b"], [("x", ["a"], ["u"]), ("y", ["u"], ["b"])])
+    properad_file = tmp_path / "p.json"
+    properad_file.write_text(json.dumps(
+        {"kind": "free", "generator": graph_to_json(generator), "vertex_bound": bound}))
+    corpus_file = tmp_path / "corpus.json"
+    corpus_file.write_text(json.dumps(
+        {"generators": [graph_to_json(generator)], "max_vertices": 3}))
+    presheaf_file = tmp_path / "nerve.json"
+    got, out, err = run_cli(
+        capsys, "nerve", str(properad_file), str(corpus_file), "-o", str(presheaf_file),
+    )
+    assert got == code
+    if code:
+        assert out == "" and err.split()[0] == "violation:" and err.count("\n") == 1
+        assert err.startswith("violation: GraphcatError: restriction from object ")
+        assert not presheaf_file.exists()
+    else:
+        assert run_cli(capsys, "segal", str(presheaf_file), "--strict")[0] == 0
+
+
 def _pair_corpus_manifest():
     """The corpus file of the closed square and the closed double edge."""
     generators = [closed_square_graph(), closed_double_edge_graph()]

@@ -701,13 +701,37 @@ def criterion_9_level_corpus():
     ])
 
 
-@pytest.mark.parametrize("P", [terminal_properad(), end_properad({"c": 2})],
-                         ids=["terminal", "end-2"])
+def linear_generator():
+    """x: a -> u, y: u -> b; its free properad's one composite, x;y, has
+    two vertices."""
+    return graph(["a", "u", "b"], [("x", ["a"], ["u"]), ("y", ["u"], ["b"])])
+
+
+def union_corpus():
+    """The generators of the g3, pair and criterion-9 corpora in one corpus."""
+    return build_corpus([
+        three_vertex_graph(), closed_square_graph(), closed_double_edge_graph(),
+        *criterion_9_generators(),
+    ], max_vertices=4)
+
+
+def extracted_end_properad():
+    """The properad extracted from the nerve of functions on a 2-set."""
+    return extract_properad(nerve(end_properad({"c": 2}), union_corpus()))
+
+
+@pytest.mark.parametrize("make_P", [
+    terminal_properad,
+    lambda: end_properad({"c": 2}),
+    lambda: free_properad(linear_generator(), 3),
+    extracted_end_properad,
+], ids=["terminal", "end-2", "free-linear", "extracted-end-2"])
 @pytest.mark.parametrize("corpus, images_of", [
     (g3_corpus, graphical_images),
     (criterion_9_level_corpus, level_images),
 ], ids=["g3", "criterion-9-level"])
-def test_nerve_matches_reference_nerve(P, corpus, images_of):
+def test_nerve_matches_reference_nerve(make_P, corpus, images_of):
+    P = make_P()
     corpus = corpus()
     N = nerve(P, corpus)
     values, restrictions = reference_nerve(P, corpus, images_of)
@@ -715,6 +739,76 @@ def test_nerve_matches_reference_nerve(P, corpus, images_of):
     assert N.restrictions.keys() == restrictions.keys()
     for key, table in restrictions.items():
         assert element_table(N, *key) == table, key
+
+
+@pytest.mark.parametrize("make_P", [
+    *(lambda s=s: end_properad(s)
+      for s in ({"c": 1}, {"c": 2}, {"c": 1, "d": 2}, {"c": 2, "d": 2})),
+    terminal_properad,
+    lambda: terminal_properad(("x", "y")),
+    *(lambda g=g: free_properad(g(), 3) for g in (
+        three_vertex_graph, double_edge_graph, dangling_pair_graph,
+        closed_square_graph, closed_double_edge_graph,
+    )),
+    extracted_end_properad,
+], ids=[
+    "end-1", "end-2", "end-1-2", "end-2-2", "terminal", "terminal-xy",
+    "free-g3", "free-double-edge", "free-dangling-pair", "free-closed-square",
+    "free-closed-double-edge", "extracted-end-2",
+])
+def test_a_corolla_read_in_its_own_order_evaluates_to_its_label(make_P):
+    """The unit law the nerve relies on to keep a vertex's label
+    (DECISIONS.md D23), at every corolla biarity of the g3 and pair
+    corpora, on the corpus's corolla and on one named otherwise."""
+    P = make_P()
+    checked = 0
+    for corpus in (g3_corpus(), pair_corpus()):
+        for (m, n), ci in corpus.corolla_index.items():
+            for c in (corpus.graphs[ci], corolla(m, n)):
+                (v,) = c.vertices
+                for coloring in itertools.product(P.colors, repeat=len(c.edges)):
+                    color = dict(zip(c.edges, coloring))
+                    ins, outs = tuple(color[e] for e in v.ins), tuple(color[e] for e in v.outs)
+                    for op in P.ops(ins, outs):
+                        dec = decorated_graph(c, color, {v.name: op}, v.ins, v.outs)
+                        assert P.evaluate(dec) == op, (m, n, op)
+                        checked += 1
+    assert checked > 0
+
+
+def test_segal_checks_on_a_nerve_evaluate_nothing(monkeypatch):
+    """The Segal and segmentation checks read inert maps only, and each
+    vertex of an inert map keeps its label (DECISIONS.md D23); the other
+    tables still evaluate."""
+    from graphcat.properad import EndProperad
+
+    calls = []
+    evaluate = EndProperad.evaluate
+    monkeypatch.setattr(EndProperad, "evaluate",
+                        lambda self, dec: calls.append(dec) or evaluate(self, dec))
+    N = nerve(end_properad({"c": 2}), g3_corpus())
+    assert is_segal(N) == (True, None)
+    assert segmentation_check(nerve(terminal_properad(), criterion_9_level_corpus())) == (
+        True, True)
+    assert calls == []
+    dict(N.restrictions)
+    assert len(calls) > 0
+
+
+def test_nerve_of_a_properad_not_closed_under_composition_names_both_objects():
+    # x;y has two vertices, over the bound 1, so it is no operation
+    C = build_corpus([linear_generator()])
+    j = C.object_index(canonical_form(linear_generator())[0])
+    i = C.corolla_index[(1, 1)]
+    N = nerve(free_properad(linear_generator(), 1), C)
+    assert is_segal(N) == (True, None)
+    with pytest.raises(GraphcatError, match=(
+        f"^restriction from object {j} to object {i} leaves the nerve's values: "
+        "P is not closed under composition$"
+    )):
+        dict(N.restrictions)
+    # within the bound 3 it is closed
+    assert len(dict(nerve(free_properad(linear_generator(), 3), C).restrictions)) > 0
 
 
 # ---------------------------------------------------------------------------
